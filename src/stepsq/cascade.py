@@ -57,7 +57,8 @@ class CascadeDecomposition:
     def d_r(self, r: int) -> int:
         """Half the dimension of the r-th symplectic part."""
         n = len(self.layers[r])
-        assert n % 2 == 0, "split layers have even symplectic dimension"
+        if n % 2:
+            raise AssertionError("split layers have even symplectic dimension")
         return n // 2
 
 
@@ -95,7 +96,8 @@ def kostant_cascade(system: RootSystem) -> CascadeChain:
         candidates = [a for a in candidates if strongly_orthogonal(system, a, pick)]
     for i, a in enumerate(chosen):
         for b in chosen[i + 1:]:
-            assert strongly_orthogonal(system, a, b)
+            if not strongly_orthogonal(system, a, b):
+                raise AssertionError(f"cascade roots {a} and {b} are not strongly orthogonal")
     return CascadeChain(tuple(chosen), tuple(ties))
 
 
@@ -110,7 +112,7 @@ def layer_partition(system: RootSystem, beta: Sequence[Vector],
 
     Layer r collects the unassigned positives alpha with beta_r - alpha a
     positive root.  The fill-out partition property and the orthogonality
-    characterization of each layer are asserted before returning.
+    characterization of each layer are checked before returning.
     """
     beta = tuple(beta)
     m = len(beta)
@@ -123,7 +125,8 @@ def layer_partition(system: RootSystem, beta: Sequence[Vector],
         layers[r] = tuple(sorted(members, reverse=True))
         taken = set(members)
         remaining = [a for a in remaining if a not in taken]
-    assert not remaining, f"fill-out partition failed; unassigned {remaining}"
+    if remaining:
+        raise AssertionError(f"fill-out partition failed; unassigned {remaining}")
     pairings = {a: tuple(inner(a, b) for b in beta) for a in system.positives}
     for r in range(1, m + 1):
         expected = set(layers[r]) | {beta[r - 1]}
@@ -131,7 +134,8 @@ def layer_partition(system: RootSystem, beta: Sequence[Vector],
             a for a, ip in pairings.items()
             if not any(ip[r:]) and ip[r - 1] > 0
         }
-        assert expected == characterized, f"layer characterization failed at r={r}"
+        if expected != characterized:
+            raise AssertionError(f"layer characterization failed at r={r}")
     return CascadeDecomposition(system, reverse_cascade(beta), beta, layers, tuple(ties))
 
 
@@ -148,8 +152,10 @@ def sigma_r(decomp: CascadeDecomposition, alpha: Vector, r: int) -> Vector:
     b = decomp.beta[r - 1]
     image = vadd(vscale(Q(-1), alpha),
                  vscale(Q(2) * inner(alpha, b) / inner(b, b), b))
-    assert image in set(decomp.layers[r]), "sigma must preserve the layer"
-    assert vadd(alpha, image) == b, "alpha + sigma(alpha) must equal beta_r"
+    if image not in set(decomp.layers[r]):
+        raise AssertionError("sigma must preserve the layer")
+    if vadd(alpha, image) != b:
+        raise AssertionError("alpha + sigma(alpha) must equal beta_r")
     return image
 
 

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -119,21 +119,6 @@ def _validate_report(doc: dict) -> None:
             assert key in row, f"report row missing field {key!r}"
         assert isinstance(row["pass"], bool)
     assert isinstance(doc["passed"], bool)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; round-trips through JSON unchanged."""
-
-    command: str
-    options: Dict[str, object] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"command": self.command, "options": dict(self.options)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RunConfig":
-        return cls(doc["command"], dict(doc["options"]))
 
 
 # ---------------------------------------------------------------------------
@@ -570,3 +555,7 @@ def run(argv: Sequence[str]) -> int:
 def main() -> None:
     """Console entry point."""
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -11,20 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .cascade import CascadeDecomposition, cascade_decomposition, sigma_r
+from .cascade import cascade_decomposition, sigma_r
 from .nilalg import (
-    Layer,
     NilpotentAlgebra,
-    _decompose_entries,
+    decompose,
     layer_subalgebras,
     realize_split_nilradical,
     sparse_commutator,
 )
 from .plancherel import determinant
+from .rootsys import Vector
 
 HARNESS_NAMES = ("HEIS1", "HEIS2", "HEIS3", "A3", "C2", "B2", "A1")
 
@@ -75,9 +75,6 @@ class Harness:
     name: str
     size: int
     layers: Tuple[LayerDesc, ...]
-    alg: Optional[NilpotentAlgebra] = None
-    decomp: Optional[CascadeDecomposition] = None
-    exact_layers: Optional[Tuple[Layer, ...]] = None
 
     @property
     def m(self) -> int:
@@ -220,22 +217,25 @@ def _heisenberg_harness(d: int) -> Harness:
     return Harness(name=f"HEIS{d}", size=n, layers=(layer,))
 
 
-def _np(mat) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in mat])
+def _dense(alg: NilpotentAlgebra, root: Vector) -> np.ndarray:
+    """Float matrix of the sparse root-space map of root."""
+    M = np.zeros((alg.size, alg.size))
+    for (i, j), v in alg.basis[root].items():
+        M[i, j] = v
+    return M
 
 
 def _algebra_harness(series: str, rank: int, name: str) -> Harness:
     """Two-layer harness from the split matrix model with polarized layers."""
     alg = realize_split_nilradical(series, rank)
     decomp = cascade_decomposition(alg.system)
-    exact_layers = tuple(layer_subalgebras(alg, decomp))
     descs: List[LayerDesc] = []
-    for layer in exact_layers:
+    for layer in layer_subalgebras(alg, decomp):
         if layer.d_r == 0:
-            descs.append(LayerDesc(layer.r, 0, _np(alg.basis[layer.beta]),
+            descs.append(LayerDesc(layer.r, 0, _dense(alg, layer.beta),
                                    (), (), np.zeros((0, 0))))
             continue
-        members = sorted((a for a, _ in layer.v_basis), reverse=True)
+        members = sorted(layer.members, reverse=True)
         a_roots: List = []
         b_roots: List = []
         seen = set()
@@ -252,18 +252,17 @@ def _algebra_harness(series: str, rank: int, name: str) -> Harness:
         for i, ar in enumerate(a_roots):
             for j, br in enumerate(b_roots):
                 z = sparse_commutator(alg.basis[ar], alg.basis[br])
-                coeffs = _decompose_entries(alg, z)
+                coeffs = decompose(alg, z)
                 assert coeffs is not None and set(coeffs) <= {layer.beta}
                 C[i][j] = coeffs.get(layer.beta, Q(0))
         assert determinant(C) != 0, "polarization pairing must be nondegenerate"
         descs.append(LayerDesc(
-            layer.r, layer.d_r, _np(alg.basis[layer.beta]),
-            tuple(_np(alg.basis[a]) for a in a_roots),
-            tuple(_np(alg.basis[b]) for b in b_roots),
-            _np(C),
+            layer.r, layer.d_r, _dense(alg, layer.beta),
+            tuple(_dense(alg, a) for a in a_roots),
+            tuple(_dense(alg, b) for b in b_roots),
+            np.array(C, dtype=float),
         ))
-    return Harness(name=name, size=alg.size, layers=tuple(descs),
-                   alg=alg, decomp=decomp, exact_layers=exact_layers)
+    return Harness(name=name, size=alg.size, layers=tuple(descs))
 
 
 def build_harness(name: str) -> Harness:
@@ -281,9 +280,7 @@ def build_harness(name: str) -> Harness:
         return _algebra_harness("B", 2, "B2")
     if name == "A1":
         big = _algebra_harness("A", 3, "A1")
-        return Harness(name="A1", size=big.size, layers=big.layers[:1],
-                       alg=big.alg, decomp=big.decomp,
-                       exact_layers=big.exact_layers[:1])
+        return Harness(name="A1", size=big.size, layers=big.layers[:1])
     raise ValueError(f"unknown harness {name!r}; expected one of {HARNESS_NAMES}")
 
 

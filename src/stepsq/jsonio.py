@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Sequence, Tuple
-
-Vector = Tuple[Q, ...]
+from typing import Sequence
 
 
 def rat_str(x: Q) -> str:
@@ -26,8 +24,3 @@ def parse_rat(s: str) -> Q:
 def vec_strs(v: Sequence[Q]) -> list:
     """Render a rational vector as a list of "p/q" strings."""
     return [rat_str(x) for x in v]
-
-
-def parse_vec(items: Sequence[str]) -> Vector:
-    """Parse a list of rational strings into an exact vector."""
-    return tuple(parse_rat(s) for s in items)

@@ -1,100 +1,68 @@
-"""Rational matrix realizations of split nilradicals, layers, and setup axioms."""
+"""Split nilradicals as sparse root-space maps, their layers, and setup axioms.
+
+Each positive root space of the split matrix model is spanned by a matrix
+with one or two entries equal to +1 or -1.  It is stored as a sparse map
+``{(row, col): value}`` with 0-based positions and ``int`` values, and
+brackets and decompositions work on such maps directly.  Distinct roots sit
+at disjoint positions, so a bracket's coefficients are read off entrywise.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cascade import CascadeDecomposition
-from .jsonio import rat_str
 from .rootsys import RootSystem, Vector, build_root_system, inner, vadd
 
-Matrix = Tuple[Tuple[Q, ...], ...]
+Entries = Dict[Tuple[int, int], int | Q]  # sparse matrix: position -> nonzero value
 
 
-def zeros(n: int, m: Optional[int] = None) -> Matrix:
-    """Exact zero matrix."""
-    m = n if m is None else m
-    return tuple(tuple(Q(0) for _ in range(m)) for _ in range(n))
-
-
-def eij(i: int, j: int, n: int) -> Matrix:
-    """Elementary matrix E_ij (1-based) of size n."""
-    return tuple(tuple(Q(1) if (r, c) == (i - 1, j - 1) else Q(0)
-                       for c in range(n)) for r in range(n))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix sum."""
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix difference."""
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: Q, a: Matrix) -> Matrix:
-    """Exact scalar multiple."""
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product."""
-    if len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix commutator [a, b]."""
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def _entries(mat: Matrix) -> Tuple[Tuple[int, int, Q], ...]:
-    """Sparse (row, col, value) triples of the nonzero entries."""
-    return tuple((i, j, v) for i, row in enumerate(mat)
-                 for j, v in enumerate(row) if v != 0)
-
-
-def sparse_commutator(a: Matrix, b: Matrix) -> Dict[Tuple[int, int], Q]:
-    """Commutator of sparse matrices as a position-to-value map."""
-    out: Dict[Tuple[int, int], Q] = {}
-    ea, eb = _entries(a), _entries(b)
-    for i, j, v in ea:
-        for k, l, w in eb:
+def sparse_commutator(a: Entries, b: Entries) -> Entries:
+    """Commutator [a, b] of sparse matrices as a position-to-value map."""
+    out: Entries = {}
+    for (i, j), v in a.items():
+        for (k, l), w in b.items():
             if j == k:
-                out[(i, l)] = out.get((i, l), Q(0)) + v * w
+                out[(i, l)] = out.get((i, l), 0) + v * w
             if l == i:
-                out[(k, j)] = out.get((k, j), Q(0)) - v * w
+                out[(k, j)] = out.get((k, j), 0) - v * w
     return {p: v for p, v in out.items() if v != 0}
-
-
-def is_zero(a: Matrix) -> bool:
-    """True iff every entry vanishes."""
-    return all(x == 0 for row in a for x in row)
 
 
 @dataclass(frozen=True)
 class NilpotentAlgebra:
-    """Nilradical graded by positive restricted roots, as exact matrices."""
+    """Nilradical graded by positive restricted roots, as sparse root-space maps.
+
+    ``posmap`` sends each basis position to its owning root and entry; it is
+    built, and the positions checked disjoint, at construction.
+    """
 
     series: str
     rank: int
     system: RootSystem
-    basis: Dict[Vector, Matrix]
+    basis: Dict[Vector, Dict[Tuple[int, int], int]]
     size: int
+    posmap: Dict[Tuple[int, int], Tuple[Vector, int]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        posmap: Dict[Tuple[int, int], Tuple[Vector, int]] = {}
+        for a, x in self.basis.items():
+            for pos, val in x.items():
+                if pos in posmap:
+                    raise AssertionError("basis positions must be disjoint")
+                posmap[pos] = (a, val)
+        object.__setattr__(self, "posmap", posmap)
 
     @property
     def dimension(self) -> int:
         """Number of positive root spaces (all one-dimensional here)."""
         return len(self.basis)
 
-    def cartan(self, t: Sequence[Q]) -> Matrix:
-        """Diagonal Cartan element with split parameters t_1..t_rank."""
+    def cartan(self, t: Sequence[Q]) -> Entries:
+        """Diagonal Cartan element with split parameters t_1..t_rank, as a sparse map."""
         t = [Q(x) for x in t]
         if len(t) != self.rank:
             raise ValueError("dimension mismatch")
@@ -106,8 +74,7 @@ class NilpotentAlgebra:
             diag = t + [-x for x in reversed(t)]
         else:
             diag = t + [-x for x in t]
-        return tuple(tuple(diag[r] if r == c else Q(0) for c in range(self.size))
-                     for r in range(self.size))
+        return {(r, r): x for r, x in enumerate(diag) if x != 0}
 
     def root_value(self, alpha: Vector, t: Sequence[Q]) -> Q:
         """alpha(h) for the Cartan element with parameters t."""
@@ -117,58 +84,48 @@ class NilpotentAlgebra:
         return inner(alpha, tuple(tt))
 
 
-def bracket(alg: NilpotentAlgebra, x: Matrix, y: Matrix) -> Matrix:
-    """Exact Lie bracket (matrix commutator) inside the algebra."""
-    if len(x) != alg.size or len(y) != alg.size:
-        raise ValueError("shape mismatch")
-    return commutator(x, y)
-
-
-def _build_basis(series: str, rank: int, system: RootSystem) -> Tuple[Dict[Vector, Matrix], int]:
-    """Per-series elementary-matrix models of the positive root spaces."""
-    basis: Dict[Vector, Matrix] = {}
+def _build_basis(series: str, rank: int,
+                 system: RootSystem) -> Tuple[Dict[Vector, Dict[Tuple[int, int], int]], int]:
+    """Per-series signed-unit models of the positive root spaces (0-based)."""
+    basis: Dict[Vector, Dict[Tuple[int, int], int]] = {}
     if series == "A":
-        n = rank + 1
         for a in system.positives:
-            i = next(k for k, x in enumerate(a) if x == 1) + 1
-            j = next(k for k, x in enumerate(a) if x == -1) + 1
-            basis[a] = eij(i, j, n)
-        return basis, n
+            basis[a] = {(a.index(1), a.index(-1)): 1}
+        return basis, rank + 1
     if series == "C":
         k = rank
-        n = 2 * k
         for a in system.positives:
-            pos = [idx + 1 for idx, x in enumerate(a) if x > 0]
-            neg = [idx + 1 for idx, x in enumerate(a) if x < 0]
+            pos = [idx for idx, x in enumerate(a) if x > 0]
+            neg = [idx for idx, x in enumerate(a) if x < 0]
             if neg:
                 i, j = pos[0], neg[0]
-                basis[a] = mat_sub(eij(i, j, n), eij(k + j, k + i, n))
+                basis[a] = {(i, j): 1, (k + j, k + i): -1}
             elif len(pos) == 2:
                 i, j = pos
-                basis[a] = mat_add(eij(i, k + j, n), eij(j, k + i, n))
+                basis[a] = {(i, k + j): 1, (j, k + i): 1}
             else:
                 i = pos[0]
-                basis[a] = eij(i, k + i, n)
-        return basis, n
+                basis[a] = {(i, k + i): 1}
+        return basis, 2 * k
     if series in ("B", "D"):
         k = rank
         n = 2 * k + 1 if series == "B" else 2 * k
 
         def conj(i: int) -> int:
-            return n + 1 - i
+            return n - 1 - i
 
         for a in system.positives:
-            pos = [idx + 1 for idx, x in enumerate(a) if x > 0]
-            neg = [idx + 1 for idx, x in enumerate(a) if x < 0]
+            pos = [idx for idx, x in enumerate(a) if x > 0]
+            neg = [idx for idx, x in enumerate(a) if x < 0]
             if neg:
                 i, j = pos[0], neg[0]
-                basis[a] = mat_sub(eij(i, j, n), eij(conj(j), conj(i), n))
+                basis[a] = {(i, j): 1, (conj(j), conj(i)): -1}
             elif len(pos) == 2:
                 i, j = pos
-                basis[a] = mat_sub(eij(i, conj(j), n), eij(j, conj(i), n))
+                basis[a] = {(i, conj(j)): 1, (j, conj(i)): -1}
             else:
                 i = pos[0]
-                basis[a] = mat_sub(eij(i, k + 1, n), eij(k + 1, conj(i), n))
+                basis[a] = {(i, k): 1, (k, conj(i)): -1}
         return basis, n
     raise ValueError(f"unsupported series {series!r}")
 
@@ -184,167 +141,90 @@ def realize_split_nilradical(series: str, rank: int, _validate: bool = True) -> 
 
 
 def _validate_algebra(alg: NilpotentAlgebra) -> None:
-    """Assert the grading and closure invariants exactly."""
+    """Check the grading and closure invariants exactly."""
     for i in range(alg.rank):
         t = [Q(1) if j == i else Q(0) for j in range(alg.rank)]
-        diag = [alg.cartan(t)[k][k] for k in range(alg.size)]
+        h = alg.cartan(t)
         for a, x in alg.basis.items():
             val = alg.root_value(a, t)
-            for r, c, _ in _entries(x):
-                assert diag[r] - diag[c] == val, f"grading fails at {a}"
+            for r, c in x:
+                if h.get((r, r), 0) - h.get((c, c), 0) != val:
+                    raise AssertionError(f"grading fails at {a}")
     roots = set(alg.system.positives)
     items = list(alg.basis.items())
     for i, (a, x) in enumerate(items):
         for b, y in items[i:]:
             z = sparse_commutator(x, y)
-            coeffs = _decompose_entries(alg, z)
+            coeffs = decompose(alg, z)
             s = vadd(a, b)
             if s in roots:
-                assert coeffs is not None and set(coeffs) <= {s}, \
-                    f"bracket [{a},{b}] escapes"
-            else:
-                assert not z, f"bracket [{a},{b}] should vanish"
-
-
-def _is_multiple(z: Matrix, w: Matrix) -> bool:
-    """True iff z is an exact scalar multiple of w (including z = 0)."""
-    c = None
-    for rz, rw in zip(z, w):
-        for x, y in zip(rz, rw):
-            if y == 0:
-                if x != 0:
-                    return False
-            else:
-                ratio = x / y
-                if c is None:
-                    c = ratio
-                elif ratio != c:
-                    return False
-    return True
-
-
-def structure_constant(alg: NilpotentAlgebra, a: Vector, b: Vector) -> Q:
-    """Coefficient c with [x_a, x_b] = c * x_{a+b} (0 when the sum is not a root)."""
-    z = commutator(alg.basis[a], alg.basis[b])
-    s = vadd(a, b)
-    if s not in alg.basis:
-        assert is_zero(z)
-        return Q(0)
-    w = alg.basis[s]
-    for rz, rw in zip(z, w):
-        for x, y in zip(rz, rw):
-            if y != 0:
-                assert z == mat_scale(x / y, w)
-                return x / y
-    assert is_zero(z)
-    return Q(0)
+                if coeffs is None or not set(coeffs) <= {s}:
+                    raise AssertionError(f"bracket [{a},{b}] escapes")
+            elif z:
+                raise AssertionError(f"bracket [{a},{b}] should vanish")
 
 
 @dataclass(frozen=True)
 class Layer:
-    """One layer: central root space plus the symplectic root spaces."""
+    """One layer: the central root beta and the symplectic member roots.
+
+    The root-space matrices are looked up in the algebra's ``basis``.
+    """
 
     r: int
     beta: Vector
-    z_basis: Tuple[Tuple[Vector, Matrix], ...]
-    v_basis: Tuple[Tuple[Vector, Matrix], ...]
+    members: Tuple[Vector, ...]
 
     @property
     def d_r(self) -> int:
         """Half the symplectic dimension."""
-        return len(self.v_basis) // 2
+        return len(self.members) // 2
 
     @property
     def dim(self) -> int:
         """Layer dimension."""
-        return len(self.z_basis) + len(self.v_basis)
+        return 1 + len(self.members)
 
 
 def layer_subalgebras(alg: NilpotentAlgebra, decomp: CascadeDecomposition,
                       validate: bool = True) -> List[Layer]:
-    """Layers l_r = z_r + v_r, asserted two-step with bracket into z_r."""
+    """Layers l_r = z_r + v_r, checked two-step with bracket into z_r."""
     layers: List[Layer] = []
     for r in range(1, decomp.m + 1):
         beta = decomp.beta[r - 1]
         members = decomp.layers[r]
-        layer = Layer(
-            r=r,
-            beta=beta,
-            z_basis=((beta, alg.basis[beta]),),
-            v_basis=tuple((a, alg.basis[a]) for a in members),
-        )
         if validate:
-            assert len(members) % 2 == 0
-            for a, x in layer.v_basis:
-                for b, y in layer.v_basis:
-                    z = sparse_commutator(x, y)
-                    coeffs = _decompose_entries(alg, z)
-                    assert coeffs is not None and set(coeffs) <= {beta}, \
-                        f"[v_{r}, v_{r}] escapes z_{r} at ({a},{b})"
-                assert not sparse_commutator(alg.basis[beta], x), \
-                    f"z_{r} must be central in l_{r}"
-        layers.append(layer)
+            if len(members) % 2:
+                raise AssertionError(f"v_{r} has odd dimension")
+            for a in members:
+                x = alg.basis[a]
+                for b in members:
+                    coeffs = decompose(alg, sparse_commutator(x, alg.basis[b]))
+                    if coeffs is None or not set(coeffs) <= {beta}:
+                        raise AssertionError(f"[v_{r}, v_{r}] escapes z_{r} at ({a},{b})")
+                if sparse_commutator(alg.basis[beta], x):
+                    raise AssertionError(f"z_{r} must be central in l_{r}")
+        layers.append(Layer(r, beta, members))
     return layers
 
 
-_POSMAP_CACHE: Dict[int, Tuple[NilpotentAlgebra, dict, dict]] = {}
-
-
-def _position_map(alg: NilpotentAlgebra):
-    """Map each nonzero matrix position to its unique owning basis root.
-
-    The split models place distinct roots at disjoint entry positions, which
-    is asserted here; decomposition then reads coefficients off directly.
-    Also returns the nonzero-entry count per basis root.
-    """
-    cached = _POSMAP_CACHE.get(id(alg))
-    if cached is not None and cached[0] is alg:
-        return cached[1], cached[2]
-    posmap: Dict[Tuple[int, int], Tuple[Vector, Q]] = {}
-    nnz: Dict[Vector, int] = {}
-    for a, x in alg.basis.items():
-        count = 0
-        for i, row in enumerate(x):
-            for j, val in enumerate(row):
-                if val != 0:
-                    assert (i, j) not in posmap, "basis positions must be disjoint"
-                    posmap[(i, j)] = (a, val)
-                    count += 1
-        nnz[a] = count
-    _POSMAP_CACHE[id(alg)] = (alg, posmap, nnz)
-    return posmap, nnz
-
-
-def _decompose_entries(alg: NilpotentAlgebra,
-                       entries: Dict[Tuple[int, int], Q]) -> Optional[Dict[Vector, Q]]:
-    """Coefficients of a sparse matrix in the root-space basis; None if outside."""
-    posmap, nnz = _position_map(alg)
+def decompose(alg: NilpotentAlgebra, entries: Entries) -> Optional[Dict[Vector, Q]]:
+    """Exact coefficients of a sparse matrix in the root-space basis; None if outside."""
     coeffs: Dict[Vector, Q] = {}
     counts: Dict[Vector, int] = {}
     for pos, val in entries.items():
-        if pos not in posmap:
+        if pos not in alg.posmap:
             return None
-        a, base = posmap[pos]
-        c = val / base
+        a, base = alg.posmap[pos]
+        c = Q(val) / base
         if a in coeffs and coeffs[a] != c:
             return None
         coeffs[a] = c
         counts[a] = counts.get(a, 0) + 1
     for a in coeffs:
-        if counts[a] != nnz[a]:
+        if counts[a] != len(alg.basis[a]):
             return None
     return coeffs
-
-
-def decompose(alg: NilpotentAlgebra, mat: Matrix) -> Optional[Dict[Vector, Q]]:
-    """Exact coefficients of mat in the root-space basis; None if outside."""
-    return _decompose_entries(alg, {(i, j): v for i, j, v in _entries(mat)})
-
-
-def span_contains(alg: NilpotentAlgebra, allowed: Sequence[Vector], target: Matrix) -> bool:
-    """Exact membership of target in the span of the allowed root spaces."""
-    coeffs = decompose(alg, target)
-    return coeffs is not None and set(coeffs) <= set(allowed)
 
 
 def bracket_support_table(alg: NilpotentAlgebra) -> Dict[Tuple[Vector, Vector], Optional[frozenset]]:
@@ -358,7 +238,7 @@ def bracket_support_table(alg: NilpotentAlgebra) -> Dict[Tuple[Vector, Vector], 
     for i, a in enumerate(roots):
         for b in roots[i:]:
             ent = sparse_commutator(alg.basis[a], alg.basis[b])
-            coeffs = _decompose_entries(alg, ent)
+            coeffs = decompose(alg, ent)
             supp = None if coeffs is None else frozenset(coeffs)
             table[(a, b)] = supp
             table[(b, a)] = supp
@@ -397,17 +277,16 @@ def verify_setup_axioms(alg: NilpotentAlgebra, layers: Sequence[Layer]) -> Axiom
         return supp is not None and supp <= allowed
 
     def layer_roots(layer: Layer) -> List[Vector]:
-        return [a for a, _ in layer.z_basis + layer.v_basis]
+        return [layer.beta, *layer.members]
 
     empty = frozenset()
     for r in range(m):
         for s in range(r + 1, m):
-            ok = all(supp_ok(x, z, empty)
-                     for x in layer_roots(layers[r])
-                     for z, _ in layers[s].z_basis)
+            ok = all(supp_ok(x, layers[s].beta, empty)
+                     for x in layer_roots(layers[r]))
             rows.append({"axiom": "commute_with_later_centers",
                          "r": r + 1, "s": s + 1, "ok": ok})
-            v_s = frozenset(a for a, _ in layers[s].v_basis)
+            v_s = frozenset(layers[s].members)
             ok2 = all(supp_ok(x, y, v_s)
                       for x in layer_roots(layers[r])
                       for y in layer_roots(layers[s]))
@@ -438,15 +317,3 @@ def corrupted_fixture() -> Tuple[NilpotentAlgebra, CascadeDecomposition]:
     bad = NilpotentAlgebra(alg.series, alg.rank, alg.system, basis, alg.size)
     return bad, decomp
 
-
-def to_json(alg: NilpotentAlgebra) -> dict:
-    """Serialize basis matrices row-major with rational strings."""
-    return {
-        "series": alg.series,
-        "params": {"rank": alg.rank},
-        "basis": [
-            {"root": [rat_str(x) for x in a],
-             "matrix": [rat_str(x) for row in alg.basis[a] for x in row]}
-            for a in sorted(alg.basis, reverse=True)
-        ],
-    }

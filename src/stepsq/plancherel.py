@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .jsonio import rat_str
-from .nilalg import Layer, NilpotentAlgebra, _decompose_entries, sparse_commutator
+from .nilalg import Layer, NilpotentAlgebra, decompose, sparse_commutator
 
 SkewMatrix = Tuple[Tuple[Q, ...], ...]
 
@@ -47,22 +47,6 @@ def determinant(m: Sequence[Sequence[Q]]) -> Q:
     return det
 
 
-def _pf_recursive(m: List[List[Q]], active: List[int]) -> Q:
-    """First-row Pfaffian expansion over the active index set."""
-    if not active:
-        return Q(1)
-    i = active[0]
-    rest = active[1:]
-    total = Q(0)
-    sign = Q(1)
-    for pos, j in enumerate(rest):
-        if m[i][j] != 0:
-            sub = rest[:pos] + rest[pos + 1:]
-            total += sign * m[i][j] * _pf_recursive(m, sub)
-        sign = -sign
-    return total
-
-
 def _pf_eliminate(mat: SkewMatrix) -> Q:
     """Pfaffian by exact skew congruence elimination."""
     n = len(mat)
@@ -95,34 +79,29 @@ def pfaffian(mat: Sequence[Sequence[Q]]) -> Q:
     """Exact Pfaffian of a skew rational matrix.
 
     Odd dimension returns 0; empty matrix returns 1.  The identity
-    Pf^2 = det is asserted on every call.
+    Pf^2 = det is checked on every even-dimensional call.
     """
     mat = tuple(tuple(Q(x) for x in row) for row in mat)
     _check_skew(mat)
-    n = len(mat)
-    if n == 0:
-        return Q(1)
-    if n % 2 == 1:
+    if len(mat) % 2 == 1:
         return Q(0)
-    if n <= 8:
-        m = [list(row) for row in mat]
-        pf = _pf_recursive(m, list(range(n)))
-    else:
-        pf = _pf_eliminate(mat)
-    assert pf * pf == determinant(mat), "Pfaffian must square to the determinant"
+    pf = _pf_eliminate(mat)
+    if pf * pf != determinant(mat):
+        raise AssertionError("Pfaffian must square to the determinant")
     return pf
 
 
 def b_lambda_matrix(alg: NilpotentAlgebra, layer: Layer, lambda_r: Q) -> SkewMatrix:
     """Skew matrix of (x, y) -> lambda([x, y]) on the ordered symplectic basis."""
     lambda_r = Q(lambda_r)
-    n = len(layer.v_basis)
+    v = [alg.basis[a] for a in layer.members]
+    n = len(v)
     rows: List[List[Q]] = [[Q(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            z = sparse_commutator(layer.v_basis[i][1], layer.v_basis[j][1])
-            coeffs = _decompose_entries(alg, z)
-            assert coeffs is not None and set(coeffs) <= {layer.beta}
+            coeffs = decompose(alg, sparse_commutator(v[i], v[j]))
+            if coeffs is None or not set(coeffs) <= {layer.beta}:
+                raise AssertionError(f"[v_{layer.r}, v_{layer.r}] escapes z_{layer.r}")
             val = lambda_r * coeffs.get(layer.beta, Q(0))
             rows[i][j] = val
             rows[j][i] = -val

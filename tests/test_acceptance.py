@@ -150,7 +150,7 @@ def test_06_restriction_and_factor_transitivity():
 
 
 def test_07_fourier_inversion_and_two_stage_limit():
-    start = time.time()
+    start = time.perf_counter()
     h = build_harness("HEIS1")
     f = TestFunction.standard(h)
     res = fourier_inversion(f, identity(h))
@@ -159,7 +159,7 @@ def test_07_fourier_inversion_and_two_stage_limit():
     for _ in range(10):
         res = fourier_inversion(f, random_element(h, rng, 1.0))
         assert res.rel_error < 1e-4
-    assert time.time() - start < 120.0
+    assert time.perf_counter() - start < 120.0
     big, small = build_harness("A3"), build_harness("A1")
     f_big = TestFunction.standard(big)
     f_small = restrict_test_function(f_big, small)

@@ -2,11 +2,15 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import stepsq
 import stepsq.cli as cli
-from stepsq.cli import ReportDocument, RunConfig, make_row, run
+from stepsq.cli import ReportDocument, make_row, run
 
 
 def read(path):
@@ -104,9 +108,17 @@ def test_config_file_overrides_flags(tmp_path):
                 "--out", out]) == 2
 
 
-def test_run_config_round_trip():
-    cfg = RunConfig("cascade", {"series": "C", "n": 3, "seed": 7})
-    assert RunConfig.from_json(cfg.to_json()) == cfg
+def test_module_entry_point(tmp_path):
+    out = tmp_path / "r.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepsq.cli", "roots", "--series", "A",
+         "--n", "2", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = read(out)
+    assert doc["command"] == "roots" and doc["passed"] is True
 
 
 def test_make_row_exact_and_tolerant():

@@ -1,29 +1,37 @@
 """Matrix-model nilradicals: grading, brackets, layers, and setup axioms."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
+import stepsq
 from stepsq.cascade import cascade_decomposition
 from stepsq.nilalg import (
-    bracket,
-    commutator,
+    NilpotentAlgebra,
     corrupted_fixture,
     decompose,
-    is_zero,
     layer_subalgebras,
-    mat_add,
-    mat_scale,
     realize_split_nilradical,
-    structure_constant,
+    sparse_commutator,
     verify_setup_axioms,
-    zeros,
 )
 
 
 def V(*xs):
     return tuple(Q(x) for x in xs)
+
+
+def combine(*terms):
+    """Sparse linear combination sum(c * x) of sparse matrices, zeros dropped."""
+    out = {}
+    for c, x in terms:
+        for p, v in x.items():
+            out[p] = out.get(p, 0) + c * v
+    return {p: v for p, v in out.items() if v != 0}
 
 
 def test_dimensions():
@@ -37,17 +45,19 @@ def test_dimensions():
 def test_strictly_triangular_a():
     alg = realize_split_nilradical("A", 3)
     for x in alg.basis.values():
-        for i in range(alg.size):
-            for j in range(i + 1):
-                assert x[i][j] == 0
+        assert x
+        for (i, j), v in x.items():
+            assert 0 <= i < j < alg.size and v != 0
 
 
 def test_bracket_examples():
     alg = realize_split_nilradical("A", 3)
-    c = structure_constant(alg, V(1, -1, 0, 0), V(0, 1, 0, -1))
-    assert c in (Q(1), Q(-1))
-    x = alg.basis[V(1, -1, 0, 0)]
-    assert is_zero(bracket(alg, x, x))
+    a, b = V(1, -1, 0, 0), V(0, 1, 0, -1)
+    coeffs = decompose(alg, sparse_commutator(alg.basis[a], alg.basis[b]))
+    assert set(coeffs) == {V(1, 0, 0, -1)}
+    assert coeffs[V(1, 0, 0, -1)] in (Q(1), Q(-1))
+    x = alg.basis[a]
+    assert sparse_commutator(x, x) == {}
 
 
 def test_grading_random_cartan():
@@ -57,7 +67,8 @@ def test_grading_random_cartan():
         t = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rank)]
         h = alg.cartan(t)
         for a, x in alg.basis.items():
-            assert commutator(h, x) == mat_scale(alg.root_value(a, t), x)
+            val = alg.root_value(a, t)
+            assert sparse_commutator(h, x) == combine((val, x))
 
 
 def test_jacobi_random_triples():
@@ -67,15 +78,13 @@ def test_jacobi_random_triples():
         mats = list(alg.basis.values())
         for _ in range(100):
             def rand_elem():
-                out = zeros(alg.size)
-                for m in rng.sample(mats, k=3):
-                    out = mat_add(out, mat_scale(Q(rng.randint(-3, 3)), m))
-                return out
+                return combine(*((Q(rng.randint(-3, 3)), m)
+                                 for m in rng.sample(mats, k=3)))
             x, y, z = rand_elem(), rand_elem(), rand_elem()
-            jac = mat_add(mat_add(commutator(x, commutator(y, z)),
-                                  commutator(y, commutator(z, x))),
-                          commutator(z, commutator(x, y)))
-            assert is_zero(jac)
+            jac = combine((1, sparse_commutator(x, sparse_commutator(y, z))),
+                          (1, sparse_commutator(y, sparse_commutator(z, x))),
+                          (1, sparse_commutator(z, sparse_commutator(x, y))))
+            assert jac == {}
 
 
 def test_layer_dims():
@@ -92,12 +101,18 @@ def test_layer_dims():
 def test_decompose_roundtrip():
     alg = realize_split_nilradical("B", 3)
     roots = sorted(alg.basis, reverse=True)
-    target = mat_add(mat_scale(Q(2, 3), alg.basis[roots[0]]),
-                     mat_scale(Q(-5), alg.basis[roots[3]]))
+    target = combine((Q(2, 3), alg.basis[roots[0]]), (Q(-5), alg.basis[roots[3]]))
     coeffs = decompose(alg, target)
     assert coeffs == {roots[0]: Q(2, 3), roots[3]: Q(-5)}
-    from stepsq.nilalg import eij
-    assert decompose(alg, eij(2, 1, alg.size)) is None
+    assert all(type(c) is Q for c in coeffs.values())
+    # integer entries decompose exactly, never into floats
+    coeffs = decompose(alg, combine((3, alg.basis[roots[1]])))
+    assert coeffs == {roots[1]: 3} and type(coeffs[roots[1]]) is Q
+    # E_21 is strictly lower triangular, and half of a two-entry root
+    # space matches no single basis element
+    assert decompose(alg, {(1, 0): 1}) is None
+    two = next(x for x in alg.basis.values() if len(x) == 2)
+    assert decompose(alg, dict([next(iter(two.items()))])) is None
 
 
 AXIOM_CASES = (
@@ -133,11 +148,11 @@ def test_symplectic_form_nondegenerate_on_layers():
         for layer in layers:
             if layer.d_r == 0:
                 continue
-            roots = [a for a, _ in layer.v_basis]
+            roots = layer.members
             mat = [[0] * len(roots) for _ in roots]
             for i, a in enumerate(roots):
                 for j, b in enumerate(roots):
-                    z = commutator(layer.v_basis[i][1], layer.v_basis[j][1])
+                    z = sparse_commutator(alg.basis[a], alg.basis[b])
                     coeffs = decompose(alg, z)
                     mat[i][j] = coeffs.get(layer.beta, Q(0)) if coeffs else Q(0)
             for i, row in enumerate(mat):
@@ -146,10 +161,39 @@ def test_symplectic_form_nondegenerate_on_layers():
                 assert mat[nz[0]][i] == -row[nz[0]]
 
 
+def test_overlapping_basis_positions_rejected():
+    alg = realize_split_nilradical("A", 2)
+    basis = dict(alg.basis)
+    a, b = sorted(basis)[:2]
+    basis[a] = basis[b]
+    with pytest.raises(AssertionError, match="disjoint"):
+        NilpotentAlgebra(alg.series, alg.rank, alg.system, basis, alg.size)
+
+
 def test_shape_errors():
-    a3 = realize_split_nilradical("A", 3)
-    a2 = realize_split_nilradical("A", 2)
-    with pytest.raises(ValueError):
-        bracket(a3, next(iter(a2.basis.values())), next(iter(a3.basis.values())))
     with pytest.raises(ValueError):
         realize_split_nilradical("E", 6)
+
+
+OPTIMIZED_CHECKS = {
+    "escapes z_2": (
+        "from stepsq.nilalg import corrupted_fixture, layer_subalgebras\n"
+        "layer_subalgebras(*corrupted_fixture())"),
+    "layer characterization failed at r=1": (
+        "from stepsq.cascade import cascade_decomposition, layer_partition\n"
+        "from stepsq.rootsys import build_root_system\n"
+        "system = build_root_system('A', 3)\n"
+        "layer_partition(system, tuple(reversed("
+        "cascade_decomposition(system).beta)))"),
+}
+
+
+@pytest.mark.parametrize("message", sorted(OPTIMIZED_CHECKS))
+def test_invariants_raise_under_python_O(message):
+    # the invariant checks are raised errors, so -O must not strip them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS[message]],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "AssertionError: " in proc.stderr and message in proc.stderr
