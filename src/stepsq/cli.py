@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -315,15 +316,15 @@ def pipeline_inversion(points: int, tolerance: float,
     f = TestFunction.standard(h)
     rng = np.random.default_rng(seed)
     res = fourier_inversion(f, identity(h), tolerance=tolerance)
-    rows = [make_row("identity_value", 1.0, res.value.real, 1e-4,
+    rows = [make_row("identity_value", 1.0, res.value.real, tolerance,
                      "test function value at the identity"),
-            make_row("identity_rel_error", 0.0, res.rel_error, 1e-4,
+            make_row("identity_rel_error", 0.0, res.rel_error, tolerance,
                      "reconstruction residual")]
     for k in range(points):
         x = random_element(h, rng, 1.0)
         res = fourier_inversion(f, x, tolerance=tolerance)
-        rows.append(make_row(f"point_{k}_rel_error", 0.0, res.rel_error, 1e-4,
-                             "reconstruction residual"))
+        rows.append(make_row(f"point_{k}_rel_error", 0.0, res.rel_error,
+                             tolerance, "reconstruction residual"))
     return {"harness": "HEIS1", "points": points, "tolerance": tolerance,
             "seed": seed}, rows
 
@@ -494,9 +495,17 @@ def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
     if cmd == "restriction":
         return pipeline_restriction(parse_rat(args.lambda1),
                                     parse_rat(args.lambda2), args.seed)
+    if cmd in ("inversion", "limit-check") and not (
+            math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError(f"--tolerance must be finite and positive, "
+                         f"got {args.tolerance}")
     if cmd == "inversion":
+        if args.points < 0:
+            raise ValueError(f"--points must be nonnegative, got {args.points}")
         return pipeline_inversion(args.points, args.tolerance, args.seed)
     if cmd == "limit-check":
+        if not math.isfinite(args.zeta):
+            raise ValueError(f"--zeta must be finite, got {args.zeta}")
         return pipeline_limit_check(args.zeta, args.tolerance)
     if cmd == "all":
         return pipeline_all(args.seed, args.quick)

@@ -4,7 +4,8 @@ A harness packages a nilpotent matrix group together with its layer
 decomposition, a deterministic polarization of each symplectic part, and
 numeric exp/log coordinate maps.  Supported harnesses: HEIS1/HEIS2/HEIS3
 (generalized Heisenberg groups), A3, C2, B2 (two-layer groups built from the
-split matrix models), and A1 (the one-parameter first-layer subgroup of A3).
+split matrix models), C3 (the three-layer split model of type C), and A1 (the
+one-parameter first-layer subgroup of A3).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .nilalg import (
 from .plancherel import determinant
 from .rootsys import Vector
 
-HARNESS_NAMES = ("HEIS1", "HEIS2", "HEIS3", "A3", "C2", "B2", "A1")
+HARNESS_NAMES = ("HEIS1", "HEIS2", "HEIS3", "A3", "C2", "B2", "C3", "A1")
 
 
 def expm_nilpotent(M: np.ndarray) -> np.ndarray:
@@ -226,7 +227,7 @@ def _dense(alg: NilpotentAlgebra, root: Vector) -> np.ndarray:
 
 
 def _algebra_harness(series: str, rank: int, name: str) -> Harness:
-    """Two-layer harness from the split matrix model with polarized layers."""
+    """Layered harness from the split matrix model with polarized layers."""
     alg = realize_split_nilradical(series, rank)
     decomp = cascade_decomposition(alg.system)
     descs: List[LayerDesc] = []
@@ -278,6 +279,8 @@ def build_harness(name: str) -> Harness:
         return _algebra_harness("C", 2, "C2")
     if name == "B2":
         return _algebra_harness("B", 2, "B2")
+    if name == "C3":
+        return _algebra_harness("C", 3, "C3")
     if name == "A1":
         big = _algebra_harness("A", 3, "A1")
         return Harness(name="A1", size=big.size, layers=big.layers[:1])

@@ -35,6 +35,40 @@ def test_wrong_lambda_count_exits_2(tmp_path):
                 "--out", out]) == 2
 
 
+def test_unsupported_harness_shape_exits_2(tmp_path):
+    # C3 carries symplectic parts below its top layer, which the layered
+    # representations do not model
+    out = str(tmp_path / "o.json")
+    assert run(["orthogonality", "--harness", "C3", "--lambda", "1",
+                "--lambda", "1", "--lambda", "1", "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["inversion", "--points", "-1"],
+    ["inversion", "--tolerance", "0"],
+    ["inversion", "--tolerance", "-1"],
+    ["inversion", "--tolerance", "nan"],
+    ["limit-check", "--tolerance", "inf"],
+    ["limit-check", "--zeta", "nan"],
+])
+def test_bad_numeric_inputs_exit_2(tmp_path, capsys, argv):
+    out = str(tmp_path / "r.json")
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_inversion_enforces_requested_tolerance(tmp_path):
+    # the residuals are far below 1e-4, so a tolerance finer than them fails
+    # the rows only if the requested tolerance is the enforced one
+    out = str(tmp_path / "i.json")
+    assert run(["inversion", "--points", "1", "--tolerance", "1e-20",
+                "--out", out]) == 1
+    assert read(out)["passed"] is False
+
+
 def test_cascade_report(tmp_path):
     out = str(tmp_path / "c.json")
     assert run(["cascade", "--series", "C", "--n", "3", "--out", out]) == 0
@@ -119,6 +153,16 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = read(out)
     assert doc["command"] == "roots" and doc["passed"] is True
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import stepsq.cli, sys; sys.exit('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_make_row_exact_and_tolerant():

@@ -67,7 +67,8 @@ def test_heisenberg_central_commutator():
 
 def test_layer_shapes():
     expected = {"HEIS1": [1], "HEIS2": [2], "HEIS3": [3],
-                "A3": [0, 2], "C2": [0, 1], "B2": [0, 1], "A1": [0]}
+                "A3": [0, 2], "C2": [0, 1], "B2": [0, 1], "C3": [0, 1, 2],
+                "A1": [0]}
     for name, dims in expected.items():
         h = build_harness(name)
         assert [layer.d for layer in h.layers] == dims
