@@ -10,7 +10,8 @@ import numpy as np
 
 from stepsq.harness import build_harness, random_element
 from stepsq.schrodinger import (check_invariants, coefficient,
-                                coefficient_norm_sq, stepwise_rep)
+                                coefficient_norm_sq, stepwise_rep,
+                                validation_grid)
 from stepsq.states import GaussianState, Grid, GridState
 
 rng = np.random.default_rng(1)
@@ -18,7 +19,7 @@ rng = np.random.default_rng(1)
 for name, gamma in (("HEIS1", {1: 2.0}), ("HEIS2", {1: 0.7}),
                     ("A3", {1: 1.0, 2: 1.5}), ("C2", {1: 0.5, 2: 1.0}),
                     ("B2", {1: 1.0, 2: -0.8})):
-    rep = stepwise_rep(name, gamma, validate=False)
+    rep = stepwise_rep(name, gamma)
     checks = check_invariants(rep, rng, trials=3)
     u = GaussianState.packet(rep.D, rng.normal(size=rep.D) * 0.4,
                              rng.normal(size=rep.D) * 0.4)
@@ -32,9 +33,12 @@ for name, gamma in (("HEIS1", {1: 2.0}), ("HEIS2", {1: 0.7}),
           f"norm identity ratio = {ratio:.12f}")
 
 grid = Grid(1, 256, 3.3)
-rep = stepwise_rep("HEIS1", {1: 1.0}, backend="grid", grid=grid,
-                   validate=False)
+# the same representation acts on grid samples; the state picks the path
+rep = stepwise_rep("HEIS1", {1: 1.0})
+checks = check_invariants(rep, rng, trials=3, grid=validation_grid(1))
 gu = GridState.from_gaussian(GaussianState.ground(1), grid)
 report = coefficient_norm_sq(rep, gu, gu)
+print(f"grid states (HEIS1): unitarity {checks['unitarity']:.1e}, "
+      f"homomorphism {checks['homomorphism']:.1e}")
 print(f"grid path (HEIS1, 256 points): measured {report.value:.6f}, "
       f"predicted {report.predicted:.6f}, rel err {report.rel_error:.2e}")

@@ -43,17 +43,6 @@ class CascadeDecomposition:
         """Number of layers."""
         return len(self.beta)
 
-    @property
-    def layer_of(self) -> Dict[Vector, int]:
-        """Total map from positive roots to their layer index."""
-        out: Dict[Vector, int] = {}
-        for r, b in enumerate(self.beta, start=1):
-            out[b] = r
-        for r, members in self.layers.items():
-            for a in members:
-                out[a] = r
-        return out
-
     def d_r(self, r: int) -> int:
         """Half the dimension of the r-th symplectic part."""
         n = len(self.layers[r])

@@ -32,7 +32,7 @@ from .nilalg import (corrupted_fixture, layer_subalgebras,
 from .plancherel import determinant, pfaffian, plancherel_density
 from .rootsys import build_root_system, cartan_matrix
 from .schrodinger import (coefficient_norm_sq, restrict_and_renormalize,
-                          stepwise_rep)
+                          stepwise_rep, validate_rep, validation_grid)
 from .states import GaussianState, Grid, GridState
 
 DEFAULT_SEED = 20240801
@@ -252,17 +252,15 @@ def _exact_density(harness_name: str, gamma: Dict[int, Q]) -> Q:
 
 def pipeline_orthogonality(harness_name: str, gamma: Dict[int, Q],
                            backend: str, seed: int) -> Tuple[dict, List[dict]]:
-    grid = None
-    if backend == "grid":
-        d = build_harness(harness_name).top.d
-        grid = Grid(d, {1: 256, 2: 64, 3: 24}[d], 3.3)
-    rep = stepwise_rep(harness_name, {r: float(v) for r, v in gamma.items()},
-                       backend=backend, grid=grid)
-    pf = _exact_density(harness_name, gamma)
-    tol = 1e-6 if backend == "closed" else 1e-3
+    rep = stepwise_rep(harness_name, {r: float(v) for r, v in gamma.items()})
     u = GaussianState.ground(rep.D)
+    tol = 1e-6
     if backend == "grid":
-        u = GridState.from_gaussian(u, grid)
+        validate_rep(rep, 1e-4, validation_grid(rep.D))
+        u = GridState.from_gaussian(
+            u, Grid(rep.D, {1: 256, 2: 64, 3: 24}[rep.D], 3.3))
+        tol = 1e-3
+    pf = _exact_density(harness_name, gamma)
     report = coefficient_norm_sq(rep, u, u)
     rows = [
         make_row("density_abs", pf, rep.pf_abs, 1e-12,
@@ -415,7 +413,9 @@ def pipeline_all(seed: int, quick: bool) -> Tuple[dict, List[dict]]:
 # argument parsing and dispatch
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser,
+                             Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand."""
     parser = argparse.ArgumentParser(
         prog="stepsq",
         description="verification pipelines with JSON reports")
@@ -450,7 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambdas", action="append", required=True,
                    metavar="P/Q", help="layer parameter, repeatable in layer "
                                        "order")
-    p.add_argument("--backend", choices=("closed", "grid"), default="closed")
+    p.add_argument("--backend", choices=("closed", "grid"), default="closed",
+                   help="state space: closed-form Gaussian states, or grid "
+                        "samples (single-layer harnesses HEIS1-3 only)")
     common(p)
 
     p = sub.add_parser("restriction")
@@ -471,7 +473,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("all")
     p.add_argument("--quick", action="store_true")
     common(p)
-    return parser
+    return parser, sub.choices
+
+
+def _config_value(action: argparse.Action, key: str, raw):
+    """One config value through its flag's type converter and choices."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
+        raise ValueError(f"config key {key!r}: {raw!r} is not a flag value")
+    value = action.type(str(raw)) if action.type else str(raw)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: {value!r} is not one of "
+                         f"{list(action.choices)}")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  overrides) -> None:
+    """Set config overrides as the subcommand's flags would set them.
+
+    Raises ValueError for a key that names no flag of the subcommand and
+    for a value that its flag would reject.
+    """
+    if not isinstance(overrides, dict):
+        raise ValueError("the config must be a JSON object")
+    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+    for key, value in overrides.items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if action.nargs == 0:  # a switch such as --quick
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} takes true or false")
+        elif isinstance(action, argparse._AppendAction):
+            if not isinstance(value, list):
+                raise ValueError(f"config key {key!r} takes a list")
+            value = [_config_value(action, key, v) for v in value]
+        else:
+            value = _config_value(action, key, value)
+        setattr(args, key, value)
 
 
 def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
@@ -522,10 +561,12 @@ def _report_path(args: argparse.Namespace) -> str:
 def run(argv: Sequence[str]) -> int:
     """Execute one subcommand; returns the process exit code.
 
-    0: all checks passed; 1: a check failed or a tolerance was unreachable;
-    2: configuration error (unknown subcommand, malformed flags/rationals).
+    0: all checks passed; 1: a check failed, an invariant broke (the
+    report then holds one failing "invariant" row naming it) or a tolerance
+    was unreachable; 2: configuration error (unknown subcommand, malformed
+    flags, rationals or config values).
     """
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
@@ -537,18 +578,21 @@ def run(argv: Sequence[str]) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            _apply_config(commands[args.command], args, overrides)
+        except (OSError, ValueError) as exc:
             print(f"stepsq: bad config file: {exc}", file=sys.stderr)
             return 2
-        for key, value in overrides.items():
-            setattr(args, key, value)
-    start = time.time()
+    start = time.perf_counter()
     try:
         inputs, rows = _dispatch(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"stepsq: configuration error: {exc}", file=sys.stderr)
         return 2
-    timing = round(time.time() - start, 3) if args.timing else None
+    except AssertionError as exc:
+        # a broken invariant is a failed check: a report row names it
+        print(f"stepsq: invariant failed: {exc}", file=sys.stderr)
+        inputs, rows = {}, [make_row("invariant", True, False, 0, str(exc))]
+    timing = round(time.perf_counter() - start, 3) if args.timing else None
     doc = ReportDocument(args.command, {**inputs, "seed": args.seed},
                          tuple(rows), timing)
     path = _report_path(args)

@@ -145,6 +145,14 @@ def identity(h: Harness) -> GroupElement:
         (0.0, np.zeros(layer.d), np.zeros(layer.d)) for layer in h.layers))
 
 
+def embed_leading(h: Harness, g: GroupElement) -> GroupElement:
+    """Extend an element of a leading-layer subgroup of h by identity
+    coordinates on the remaining layers."""
+    extra = tuple((0.0, np.zeros(layer.d), np.zeros(layer.d))
+                  for layer in h.layers[len(g.coords):])
+    return GroupElement(h, g.coords + extra)
+
+
 def element(h: Harness, coords: Sequence[Tuple[float, Sequence[float], Sequence[float]]]) -> GroupElement:
     """Build an element from per-layer (zeta, p, q) coordinate data."""
     out = []

@@ -27,6 +27,7 @@ from .harness import (
     GroupElement,
     Harness,
     build_harness,
+    embed_leading,
     expm_nilpotent,
     logm_unipotent,
 )
@@ -79,9 +80,6 @@ class TestFunction:
 
     def value(self, g: GroupElement) -> complex:
         xi = self.lift_coords(g)
-        return complex(sum(t.evaluate(xi) for t in self.terms))
-
-    def value_at_lift(self, xi: np.ndarray) -> complex:
         return complex(sum(t.evaluate(xi) for t in self.terms))
 
     def sup_norm_bound(self) -> float:
@@ -194,15 +192,6 @@ def euclidean_ft_grid(samples: np.ndarray, spacing: float) -> Tuple[np.ndarray, 
         shape[ax] = -1
         vals = vals * np.exp(2j * np.pi * freqs * (half * spacing)).reshape(shape)
     return freqs, vals
-
-
-def _center_columns(h: Harness) -> List[int]:
-    """Indices of the central coordinates in the harness basis order."""
-    out = []
-    for i, (key, _) in enumerate(h.coordinate_basis()):
-        if key[1] == "z":
-            out.append(i)
-    return out
 
 
 def _v_star_injection(h: Harness) -> np.ndarray:
@@ -438,14 +427,10 @@ def limit_inversion_check(f_big: TestFunction, f_small: TestFunction,
         coords_small = tuple((probe[v], np.zeros(layer.d), np.zeros(layer.d))
                              for v, layer in zip(vals, small.layers))
         g_small = GroupElement(small, coords_small)
-        extra = tuple((0.0, np.zeros(layer.d), np.zeros(layer.d))
-                      for layer in big.layers[small.m:])
-        g_big = GroupElement(big, coords_small + extra)
-        gap = max(gap, abs(f_small.value(g_small) - f_big.value(g_big)))
+        gap = max(gap, abs(f_small.value(g_small)
+                           - f_big.value(embed_leading(big, g_small))))
     coherent = gap < 1e-9
-    extra = tuple((0.0, np.zeros(layer.d), np.zeros(layer.d))
-                  for layer in big.layers[small.m:])
-    x_big = GroupElement(big, x_small.coords + extra)
+    x_big = embed_leading(big, x_small)
     stage_small = fourier_inversion(f_small, x_small, tolerance=tolerance / 10)
     stage_big = fourier_inversion(f_big, x_big, tolerance=tolerance / 10)
     agree = (coherent and stage_small.rel_error < tolerance

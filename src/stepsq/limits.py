@@ -51,7 +51,6 @@ class StageEmbedding:
 
     left: int
     right: int
-    index_map: Dict[int, int]
 
     def apply(self, v: Vector) -> Vector:
         return (tuple(Q(0) for _ in range(self.left)) + tuple(v)
@@ -76,7 +75,7 @@ def stage_embedding(small: RootSystem, big: RootSystem) -> StageEmbedding:
         left = right = shift // 2
     else:
         left, right = shift, 0
-    emb = StageEmbedding(left, right, {i: i for i in small.simple_indices()})
+    emb = StageEmbedding(left, right)
     old = set(small.simple_indices())
     new = set(big.simple_indices()) - old
     if not old <= set(big.simple_indices()):

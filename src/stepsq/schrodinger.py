@@ -1,8 +1,10 @@
 """Schrödinger-model representations on layered harness groups.
 
-Builds the induced-representation model on functions of the top layer's
-b-coordinates, extends it to the earlier layers by the adjoint point
-transformation, and provides coefficient functions with their orthogonality,
+A representation is fixed by a harness group and a regular functional.  It
+acts on functions of the top layer's b-coordinates, held either as Gaussian
+states or as grid samples (single-layer harnesses only): the state passed in
+picks the closed or grid path.  Earlier layers act by the adjoint point
+transformation.  Also: coefficient functions with their orthogonality,
 restriction/renormalization, central Fourier transform, and decay reports.
 """
 
@@ -19,18 +21,15 @@ from .harness import (
     Harness,
     adjoint_action_on_top,
     build_harness,
+    embed_leading,
     expm_nilpotent,
     identity,
+    multiply,
     random_element,
 )
 from .states import GaussianState, Grid, GridState, gaussian_integral
 
 State = Union[GaussianState, GridState]
-
-
-def _layer_harness(h: Harness) -> Harness:
-    """Single-layer harness carrying only the top layer of h."""
-    return Harness(name=f"{h.name}-top", size=h.size, layers=(h.top,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +45,6 @@ class RepInstance:
 
     harness: Harness
     gamma: Tuple[Tuple[int, float], ...]  # sorted (layer index, lambda_r)
-    backend: str = "closed"  # "closed" (Gaussian states) or "grid"
-    grid: Optional[Grid] = None
 
     @property
     def D(self) -> int:
@@ -80,9 +77,10 @@ class RepInstance:
 
     def _apply_earlier(self, layer_index: int, zeta: float, state: State) -> State:
         layer = self.harness.layers[layer_index]
-        assert layer.d == 0, "earlier layers of the supported harnesses are lines"
-        if self.backend != "closed":
-            raise ValueError("the grid path supports single-layer harnesses only")
+        if layer.d != 0:
+            raise AssertionError("earlier layers of the supported harnesses are lines")
+        if not isinstance(state, GaussianState):
+            raise ValueError("grid states need a single-layer harness")
         lam = self.lam
         L = expm_nilpotent(zeta * layer.z)
         zvec, A, B = adjoint_action_on_top(self.harness, L)
@@ -93,8 +91,9 @@ class RepInstance:
         return out.modulate(np.zeros(self.D), 2j * np.pi * lam_r * zeta)
 
     def apply(self, g: GroupElement, state: State) -> State:
-        """pi(g) applied to a state vector."""
-        assert len(g.coords) == self.harness.m, "element/representation mismatch"
+        """pi(g) applied to a Gaussian or grid state vector."""
+        if len(g.coords) != self.harness.m:
+            raise ValueError("element/representation mismatch")
         out = state
         for idx in range(self.harness.m - 1, -1, -1):
             zeta, p, q = g.coords[idx]
@@ -106,25 +105,20 @@ class RepInstance:
 
     def random_state(self, rng: np.random.Generator,
                      grid: Optional[Grid] = None) -> State:
-        """A random Gaussian (or sampled Gaussian) wave packet.
+        """A random Gaussian wave packet, sampled on grid when one is given.
 
-        Grid-path packets stay mild (low momentum, width >= 1) so the grid
+        Grid packets stay mild (low momentum, width >= 1) so the grid
         resolves their frequency content.
         """
-        if self.backend == "grid":
-            g = GaussianState.packet(self.D, rng.uniform(-0.5, 0.5, self.D),
-                                     rng.uniform(-0.5, 0.5, self.D),
-                                     float(rng.uniform(1.0, 1.3)))
-            use = grid if grid is not None else self.grid
-            assert use is not None
-            return GridState.from_gaussian(g, use)
-        return GaussianState.packet(self.D, rng.uniform(-0.5, 0.5, self.D),
-                                    rng.uniform(-1, 1, self.D),
-                                    float(rng.uniform(0.8, 1.2)))
+        p, (w0, w1) = (1.0, (0.8, 1.2)) if grid is None else (0.5, (1.0, 1.3))
+        g = GaussianState.packet(self.D, rng.uniform(-0.5, 0.5, self.D),
+                                 rng.uniform(-p, p, self.D),
+                                 float(rng.uniform(w0, w1)))
+        return g if grid is None else GridState.from_gaussian(g, grid)
 
 
 def _state_distance(lhs: State, rhs: State) -> float:
-    """Deviation between two states, scale-aware per backend.
+    """Deviation between two states, scale-aware per state type.
 
     Gaussian states are compared by their parameters (the parameterization
     is unique up to 2*pi*i in the constant, handled via exponentiation);
@@ -138,24 +132,20 @@ def _state_distance(lhs: State, rhs: State) -> float:
     return math.sqrt(max(float(np.real(diff)), 0.0) / rhs.norm_sq())
 
 
-_VALIDATION_GRIDS = {1: (256, 5.0), 2: (96, 5.0), 3: (64, 5.0)}
+def validation_grid(D: int) -> Grid:
+    """The grid on which grid-state invariants are sampled: wider than the
+    sampling grids, so shifted packets stay off the periodic boundary."""
+    if D not in (1, 2, 3):
+        raise ValueError(f"the grid path needs 1 <= D <= 3, got D = {D}")
+    return Grid(D, {1: 256, 2: 96, 3: 64}[D], 5.0)
 
 
 def check_invariants(rep: RepInstance, rng: np.random.Generator,
                      trials: int = 5, scale: float = 0.8,
                      grid: Optional[Grid] = None) -> Dict[str, float]:
-    """Max unitarity and homomorphism deviations over random samples.
-
-    The grid path samples states on a wide validation grid so that shifted
-    packets stay away from the periodic boundary.
-    """
-    from .harness import multiply  # local import to keep module load light
-
-    if rep.backend == "grid" and grid is None:
-        pts, hw = _VALIDATION_GRIDS[rep.D]
-        grid = Grid(rep.D, pts, hw)
-    uni = 0.0
-    hom = 0.0
+    """Max unitarity and homomorphism deviations over random samples,
+    on grid states when a grid is given."""
+    uni = hom = 0.0
     for _ in range(trials):
         g1 = random_element(rep.harness, rng, scale)
         g2 = random_element(rep.harness, rng, scale)
@@ -169,43 +159,27 @@ def check_invariants(rep: RepInstance, rng: np.random.Generator,
     return {"unitarity": uni, "homomorphism": hom}
 
 
-def build_layer_rep(harness: Union[Harness, str], lambda_r: float,
-                    backend: str = "closed", grid: Optional[Grid] = None,
-                    validate: bool = True) -> RepInstance:
-    """Representation of the top layer subgroup alone.
-
-    The a-directions act by modulation, the b-directions by translation,
-    and the central direction by the scalar exp(2 pi i lambda zeta).
-    """
-    if isinstance(harness, str):
-        harness = build_harness(harness)
-    top = harness.top
-    if top.d < 1:
-        raise ValueError("layer representation requires a symplectic part")
-    if lambda_r == 0:
-        raise ValueError("lambda must be nonzero")
-    if abs(np.linalg.det(top.C)) < 1e-12:
-        raise ValueError("degenerate pairing: functional outside the regular set")
-    sub = _layer_harness(harness)
-    rep = RepInstance(sub, ((top.r, float(lambda_r)),), backend, grid)
-    if validate:
-        checks = check_invariants(rep, np.random.default_rng(7), trials=3)
-        tol = 1e-8 if backend == "closed" else 1e-4
-        assert checks["unitarity"] < tol and checks["homomorphism"] < tol
-    return rep
+def validate_rep(rep: RepInstance, tol: float,
+                 grid: Optional[Grid] = None) -> None:
+    """Raise AssertionError naming the first deviation of check_invariants
+    (3 samples from default_rng(11), on grid states when given) >= tol."""
+    checks = check_invariants(rep, np.random.default_rng(11), 3, grid=grid)
+    for name, dev in checks.items():
+        if not dev < tol:
+            raise AssertionError(
+                f"{rep.harness.name}: {'Gaussian' if grid is None else 'grid'} "
+                f"{name} deviation {dev:.2g} is not below {tol:g}")
 
 
-def stepwise_rep(harness_id: Union[Harness, str], gamma: Dict[int, float],
-                 backend: str = "closed", grid: Optional[Grid] = None,
-                 validate: bool = True) -> RepInstance:
+def stepwise_rep(harness: Union[Harness, str],
+                 gamma: Dict[int, float]) -> RepInstance:
     """Representation of the full layered group for a regular functional.
 
-    Supported shape: every layer below the top is a line (d_r = 0).  The
-    constructor refuses harnesses whose adjoint action does not stay inside
-    the top layer or fails to preserve the polarization subspace spanned by
-    the center and the a-directions (asserted during application).
+    Supported shape: every layer below the top is a line (d_r = 0); other
+    shapes, a gamma missing a layer or a zero top coefficient raise
+    ValueError.  The result passes validate_rep on Gaussian states at 1e-8.
     """
-    h = build_harness(harness_id) if isinstance(harness_id, str) else harness_id
+    h = build_harness(harness) if isinstance(harness, str) else harness
     for layer in h.layers[:-1]:
         if layer.d != 0:
             raise ValueError("unsupported harness shape: only the top layer may "
@@ -216,13 +190,8 @@ def stepwise_rep(harness_id: Union[Harness, str], gamma: Dict[int, float],
         raise ValueError("gamma must assign a coefficient to every layer")
     if top.d and gd[top.r] == 0:
         raise ValueError("the top-layer coefficient must be nonzero")
-    if backend == "grid" and h.m > 1:
-        raise ValueError("the grid path supports single-layer harnesses only")
-    rep = RepInstance(h, tuple(sorted(gd.items())), backend, grid)
-    if validate:
-        checks = check_invariants(rep, np.random.default_rng(11), trials=3)
-        tol = 1e-8 if backend == "closed" else 1e-4
-        assert checks["unitarity"] < tol and checks["homomorphism"] < tol
+    rep = RepInstance(h, tuple(sorted(gd.items())))
+    validate_rep(rep, 1e-8)
     return rep
 
 
@@ -291,7 +260,9 @@ def _closed_norm_sq(rep: RepInstance, u: GaussianState, v: GaussianState) -> Tup
         e[i] = 1.0
         pre_p, ep = parts(e)
         pre_m, em = parts(-e)
-        assert abs(pre_p - pre0) < 1e-9 * abs(pre0) and abs(pre_m - pre0) < 1e-9 * abs(pre0)
+        if not (abs(pre_p - pre0) < 1e-9 * abs(pre0)
+                and abs(pre_m - pre0) < 1e-9 * abs(pre0)):
+            raise AssertionError("the coefficient prefactor must be constant")
         Qm[i, i] = 0.5 * (ep + em) - c
         lv[i] = 0.5 * (ep - em)
         plus[i] = ep
@@ -319,7 +290,8 @@ def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState,
     D = grid.D
     lam = rep.lam
     C = rep.harness.top.C
-    assert np.allclose(C, np.eye(D)), "the grid path assumes the standard pairing"
+    if not np.allclose(C, np.eye(D)):
+        raise ValueError("the grid path assumes the standard pairing")
     h = grid.h
     n = grid.points
     dp = 1.0 / (n * h * abs(lam))
@@ -345,13 +317,15 @@ def coefficient_norm_sq(rep: RepInstance, u: State, v: State,
     """Integral of |<u, pi(.)v>|^2 over the non-central coordinates.
 
     Reports the measured value, the predicted norm_u^2 norm_v^2 / |Pf|, and
-    their relative error.  The closed path is exact up to roundoff; the grid
-    path reports an explicit tail bound for the frequency truncation.
+    their relative error.  The state type picks the path: Gaussian states
+    take the closed path, exact up to roundoff; grid states take the FFT
+    quadrature, which reports an explicit tail bound for the frequency
+    truncation.
     """
     if rep.D < 1:
         raise ValueError("the coefficient norm needs a symplectic layer")
     predicted = u.norm_sq() * v.norm_sq() / rep.pf_abs
-    if rep.backend == "closed":
+    if isinstance(u, GaussianState):
         value, tail = _closed_norm_sq(rep, u, v)
         path = "closed"
     else:
@@ -397,13 +371,6 @@ def _same_layer(a, b) -> bool:
             and np.array_equal(a.C, b.C))
 
 
-def _embed_small(h_big: Harness, g_small: GroupElement) -> GroupElement:
-    """Extend a leading-layer subgroup element by identity coordinates."""
-    extra = tuple((0.0, np.zeros(layer.d), np.zeros(layer.d))
-                  for layer in h_big.layers[len(g_small.coords):])
-    return GroupElement(h_big, g_small.coords + extra)
-
-
 def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
                              u: State, v: State, x: State,
                              y: Optional[State] = None,
@@ -437,7 +404,7 @@ def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
     scalar = complex(u.inner(v))  # the small states span a character line
 
     def f_big(g_small: GroupElement) -> complex:
-        return scalar * complex(x.inner(rep_big.apply(_embed_small(hb, g_small), y)))
+        return scalar * complex(x.inner(rep_big.apply(embed_leading(hb, g_small), y)))
 
     def f_small(g_small: GroupElement) -> complex:
         return complex(u.inner(rep_small.apply(g_small, v)))

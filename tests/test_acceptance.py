@@ -103,7 +103,7 @@ def test_05_orthogonality_closed_and_grid():
     rng = np.random.default_rng(21)
     for d in (1, 2, 3):
         for lam in LAMBDAS:
-            rep = stepwise_rep(f"HEIS{d}", {1: lam}, validate=False)
+            rep = stepwise_rep(f"HEIS{d}", {1: lam})
             u, v = _packets(rng, d)
             report = coefficient_norm_sq(rep, u, v)
             ratio = report.value * rep.pf_abs / (u.norm_sq() * v.norm_sq())
@@ -111,8 +111,7 @@ def test_05_orthogonality_closed_and_grid():
     for d, points in ((1, 256), (2, 64), (3, 24)):
         grid = Grid(d, points, 3.3)
         for lam in LAMBDAS:
-            rep = stepwise_rep(f"HEIS{d}", {1: lam}, backend="grid",
-                               grid=grid, validate=False)
+            rep = stepwise_rep(f"HEIS{d}", {1: lam})
             u, v = _packets(rng, d)
             gu = GridState.from_gaussian(u, grid)
             gv = GridState.from_gaussian(v, grid)
@@ -121,7 +120,7 @@ def test_05_orthogonality_closed_and_grid():
             assert abs(ratio - 1.0) < 1e-3, (d, lam)
     for name, gamma in (("A3", {1: 0.7, 2: 1.4}), ("C2", {1: -0.6, 2: 0.9}),
                         ("B2", {1: 1.1, 2: -0.8})):
-        rep = stepwise_rep(name, gamma, validate=False)
+        rep = stepwise_rep(name, gamma)
         u, v = _packets(rng, rep.D)
         report = coefficient_norm_sq(rep, u, v)
         ratio = report.value * rep.pf_abs / (u.norm_sq() * v.norm_sq())
@@ -187,7 +186,7 @@ def test_08_alignment_coherence_and_negative_control():
 
 
 def test_09_schwartz_decay_with_negative_control():
-    rep = stepwise_rep("HEIS1", {1: 1.0}, validate=False)
+    rep = stepwise_rep("HEIS1", {1: 1.0})
     field = CoefficientField(rep, GaussianState.ground(1),
                              GaussianState.ground(1))
 

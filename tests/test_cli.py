@@ -45,6 +45,37 @@ def test_unsupported_harness_shape_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["orthogonality", "--harness", "A3", "--lambda", "1", "--lambda", "1"],
+    ["orthogonality", "--harness", "A1", "--lambda", "1"],
+], ids=["A3-two-layers", "A1-no-symplectic-part"])
+def test_grid_path_needs_one_symplectic_layer(tmp_path, capsys, argv):
+    # A3 has two layers and A1 has D = 0; grid states serve neither
+    out = str(tmp_path / "o.json")
+    assert run(argv + ["--backend", "grid", "--out", out]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_broken_invariant_exits_1_with_a_report(tmp_path):
+    # the grid homomorphism check fails for HEIS3 at lambda = 3; the run
+    # must exit 1 with a report naming it, also under python -O
+    out = tmp_path / "o.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "stepsq.cli", "orthogonality",
+         "--harness", "HEIS3", "--lambda", "3", "--backend", "grid",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    doc = read(out)
+    assert doc["passed"] is False and doc["inputs"] == {"seed": cli.DEFAULT_SEED}
+    [row] = doc["rows"]
+    assert row["name"] == "invariant" and row["pass"] is False
+    assert "grid homomorphism deviation" in row["provenance"]
+
+
+@pytest.mark.parametrize("argv", [
     ["inversion", "--points", "-1"],
     ["inversion", "--tolerance", "0"],
     ["inversion", "--tolerance", "-1"],
@@ -140,6 +171,21 @@ def test_config_file_overrides_flags(tmp_path):
     bad.write_text("{nope")
     assert run(["roots", "--series", "A", "--n", "2", "--config", str(bad),
                 "--out", out]) == 2
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["inversion"], {"points": "ten"}),
+    (["orthogonality", "--harness", "HEIS1", "--lambda", "1"],
+     {"backend": "fft"}),
+    (["roots", "--series", "A", "--n", "2"], {"points": 3}),
+], ids=["type", "choices", "unknown-key"])
+def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = str(tmp_path / "r.json")
+    assert run(argv + ["--config", str(cfg), "--out", out]) == 2
+    assert "bad config file" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_module_entry_point(tmp_path):

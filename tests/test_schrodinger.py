@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from stepsq.harness import build_harness, element, identity, inverse, multiply, random_element
+from stepsq.harness import (Harness, build_harness, element, identity, inverse,
+                            multiply, random_element)
 from stepsq.schrodinger import (
     CoefficientField,
-    build_layer_rep,
     check_invariants,
     coefficient,
     coefficient_norm_sq,
@@ -15,6 +15,7 @@ from stepsq.schrodinger import (
     restrict_and_renormalize,
     schwartz_decay_report,
     stepwise_rep,
+    validation_grid,
 )
 from stepsq.states import GaussianState, Grid, GridState
 
@@ -34,7 +35,7 @@ def scalar_state(value: complex) -> GaussianState:
 # ---------- representation structure ----------
 
 def test_layer_rep_action_structure():
-    rep = build_layer_rep("HEIS1", 1.0)
+    rep = stepwise_rep("HEIS1", {1: 1.0})
     h = rep.harness
     g = GaussianState.ground(1)
     y = np.linspace(-1, 1, 5).reshape(-1, 1)
@@ -52,7 +53,7 @@ def test_layer_rep_action_structure():
 
 
 def test_center_scalar_scales_with_lambda():
-    rep = build_layer_rep("HEIS1", 2.0)
+    rep = stepwise_rep("HEIS1", {1: 2.0})
     g = GaussianState.ground(1)
     gz = element(rep.harness, [(0.3, [0.0], [0.0])])
     y = np.array([[0.2]])
@@ -69,21 +70,15 @@ def test_identity_acts_trivially():
         assert abs(np.exp(out.k - v.k) - 1.0) < 1e-12
 
 
-def test_layer_rep_errors():
-    with pytest.raises(ValueError):
-        build_layer_rep("HEIS1", 0.0)
-    with pytest.raises(ValueError):
-        build_layer_rep("A1", 1.0)  # no symplectic part
-
-
 def test_stepwise_rep_errors():
     with pytest.raises(ValueError):
         stepwise_rep("A3", {1: 1.0, 2: 0.0})
     with pytest.raises(ValueError):
         stepwise_rep("A3", {1: 1.0})
-    with pytest.raises(ValueError):
-        stepwise_rep("A3", {1: 1.0, 2: 1.0}, backend="grid",
-                     grid=Grid(2, 32, 3.0))
+    rep = stepwise_rep("A3", {1: 1.0, 2: 1.0})
+    grid_state = GridState.from_gaussian(GaussianState.ground(2), Grid(2, 32, 3.0))
+    with pytest.raises(ValueError):  # grid states need a single-layer harness
+        rep.apply(identity(rep.harness), grid_state)
 
 
 @pytest.mark.parametrize("name,gamma", STEPWISE_CASES)
@@ -96,16 +91,18 @@ def test_invariants_closed_50_pairs(name, gamma):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_invariants_grid_50_pairs(d):
-    rep = stepwise_rep(f"HEIS{d}", {1: 1.0}, backend="grid",
-                       grid=Grid(d, 64, 3.3))
-    checks = check_invariants(rep, np.random.default_rng(43), trials=50)
+    rep = stepwise_rep(f"HEIS{d}", {1: 1.0})
+    checks = check_invariants(rep, np.random.default_rng(43), trials=50,
+                              grid=validation_grid(d))
     assert checks["unitarity"] <= 1e-4
     assert checks["homomorphism"] <= 1e-4
 
 
 def test_stepwise_restricted_to_top_layer_matches_layer_rep():
     rep = stepwise_rep("A3", {1: 0.9, 2: 1.4})
-    layer_rep = build_layer_rep("A3", 1.4)
+    h = rep.harness
+    top_only = Harness(name="A3-top", size=h.size, layers=(h.top,))
+    layer_rep = stepwise_rep(top_only, {h.top.r: 1.4})
     v = GaussianState.packet(2, [0.2, -0.3], [0.1, 0.5])
     g_top = element(layer_rep.harness, [(0.3, [0.5, -0.2], [0.4, 0.1])])
     g_full = element(rep.harness, [(0.0, [], []), (0.3, [0.5, -0.2], [0.4, 0.1])])
@@ -175,7 +172,7 @@ def test_coefficient_modulus_constant_on_central_cosets():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_orthogonality_closed_heisenberg(d):
     for lam in (1.0, 2.0, -0.5, 1.7, 0.3):
-        rep = stepwise_rep(f"HEIS{d}", {1: lam}, validate=False)
+        rep = stepwise_rep(f"HEIS{d}", {1: lam})
         u = GaussianState.ground(d)
         v = GaussianState.packet(d, [0.2] * d, [0.3] * d, 1.1)
         report = coefficient_norm_sq(rep, u, v)
@@ -199,7 +196,7 @@ def test_orthogonality_closed_heisenberg_known_values():
 ])
 def test_orthogonality_stepwise(name, gammas):
     for gamma in gammas:
-        rep = stepwise_rep(name, gamma, validate=False)
+        rep = stepwise_rep(name, gamma)
         u = GaussianState.ground(rep.D)
         v = GaussianState.packet(rep.D, [0.1] * rep.D, [-0.2] * rep.D, 0.9)
         report = coefficient_norm_sq(rep, u, v)
@@ -210,8 +207,7 @@ def test_orthogonality_stepwise(name, gammas):
 def test_orthogonality_grid(d, points):
     grid = Grid(d, points, 3.3)
     for lam in (1.0, 2.0, 0.5, -1.0, 1.5):
-        rep = stepwise_rep(f"HEIS{d}", {1: lam}, backend="grid", grid=grid,
-                           validate=False)
+        rep = stepwise_rep(f"HEIS{d}", {1: lam})
         u = GridState.from_gaussian(GaussianState.ground(d), grid)
         report = coefficient_norm_sq(rep, u, u)
         assert report.rel_error < 1e-3, (d, lam, report.rel_error)
@@ -325,7 +321,7 @@ def test_center_transform_nyquist_error():
 # ---------- Schwartz decay ----------
 
 def heisenberg_field(lam=1.0):
-    rep = stepwise_rep("HEIS1", {1: lam}, validate=False)
+    rep = stepwise_rep("HEIS1", {1: lam})
     u = GaussianState.ground(1)
     field = CoefficientField(rep, u, u)
 
