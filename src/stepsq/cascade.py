@@ -51,9 +51,9 @@ class CascadeDecomposition:
         return n // 2
 
 
-def _dominates(ca: Tuple[Q, ...], cb: Tuple[Q, ...]) -> bool:
-    """Partial order on cached simple coordinates: every coefficient gap >= 0."""
-    return all((x - y).denominator == 1 and x >= y for x, y in zip(ca, cb))
+def _dominates(ca: Tuple[int, ...], cb: Tuple[int, ...]) -> bool:
+    """Partial order on integer simple coordinates: every coefficient gap >= 0."""
+    return all(x >= y for x, y in zip(ca, cb))
 
 
 def kostant_cascade(system: RootSystem) -> CascadeChain:
@@ -66,9 +66,12 @@ def kostant_cascade(system: RootSystem) -> CascadeChain:
     if not system.simple_enumeration:
         raise ValueError("cascade requires a generated system with simple roots")
     simples = [system.simple_enumeration[i] for i in system.simple_indices()]
-    coords = {a: tuple(c) for a, c in
-              zip(system.positives,
-                  simple_coordinates_all(system.positives, simples))}
+    coords: Dict[Vector, Tuple[int, ...]] = {}
+    for a, c in zip(system.positives,
+                    simple_coordinates_all(system.positives, simples)):
+        if c is None or any(x.denominator != 1 for x in c):
+            raise AssertionError(f"simple coordinates of {a} are not integral")
+        coords[a] = tuple(int(x) for x in c)
     chosen: List[Vector] = []
     ties: List[Tuple[int, Tuple[Vector, ...]]] = []
     candidates = list(system.positives)

@@ -9,6 +9,7 @@ all randomness flows through one seeded generator.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -21,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cascade import cascade_decomposition, closed_form_beta, sigma_r
-from .harness import HARNESS_NAMES, build_harness, element, identity, random_element
+from .harness import (HARNESS_NAMES, Harness, build_harness, element,
+                      exact_density, identity, random_element)
 from .inversion import (TestFunction, fourier_inversion, limit_inversion_check,
                         restrict_test_function)
 from .jsonio import parse_rat, rat_str, vec_strs
@@ -112,14 +114,13 @@ class ReportDocument:
 
 def _validate_report(doc: dict) -> None:
     """Structural validation against the published schema."""
-    for key in REPORT_SCHEMA["required"]:
-        assert key in doc, f"report missing field {key!r}"
-    assert isinstance(doc["rows"], list)
-    for row in doc["rows"]:
-        for key in REPORT_SCHEMA["row_required"]:
-            assert key in row, f"report row missing field {key!r}"
-        assert isinstance(row["pass"], bool)
-    assert isinstance(doc["passed"], bool)
+    rows = doc.get("rows")
+    if not (all(key in doc for key in REPORT_SCHEMA["required"])
+            and isinstance(rows, list) and isinstance(doc["passed"], bool)
+            and all(key in row for row in rows
+                    for key in REPORT_SCHEMA["row_required"])
+            and all(isinstance(row["pass"], bool) for row in rows)):
+        raise AssertionError("report does not match REPORT_SCHEMA")
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +217,8 @@ def pipeline_pfaffian(count: int, max_size: int,
     for _ in range(count):
         n = int(rng.integers(1, max_size + 1))
         m = _random_skew(rng, n)
-        pf = pfaffian(m)
-        ok += pf * pf == determinant(m)
+        pf = pfaffian(m)  # raises unless Pf^2 = det for even n
+        ok += n % 2 == 0 or pf * pf == determinant(m)
     rows = [make_row("pf_squared_equals_det", count, ok, 0,
                      "exact rational determinant")]
     # degree-of-homogeneity per layer on the algebra realizations
@@ -237,22 +238,11 @@ def pipeline_pfaffian(count: int, max_size: int,
     return {"count": count, "max_size": max_size, "seed": seed}, rows
 
 
-def _exact_density(harness_name: str, gamma: Dict[int, Q]) -> Q:
-    """Exact |density| for a harness parameter from integer pairing data."""
-    h = build_harness(harness_name)
-    total = Q(1)
-    for layer in h.layers:
-        if layer.d == 0:
-            continue
-        det_c = determinant([[Q(int(round(x))) for x in row]
-                             for row in np.asarray(layer.C)])
-        total *= abs(Q(gamma[layer.r])) ** layer.d * abs(det_c)
-    return total
-
-
-def pipeline_orthogonality(harness_name: str, gamma: Dict[int, Q],
+def pipeline_orthogonality(h: Harness, gamma: Dict[int, Q],
                            backend: str, seed: int) -> Tuple[dict, List[dict]]:
-    rep = stepwise_rep(harness_name, {r: float(v) for r, v in gamma.items()})
+    """The density of h's split model against the harness's own pairing,
+    and the coefficient norm against the square-integrability constant."""
+    rep = stepwise_rep(h, {r: float(v) for r, v in gamma.items()})
     u = GaussianState.ground(rep.D)
     tol = 1e-6
     if backend == "grid":
@@ -260,7 +250,7 @@ def pipeline_orthogonality(harness_name: str, gamma: Dict[int, Q],
         u = GridState.from_gaussian(
             u, Grid(rep.D, {1: 256, 2: 64, 3: 24}[rep.D], 3.3))
         tol = 1e-3
-    pf = _exact_density(harness_name, gamma)
+    pf = exact_density(h, gamma)
     report = coefficient_norm_sq(rep, u, u)
     rows = [
         make_row("density_abs", pf, rep.pf_abs, 1e-12,
@@ -270,7 +260,7 @@ def pipeline_orthogonality(harness_name: str, gamma: Dict[int, Q],
         make_row("normalized_ratio", 1.0, report.value / report.predicted, tol,
                  "square-integrability constant"),
     ]
-    return {"harness": harness_name,
+    return {"harness": h.name,
             "gamma": {str(r): rat_str(v) for r, v in sorted(gamma.items())},
             "backend": backend, "seed": seed}, rows
 
@@ -392,7 +382,8 @@ def pipeline_all(seed: int, quick: bool) -> Tuple[dict, List[dict]]:
                        ("HEIS3", {1: Q(3)}, "closed")]
     for name, gamma, backend in orth_cases:
         sections.append((f"orthogonality {name} {backend}",)
-                        + pipeline_orthogonality(name, gamma, backend, seed))
+                        + pipeline_orthogonality(build_harness(name), gamma,
+                                                 backend, seed))
     sections.append(("restriction",)
                     + pipeline_restriction(Q(1), Q(2), seed))
     sections.append(("inversion",)
@@ -529,8 +520,7 @@ def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
         if len(gamma) != h.m:
             raise ValueError(f"{args.harness} needs {h.m} --lambda value(s) "
                              "in layer order")
-        return pipeline_orthogonality(args.harness, gamma, args.backend,
-                                      args.seed)
+        return pipeline_orthogonality(h, gamma, args.backend, args.seed)
     if cmd == "restriction":
         return pipeline_restriction(parse_rat(args.lambda1),
                                     parse_rat(args.lambda2), args.seed)
@@ -564,7 +554,8 @@ def run(argv: Sequence[str]) -> int:
     0: all checks passed; 1: a check failed, an invariant broke (the
     report then holds one failing "invariant" row naming it) or a tolerance
     was unreachable; 2: configuration error (unknown subcommand, malformed
-    flags, rationals or config values).
+    flags, rationals or config values, a report directory that does not
+    exist (checked before computing) or a report that cannot be written).
     """
     parser, commands = _build_parser()
     try:
@@ -582,6 +573,12 @@ def run(argv: Sequence[str]) -> int:
         except (OSError, ValueError) as exc:
             print(f"stepsq: bad config file: {exc}", file=sys.stderr)
             return 2
+    path = _report_path(args)
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        print(f"stepsq: configuration error: no directory {directory!r} for "
+              "the report", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     try:
         inputs, rows = _dispatch(args)
@@ -595,10 +592,17 @@ def run(argv: Sequence[str]) -> int:
     timing = round(time.perf_counter() - start, 3) if args.timing else None
     doc = ReportDocument(args.command, {**inputs, "seed": args.seed},
                          tuple(rows), timing)
-    path = _report_path(args)
     payload = json.dumps(doc.to_json(), indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so the rename is atomic
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        print(f"stepsq: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     status = "pass" if doc.passed else "FAIL"
     print(f"stepsq {args.command}: {status} "
           f"({sum(r['pass'] for r in rows)}/{len(rows)} rows) -> {path}")

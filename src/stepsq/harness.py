@@ -1,31 +1,29 @@
 """Desk-scale matrix harness groups with layered exponential coordinates.
 
-A harness packages a nilpotent matrix group together with its layer
-decomposition, a deterministic polarization of each symplectic part, and
-numeric exp/log coordinate maps.  Supported harnesses: HEIS1/HEIS2/HEIS3
-(generalized Heisenberg groups), A3, C2, B2 (two-layer groups built from the
-split matrix models), C3 (the three-layer split model of type C), and A1 (the
-one-parameter first-layer subgroup of A3).
+A harness is a nilpotent matrix group cut from the split model ``(series,
+rank)`` of ``nilalg``: its layers, a polarization of each symplectic part,
+and numeric exp/log coordinate maps.  Each coordinate is keyed by the root
+whose root space it spans; the basis order is, layer by layer, beta_r, the
+a-roots, then the b-roots.  Harnesses: HEIS1-3 (the top layer of A_{d+1}:
+beta = e_1 - e_{d+2}, a_i = e_1 - e_{1+i}, b_i = e_{1+i} - e_{d+2}), A1 (the
+first layer of A3), and the whole split model of any other ``<series><rank>``
+name, such as A3, C2, B2 or C3.  ``exact_density`` takes |Pf| from the model
+layers the keys name; it predicts the ``orthogonality`` row density_abs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .cascade import cascade_decomposition, sigma_r
-from .nilalg import (
-    NilpotentAlgebra,
-    decompose,
-    layer_subalgebras,
-    realize_split_nilradical,
-    sparse_commutator,
-)
-from .plancherel import determinant
-from .rootsys import Vector
+from .cascade import cascade_decomposition
+from .nilalg import NilpotentAlgebra, layer_subalgebras, realize_split_nilradical
+from .plancherel import b_lambda_matrix, determinant, plancherel_density
+from .rootsys import SERIES, Vector, vsub
 
 HARNESS_NAMES = ("HEIS1", "HEIS2", "HEIS3", "A3", "C2", "B2", "C3", "A1")
 
@@ -59,7 +57,8 @@ def logm_unipotent(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LayerDesc:
-    """One layer: central direction, polarized symplectic basis, pairing."""
+    """One layer: central direction, polarized symplectic basis, pairing,
+    and the root of each of its coordinates (beta, the a-roots, the b-roots)."""
 
     r: int
     d: int
@@ -67,15 +66,18 @@ class LayerDesc:
     a: Tuple[np.ndarray, ...]
     b: Tuple[np.ndarray, ...]
     C: np.ndarray  # [a_i, b_j] = C[i, j] * z
+    keys: Tuple[Vector, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class Harness:
-    """A layered matrix group with coordinate read-off data."""
+    """A layered matrix group cut from the split model (series, rank)."""
 
     name: str
     size: int
     layers: Tuple[LayerDesc, ...]
+    series: str
+    rank: int
 
     @property
     def m(self) -> int:
@@ -90,32 +92,50 @@ class Harness:
         """Dimension of the Lie algebra spanned by the harness layers."""
         return sum(1 + 2 * layer.d for layer in self.layers)
 
-    def coordinate_basis(self) -> List[Tuple[Tuple[int, str, int], np.ndarray]]:
-        """Ordered ((r, kind, index), matrix) pairs spanning the algebra."""
-        out = []
+    @property
+    def keys(self) -> Tuple[Vector, ...]:
+        """The root of every coordinate, in basis order."""
+        return tuple(key for layer in self.layers for key in layer.keys)
+
+    @property
+    def matrices(self) -> Tuple[np.ndarray, ...]:
+        """The matrix of every coordinate, in basis order."""
+        return tuple(mat for layer in self.layers
+                     for mat in (layer.z, *layer.a, *layer.b))
+
+    @property
+    def starts(self) -> Tuple[int, ...]:
+        """Basis position of each layer's central coordinate."""
+        return tuple(itertools.accumulate(
+            (1 + 2 * layer.d for layer in self.layers[:-1]), initial=0))
+
+    def part(self, coords: np.ndarray, k: int) -> "LayerCoords":
+        """Layer k's (centre, a-part, b-part) of a basis-order vector."""
+        s, d = self.starts[k], self.layers[k].d
+        return coords[s], coords[s + 1:s + 1 + d], coords[s + 1 + d:s + 1 + 2 * d]
+
+    def pf_abs(self, gamma: Dict[int, float]) -> float:
+        """|Pf| of gamma from the float pairings: prod |gamma_r|^d_r |det C_r|."""
+        out = 1.0
         for layer in self.layers:
-            out.append(((layer.r, "z", 0), layer.z))
-            for i, mat in enumerate(layer.a):
-                out.append(((layer.r, "a", i), mat))
-            for i, mat in enumerate(layer.b):
-                out.append(((layer.r, "b", i), mat))
+            if layer.d:
+                out *= abs(gamma[layer.r]) ** layer.d * abs(np.linalg.det(layer.C))
         return out
 
-    def read_coords(self, w: np.ndarray, atol: float = 1e-9) -> Dict[Tuple[int, str, int], float]:
-        """Coefficients of a Lie-algebra element in the coordinate basis.
-
-        Uses the disjoint-support property of the basis matrices.
-        """
-        coords: Dict[Tuple[int, str, int], float] = {}
-        covered = np.zeros_like(w, dtype=bool)
-        for key, mat in self.coordinate_basis():
+    def read_coords(self, w: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+        """Coefficients of a Lie-algebra element in basis order, read off
+        the disjoint supports; AssertionError outside the harness algebra."""
+        coords = np.zeros(self.dim)
+        covered = np.zeros(w.shape, dtype=bool)
+        for i, mat in enumerate(self.matrices):
             mask = mat != 0
             vals = w[mask] / mat[mask]
-            c = float(np.mean(vals.real))
-            assert np.allclose(vals, c, atol=atol), "element outside the harness algebra"
-            coords[key] = c
+            coords[i] = np.mean(vals.real)
+            if not np.allclose(vals, coords[i], atol=atol):
+                raise AssertionError("element outside the harness algebra")
             covered |= mask
-        assert np.allclose(w[~covered], 0.0, atol=atol), "element outside the harness algebra"
+        if not np.allclose(w[~covered], 0.0, atol=atol):
+            raise AssertionError("element outside the harness algebra")
         return coords
 
 
@@ -169,12 +189,8 @@ def from_matrix(h: Harness, M: np.ndarray) -> GroupElement:
     """Invert the layered exponential coordinates by peeling layers."""
     M = np.array(M, dtype=float)
     out: List[LayerCoords] = []
-    for layer in h.layers:
-        w = logm_unipotent(M)
-        coords = h.read_coords(w)
-        zeta_w = coords[(layer.r, "z", 0)]
-        p = np.array([coords[(layer.r, "a", i)] for i in range(layer.d)])
-        q = np.array([coords[(layer.r, "b", i)] for i in range(layer.d)])
+    for k, layer in enumerate(h.layers):
+        zeta_w, p, q = h.part(h.read_coords(logm_unipotent(M)), k)
         w1 = zeta_w * layer.z
         if layer.d:
             w1 = w1 + sum(x * mat for x, mat in zip(p, layer.a))
@@ -182,13 +198,15 @@ def from_matrix(h: Harness, M: np.ndarray) -> GroupElement:
         zeta = zeta_w - (0.5 * p @ layer.C @ q if layer.d else 0.0)
         out.append((float(zeta), p, q))
         M = expm_nilpotent(-w1) @ M
-    assert np.allclose(M, np.eye(h.size), atol=1e-8), "peeling left a residual"
+    if not np.allclose(M, np.eye(h.size), atol=1e-8):
+        raise AssertionError("peeling left a residual")
     return GroupElement(h, tuple(out))
 
 
 def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group multiplication via the matrix model."""
-    assert g1.harness is g2.harness
+    if g1.harness is not g2.harness:
+        raise ValueError("the factors belong to different harnesses")
     return from_matrix(g1.harness, g1.to_matrix() @ g2.to_matrix())
 
 
@@ -208,22 +226,18 @@ def random_element(h: Harness, rng: np.random.Generator, scale: float = 1.0) -> 
 
 
 def _heisenberg_harness(d: int) -> Harness:
-    """Generalized Heisenberg group of dimension 2d + 1."""
+    """Generalized Heisenberg group of dimension 2d + 1: the top layer of
+    A_{d+1}, with its roots in Heisenberg order."""
     n = d + 2
-
-    def E(i: int, j: int) -> np.ndarray:
-        M = np.zeros((n, n))
-        M[i - 1, j - 1] = 1.0
-        return M
-
-    layer = LayerDesc(
-        r=1, d=d,
-        z=E(1, n),
-        a=tuple(E(1, 1 + i) for i in range(1, d + 1)),
-        b=tuple(E(1 + i, n) for i in range(1, d + 1)),
-        C=np.eye(d),
-    )
-    return Harness(name=f"HEIS{d}", size=n, layers=(layer,))
+    # E_ij spans the root space of e_i - e_j (1-based): z, then the a's and b's
+    pairs = ([(1, n)] + [(1, 1 + i) for i in range(1, d + 1)]
+             + [(1 + i, n) for i in range(1, d + 1)])
+    mats = [np.outer(np.eye(n)[i - 1], np.eye(n)[j - 1]) for i, j in pairs]
+    keys = tuple(tuple((k == i) - (k == j) for k in range(1, n + 1))
+                 for i, j in pairs)
+    layer = LayerDesc(1, d, mats[0], tuple(mats[1:d + 1]), tuple(mats[d + 1:]),
+                      np.eye(d), keys)
+    return Harness(f"HEIS{d}", n, (layer,), "A", d + 1)
 
 
 def _dense(alg: NilpotentAlgebra, root: Vector) -> np.ndarray:
@@ -235,72 +249,70 @@ def _dense(alg: NilpotentAlgebra, root: Vector) -> np.ndarray:
 
 
 def _algebra_harness(series: str, rank: int, name: str) -> Harness:
-    """Layered harness from the split matrix model with polarized layers."""
+    """Layered harness from the split matrix model: each symplectic root
+    alpha pairs with beta_r - alpha, the greater one being the a-root."""
     alg = realize_split_nilradical(series, rank)
-    decomp = cascade_decomposition(alg.system)
     descs: List[LayerDesc] = []
-    for layer in layer_subalgebras(alg, decomp):
-        if layer.d_r == 0:
-            descs.append(LayerDesc(layer.r, 0, _dense(alg, layer.beta),
-                                   (), (), np.zeros((0, 0))))
-            continue
-        members = sorted(layer.members, reverse=True)
-        a_roots: List = []
-        b_roots: List = []
-        seen = set()
-        for alpha in members:
-            if alpha in seen:
-                continue
-            partner = sigma_r(decomp, alpha, layer.r)
-            assert partner != alpha, "split harness layers have no fixed points"
-            hi, lo = max(alpha, partner), min(alpha, partner)
-            a_roots.append(hi)
-            b_roots.append(lo)
-            seen.update((alpha, partner))
-        C = [[Q(0)] * len(b_roots) for _ in a_roots]
-        for i, ar in enumerate(a_roots):
-            for j, br in enumerate(b_roots):
-                z = sparse_commutator(alg.basis[ar], alg.basis[br])
-                coeffs = decompose(alg, z)
-                assert coeffs is not None and set(coeffs) <= {layer.beta}
-                C[i][j] = coeffs.get(layer.beta, Q(0))
-        assert determinant(C) != 0, "polarization pairing must be nondegenerate"
-        descs.append(LayerDesc(
-            layer.r, layer.d_r, _dense(alg, layer.beta),
-            tuple(_dense(alg, a) for a in a_roots),
-            tuple(_dense(alg, b) for b in b_roots),
-            np.array(C, dtype=float),
-        ))
-    return Harness(name=name, size=alg.size, layers=tuple(descs))
+    for layer in layer_subalgebras(alg, cascade_decomposition(alg.system)):
+        a_roots: List[Vector] = []
+        b_roots: List[Vector] = []
+        for alpha in sorted(layer.members, reverse=True):
+            partner = vsub(layer.beta, alpha)
+            if partner == alpha or partner not in layer.members:
+                raise AssertionError("split harness layers pair distinct roots")
+            if alpha > partner:
+                a_roots.append(alpha)
+                b_roots.append(partner)
+        d, keys = layer.d_r, (layer.beta, *a_roots, *b_roots)
+        # [a_i, b_j] = C[i, j] z: the a-b block of the bracket form at beta
+        C = [row[d:] for row in b_lambda_matrix(
+            alg, replace(layer, members=keys[1:]), Q(1))[:d]]
+        if determinant(C) == 0:
+            raise AssertionError("polarization pairing must be nondegenerate")
+        mats = [_dense(alg, key) for key in keys]
+        descs.append(LayerDesc(layer.r, d, mats[0], tuple(mats[1:d + 1]),
+                               tuple(mats[d + 1:]),
+                               np.array(C, dtype=float).reshape(d, d), keys))
+    return Harness(name, alg.size, tuple(descs), series, rank)
 
 
 def build_harness(name: str) -> Harness:
-    """Construct one of the supported desk-scale harness groups."""
+    """HEIS1-HEIS3, A1 (the first layer of A3), or the split model
+    ``<series><rank>`` of any other name."""
     if name.startswith("HEIS"):
         d = int(name[4:])
         if d < 1 or d > 3:
             raise ValueError("HEIS harnesses support d = 1, 2, 3")
         return _heisenberg_harness(d)
-    if name == "A3":
-        return _algebra_harness("A", 3, "A3")
-    if name == "C2":
-        return _algebra_harness("C", 2, "C2")
-    if name == "B2":
-        return _algebra_harness("B", 2, "B2")
-    if name == "C3":
-        return _algebra_harness("C", 3, "C3")
     if name == "A1":
         big = _algebra_harness("A", 3, "A1")
-        return Harness(name="A1", size=big.size, layers=big.layers[:1])
-    raise ValueError(f"unknown harness {name!r}; expected one of {HARNESS_NAMES}")
+        return replace(big, layers=big.layers[:1])
+    series, rank = name[:1], name[1:]
+    if series not in SERIES or not rank.isdigit():
+        raise ValueError(f"unknown harness {name!r}; expected HEIS1-3, A1 or "
+                         "<series><rank> such as A3 or C2")
+    return _algebra_harness(series, int(rank), name)
+
+
+def exact_density(h: Harness, gamma: Dict[int, Q]) -> Q:
+    """|Pf| of gamma (keyed by harness layer) from ``plancherel_density`` on
+    the model layers named by h's keys, not from the float pairing C."""
+    alg = realize_split_nilradical(h.series, h.rank)
+    model = {layer.beta: layer for layer in
+             layer_subalgebras(alg, cascade_decomposition(alg.system))}
+    layers = [replace(model[layer.keys[0]], r=layer.r) for layer in h.layers]
+    if any(set(layer.keys[1:]) != set(exact.members)
+           for layer, exact in zip(h.layers, layers)):
+        raise AssertionError(f"{h.name}: a layer is not a layer of its model")
+    return abs(plancherel_density(alg, layers, gamma).product)
 
 
 def adjoint_action_on_top(h: Harness, g_mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linear data of Ad(g^-1) acting on the top-layer b-coordinates.
 
     Returns (zvec, A, B) with Ad(g^-1)(y . b) = (zvec . y) z + (A y) . a + (B y) . b.
-    Asserts that the image stays inside the top layer and that the
-    b-block preserves Lebesgue measure.
+    Raises AssertionError unless the image stays inside the top layer and
+    the b-block preserves Lebesgue measure.
     """
     top = h.top
     g_inv = np.linalg.inv(g_mat)
@@ -308,19 +320,11 @@ def adjoint_action_on_top(h: Harness, g_mat: np.ndarray) -> Tuple[np.ndarray, np
     A = np.zeros((top.d, top.d))
     B = np.zeros((top.d, top.d))
     for j in range(top.d):
-        w = g_inv @ top.b[j] @ g_mat
-        coords = h.read_coords(w)
-        for key, val in coords.items():
-            r, kind, i = key
-            if abs(val) < 1e-12:
-                continue
-            assert r == top.r, "adjoint image must stay in the top layer"
-            if kind == "z":
-                zvec[j] = val
-            elif kind == "a":
-                A[i, j] = val
-            else:
-                B[i, j] = val
-    assert abs(abs(np.linalg.det(B)) - 1.0) < 1e-9, \
-        "the b-block of the adjoint action must preserve measure"
+        coords = h.read_coords(g_inv @ top.b[j] @ g_mat)
+        coords[np.abs(coords) < 1e-12] = 0.0
+        if coords[:h.starts[-1]].any():
+            raise AssertionError("adjoint image must stay in the top layer")
+        zvec[j], A[:, j], B[:, j] = h.part(coords, -1)
+    if not abs(abs(np.linalg.det(B)) - 1.0) < 1e-9:
+        raise AssertionError("the b-block of the adjoint action must preserve measure")
     return zvec, A, B

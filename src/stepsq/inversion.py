@@ -69,14 +69,13 @@ class TestFunction:
         return TestFunction(self.harness, tuple(t.scale(c) for t in self.terms))
 
     def plus(self, other: "TestFunction") -> "TestFunction":
-        assert other.harness is self.harness
+        if other.harness is not self.harness:
+            raise ValueError("the summands live on different harnesses")
         return TestFunction(self.harness, self.terms + other.terms)
 
     def lift_coords(self, g: GroupElement) -> np.ndarray:
         """Algebra coordinates of log g in the harness basis order."""
-        w = logm_unipotent(g.to_matrix())
-        coords = self.harness.read_coords(w)
-        return np.array([coords[key] for key, _ in self.harness.coordinate_basis()])
+        return self.harness.read_coords(logm_unipotent(g.to_matrix()))
 
     def value(self, g: GroupElement) -> complex:
         xi = self.lift_coords(g)
@@ -97,14 +96,10 @@ class TestFunction:
         h = self.harness
         gm = g.to_matrix()
         gi = np.linalg.inv(gm)
-        basis = h.coordinate_basis()
-        cols = []
-        for _, mat in basis:
-            w = gm @ mat @ gi
-            coords = h.read_coords(w)
-            cols.append([coords[key] for key, _ in basis])
-        ad = np.array(cols).T  # Ad(g) in the coordinate basis
-        assert abs(abs(np.linalg.det(ad)) - 1.0) < 1e-9
+        # Ad(g) in the coordinate basis
+        ad = np.array([h.read_coords(gm @ mat @ gi) for mat in h.matrices]).T
+        if not abs(abs(np.linalg.det(ad)) - 1.0) < 1e-9:
+            raise AssertionError("conjugation must preserve Lebesgue measure")
         terms = []
         for t in self.terms:
             terms.append(GaussianState(ad.T @ t.M @ ad, ad.T @ t.ell, t.k))
@@ -132,12 +127,7 @@ class OrbitDescriptor:
 
     @property
     def pf_abs(self) -> float:
-        out = 1.0
-        ld = self.lam_dict
-        for layer in self.harness.layers:
-            if layer.d:
-                out *= abs(ld[layer.r]) ** layer.d * abs(np.linalg.det(layer.C))
-        return out
+        return self.harness.pf_abs(self.lam_dict)
 
     @property
     def slice_dim(self) -> int:
@@ -194,27 +184,14 @@ def euclidean_ft_grid(samples: np.ndarray, spacing: float) -> Tuple[np.ndarray, 
     return freqs, vals
 
 
-def _v_star_injection(h: Harness) -> np.ndarray:
-    """Columns spanning the symplectic dual coordinates inside the full dual."""
-    basis = h.coordinate_basis()
-    cols = [i for i, (key, _) in enumerate(basis) if key[1] != "z"]
-    V = np.zeros((len(basis), len(cols)))
-    for j, i in enumerate(cols):
-        V[i, j] = 1.0
-    return V
-
-
 def orbit_integral(fhat: FourierData, orb: OrbitDescriptor) -> complex:
     """Character value: normalized integral of fhat over the affine dual slice."""
     orb.check_regular()
     h = orb.harness
-    basis = h.coordinate_basis()
-    lam_full = np.zeros(len(basis))
-    ld = orb.lam_dict
-    for i, (key, _) in enumerate(basis):
-        if key[1] == "z":
-            lam_full[i] = ld[key[0]]
-    V = _v_star_injection(h)
+    lam_full = np.zeros(h.dim)
+    lam_full[list(h.starts)] = [orb.lam_dict[layer.r] for layer in h.layers]
+    # columns spanning the symplectic dual coordinates inside the full dual
+    V = np.eye(h.dim)[:, [i for i in range(h.dim) if i not in h.starts]]
     total = 0.0 + 0.0j
     for t in fhat.f.terms:
         Minv = np.linalg.inv(t.M)
@@ -242,8 +219,7 @@ def _slice_quadratic(f: TestFunction, x: GroupElement) -> List[Tuple[np.ndarray,
         w = np.zeros((h.size, h.size))
         for r, layer in enumerate(h.layers):
             w = w + s[r] * layer.z
-        coords = h.read_coords(logm_unipotent(expm_nilpotent(w) @ x_mat))
-        return np.array([coords[key] for key, _ in h.coordinate_basis()])
+        return h.read_coords(logm_unipotent(expm_nilpotent(w) @ x_mat))
 
     b = xi(np.zeros(m))
     A = np.zeros((h.dim, m))
@@ -252,13 +228,15 @@ def _slice_quadratic(f: TestFunction, x: GroupElement) -> List[Tuple[np.ndarray,
         e[r] = 1.0
         plus, minus = xi(e), xi(-e)
         A[:, r] = plus - b
-        assert np.allclose(minus, b - A[:, r], atol=1e-9), \
-            "central slice coordinates must be affine"
+        if not np.allclose(minus, b - A[:, r], atol=1e-9):
+            raise AssertionError("central slice coordinates must be affine")
     for r in range(m):
         for s_ in range(r + 1, m):
             e = np.zeros(m)
             e[r] = e[s_] = 1.0
-            assert np.allclose(xi(e), b + A[:, r] + A[:, s_], atol=1e-9)
+            if not np.allclose(xi(e), b + A[:, r] + A[:, s_], atol=1e-9):
+                raise AssertionError("central slice coordinates must be "
+                                     "jointly affine")
     out = []
     for t in f.terms:
         S = A.T @ (t.M @ A)
@@ -401,10 +379,14 @@ class LimitInversionReport:
 
 
 def restrict_test_function(f_big: TestFunction, small: Harness) -> TestFunction:
-    """Restriction of the lift to the leading-layer subalgebra coordinates."""
-    big_keys = [key for key, _ in f_big.harness.coordinate_basis()]
-    small_keys = [key for key, _ in small.coordinate_basis()]
-    idx = [big_keys.index(k) for k in small_keys]
+    """Restriction of the lift to a harness cut from the same split model:
+    one index map by root key."""
+    big = f_big.harness
+    position = {key: i for i, key in enumerate(big.keys)}
+    if ((small.series, small.rank) != (big.series, big.rank)
+            or not all(key in position for key in small.keys)):
+        raise ValueError(f"{small.name} is not cut from the model of {big.name}")
+    idx = [position[key] for key in small.keys]
     terms = []
     for t in f_big.terms:
         terms.append(GaussianState(t.M[np.ix_(idx, idx)], t.ell[idx], t.k))

@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 from math import isqrt
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .cascade import CascadeDecomposition, cascade_decomposition
+from .cascade import cascade_decomposition
 from .jsonio import rat_str
 from .nilalg import layer_subalgebras, realize_split_nilradical
 from .plancherel import plancherel_density
@@ -100,7 +100,8 @@ def stage_embedding(small: RootSystem, big: RootSystem) -> StageEmbedding:
     simples = [small.simple_enumeration[i] for i in small.simple_indices()]
     for i, a in enumerate(simples):
         for b in simples[i:]:
-            assert inner(a, b) == inner(emb.apply(a), emb.apply(b))
+            if inner(a, b) != inner(emb.apply(a), emb.apply(b)):
+                raise AssertionError("the embedding must preserve inner products")
     return emb
 
 
@@ -112,7 +113,8 @@ class DirectChain:
     embeddings: Tuple[StageEmbedding, ...]
 
     def __post_init__(self) -> None:
-        assert len(self.embeddings) == len(self.stages) - 1
+        if len(self.embeddings) != len(self.stages) - 1:
+            raise ValueError("a chain needs one embedding per consecutive pair")
 
     def embed(self, k: int, l: int, v: Vector) -> Vector:
         """Image of a stage-k vector at stage l >= k (embeddings compose)."""
@@ -139,7 +141,8 @@ def propagate(system: RootSystem, steps: int) -> DirectChain:
         # functoriality: the two-step embedding equals the direct one
         direct = stage_embedding(stages[0], stages[2])
         probe = stages[0].positives[0]
-        assert chain.embed(0, 2, probe) == direct.apply(probe)
+        if chain.embed(0, 2, probe) != direct.apply(probe):
+            raise AssertionError("the two-step embedding must equal the direct one")
     return chain
 
 
@@ -188,11 +191,6 @@ class StabilityReport:
         return {"rows": [dict(r) for r in self.rows], "stable": self.stable}
 
 
-def chain_decompositions(chain: DirectChain) -> Tuple[CascadeDecomposition, ...]:
-    """Cascade decomposition at every stage of the chain."""
-    return tuple(cascade_decomposition(s) for s in chain.stages)
-
-
 def cascade_stability(chain: DirectChain) -> StabilityReport:
     """Check that cascades and layers are stable along the chain.
 
@@ -201,7 +199,7 @@ def cascade_stability(chain: DirectChain) -> StabilityReport:
     embedded r-th layer equals the big r-th layer intersected with the
     embedded small root system.
     """
-    decomps = chain_decompositions(chain)
+    decomps = [cascade_decomposition(s) for s in chain.stages]
     rows: List[dict] = []
     for k, e in enumerate(chain.embeddings):
         small_d, big_d = decomps[k], decomps[k + 1]

@@ -262,8 +262,8 @@ def strongly_orthogonal(system: RootSystem, a: Vector, b: Vector) -> bool:
     if a == b:
         return False
     so = vadd(a, b) not in system.roots and vsub(a, b) not in system.roots
-    if so:
-        assert inner(a, b) == 0, "strong orthogonality must imply orthogonality"
+    if so and inner(a, b) != 0:
+        raise AssertionError("strong orthogonality must imply orthogonality")
     return so
 
 

@@ -61,11 +61,8 @@ class RepInstance:
 
     @property
     def pf_abs(self) -> float:
-        """|Pf| of the top-layer pairing at lambda; empty product for D = 0."""
-        top = self.harness.top
-        if top.d == 0:
-            return 1.0
-        return abs(self.lam) ** top.d * abs(np.linalg.det(top.C))
+        """|Pf| of the harness pairings at gamma; 1 for D = 0."""
+        return self.harness.pf_abs(self.gamma_dict)
 
     def _apply_top(self, zeta: float, p: np.ndarray, q: np.ndarray,
                    state: State) -> State:
@@ -364,13 +361,6 @@ class RestrictionReport:
         }
 
 
-def _same_layer(a, b) -> bool:
-    return (a.r == b.r and a.d == b.d and np.array_equal(a.z, b.z)
-            and all(np.array_equal(p, q) for p, q in zip(a.a, b.a))
-            and all(np.array_equal(p, q) for p, q in zip(a.b, b.b))
-            and np.array_equal(a.C, b.C))
-
-
 def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
                              u: State, v: State, x: State,
                              y: Optional[State] = None,
@@ -392,9 +382,8 @@ def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
     if y is None:
         y = x
     hb, hs = rep_big.harness, rep_small.harness
-    shared = len(hs.layers)
-    if shared >= hb.m or not all(
-            _same_layer(a, b) for a, b in zip(hb.layers, hs.layers)):
+    if ((hs.series, hs.rank) != (hb.series, hb.rank) or hs.m >= hb.m
+            or hs.keys != hb.keys[:len(hs.keys)]):
         raise ValueError("the small harness must be a leading-layer subgroup")
     gb, gs = rep_big.gamma_dict, rep_small.gamma_dict
     if any(gb[layer.r] != gs[layer.r] for layer in hs.layers):

@@ -14,18 +14,20 @@ def gaussian_integral_parts(S: np.ndarray, L: np.ndarray, K: complex) -> Tuple[c
 
     The prefactor depends only on S; the exponent is (1/4) L^T S^-1 L + K.
     S is complex symmetric with eigenvalues in the right half plane (implied
-    by a positive definite real part, which is asserted).
+    by a positive definite real part, which is checked).
     """
     S = np.atleast_2d(np.asarray(S, dtype=complex))
     D = S.shape[0]
     if D == 0:
         return 1.0 + 0j, complex(K)
     sym = 0.5 * (S + S.T)
-    assert np.allclose(S, sym, atol=1e-10), "quadratic form must be symmetric"
-    re_eigs = np.linalg.eigvalsh(S.real)
-    assert np.min(re_eigs) > 0, "real part must be positive definite"
+    if not np.allclose(S, sym, atol=1e-10):
+        raise AssertionError("quadratic form must be symmetric")
+    if not np.min(np.linalg.eigvalsh(S.real)) > 0:
+        raise AssertionError("real part must be positive definite")
     eigs = np.linalg.eigvals(S)
-    assert np.min(eigs.real) > 0
+    if not np.min(eigs.real) > 0:
+        raise AssertionError("eigenvalues must lie in the right half plane")
     # principal branch per eigenvalue is safe: the spectrum of a complex
     # symmetric matrix with positive definite real part avoids (-inf, 0]
     det_inv_sqrt = np.prod(eigs ** -0.5)
@@ -99,7 +101,8 @@ class GaussianState:
     def substitute(self, B: np.ndarray) -> "GaussianState":
         """y -> f(B y) for an invertible matrix with |det B| = 1."""
         B = np.asarray(B, dtype=float)
-        assert abs(abs(np.linalg.det(B)) - 1.0) < 1e-9, "substitution must preserve measure"
+        if not abs(abs(np.linalg.det(B)) - 1.0) < 1e-9:
+            raise AssertionError("substitution must preserve measure")
         return GaussianState(B.T @ self.M @ B, B.T @ self.ell, self.k)
 
     def scale(self, c: complex) -> "GaussianState":
@@ -177,7 +180,8 @@ class GridState:
         return GridState(self.grid, self.values * c)
 
     def inner(self, other: "GridState") -> complex:
-        assert self.grid.points == other.grid.points
+        if self.grid.points != other.grid.points:
+            raise ValueError("the states live on different grids")
         return complex(np.vdot(self.values, other.values) * self.grid.h ** self.grid.D)
 
     def norm_sq(self) -> float:

@@ -14,7 +14,8 @@ from stepsq.cascade import (
     reverse_cascade,
     sigma_r,
 )
-from stepsq.rootsys import build_root_system, inner, vadd, strongly_orthogonal
+from stepsq.rootsys import (RootSystem, build_root_system, inner, vadd, vscale,
+                            strongly_orthogonal)
 
 
 def V(*xs):
@@ -164,3 +165,13 @@ def test_layer_lemmas_exhaustive(series, rank):
     for r, members in d.layers.items():
         for a in members:
             assert vadd(a, sigma_r(d, a, r)) == d.beta[r - 1]
+
+
+def test_cascade_rejects_non_integral_simple_coordinates():
+    # doubled simple roots give half-integral coordinates, which the
+    # integer dominance order cannot compare
+    s = build_root_system("A", 3)
+    doubled = {i: vscale(2, a) for i, a in s.simple_enumeration.items()}
+    bad = RootSystem(s.series, s.rank, s.roots, s.positives, doubled)
+    with pytest.raises(AssertionError, match="not integral"):
+        kostant_cascade(bad)

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import stepsq
 import stepsq.cli as cli
+import stepsq.harness as harness
 from stepsq.cli import ReportDocument, make_row, run
 
 
@@ -244,3 +246,52 @@ def test_timing_flag_populates_field(tmp_path):
     assert run(["roots", "--series", "A", "--n", "2", "--timing",
                 "--out", out]) == 0
     assert isinstance(read(out)["timing_s"], float)
+
+
+def _rescaled_top(h):
+    """The same group with its top pairing doubled and its top centre halved,
+    so that [a_i, b_j] = C[i, j] z still holds."""
+    top = replace(h.top, z=h.top.z / 2, C=2 * h.top.C)
+    return replace(h, layers=h.layers[:-1] + (top,))
+
+
+@pytest.mark.parametrize("builder,argv", [
+    ("_heisenberg_harness", ["--harness", "HEIS1", "--lambda", "2"]),
+    ("_algebra_harness", ["--harness", "A3", "--lambda", "1", "--lambda", "3/2"]),
+], ids=["HEIS1", "A3"])
+def test_density_abs_comes_from_the_exact_layer(tmp_path, monkeypatch,
+                                                builder, argv):
+    # the harness stays a valid group with a valid representation, but its
+    # pairing no longer matches the model; the prediction must notice
+    real = getattr(harness, builder)
+    monkeypatch.setattr(harness, builder, lambda *a: _rescaled_top(real(*a)))
+    out = str(tmp_path / "o.json")
+    assert run(["orthogonality", *argv, "--out", out]) == 1
+    rows = {row["name"]: row for row in read(out)["rows"]}
+    assert rows["density_abs"]["pass"] is False
+    assert rows["normalized_ratio"]["pass"] is True
+
+
+def test_missing_report_directory_exits_2_before_computing(tmp_path, capsys,
+                                                           monkeypatch):
+    def never(*args):
+        raise RuntimeError("the pipeline ran")
+    monkeypatch.setattr(cli, "pipeline_roots", never)
+    out = tmp_path / "missing" / "r.json"
+    assert run(["roots", "--series", "A", "--n", "2", "--out", str(out)]) == 2
+    assert "no directory" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_report_is_replaced_atomically(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    out.write_text("stale")
+    argv = ["roots", "--series", "A", "--n", "2", "--out"]
+    assert run(argv + [str(out)]) == 0
+    assert read(out)["passed"] is True
+    assert os.listdir(tmp_path) == ["r.json"]  # no temporary file is left
+    # a path that a file cannot replace exits 2, without a traceback
+    (tmp_path / "d").mkdir()
+    assert run(argv + [str(tmp_path / "d")]) == 2
+    assert "cannot write the report" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["d", "r.json"]

@@ -1,5 +1,7 @@
 """Matrix harness groups and the layered exponential coordinates."""
 
+from fractions import Fraction as Q
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from stepsq.harness import (
     adjoint_action_on_top,
     build_harness,
     element,
+    exact_density,
     expm_nilpotent,
     from_matrix,
     identity,
@@ -16,6 +19,8 @@ from stepsq.harness import (
     multiply,
     random_element,
 )
+from stepsq.inversion import orbit
+from stepsq.nilalg import realize_split_nilradical
 
 
 def test_exp_log_inverse_pair():
@@ -127,7 +132,58 @@ def test_read_coords_rejects_outside_elements():
 
 
 def test_unknown_harness():
-    with pytest.raises(ValueError):
-        build_harness("E8")
-    with pytest.raises(ValueError):
-        build_harness("HEIS9")
+    for bad in ("E8", "HEIS9", "A", "A3x", "C1"):
+        with pytest.raises(ValueError):
+            build_harness(bad)
+
+
+MODELS = {"HEIS1": ("A", 2), "HEIS2": ("A", 3), "HEIS3": ("A", 4),
+          "A3": ("A", 3), "C2": ("C", 2), "B2": ("B", 2), "C3": ("C", 3),
+          "A1": ("A", 3)}
+
+
+@pytest.mark.parametrize("name", HARNESS_NAMES)
+def test_matrices_are_the_model_root_spaces(name):
+    # every coordinate matrix is the root space its key names in the split
+    # model the harness is cut from; HEIS_d is cut from A_{d+1}
+    h = build_harness(name)
+    assert (h.series, h.rank) == MODELS[name]
+    alg = realize_split_nilradical(h.series, h.rank)
+    assert len(h.keys) == len(set(h.keys)) == len(h.matrices) == h.dim
+    for key, mat in zip(h.keys, h.matrices):
+        dense = np.zeros((alg.size, alg.size))
+        for (i, j), v in alg.basis[key].items():
+            dense[i, j] = v
+        assert np.array_equal(mat, dense), (name, key)
+    for layer in h.layers:
+        assert np.array_equal(layer.z, h.matrices[h.keys.index(layer.keys[0])])
+
+
+def test_heisenberg_keys_in_heisenberg_order():
+    h = build_harness("HEIS2")
+    e = np.eye(4, dtype=int)
+    assert h.keys == tuple(tuple(int(x) for x in e[i] - e[j]) for i, j in
+                           [(0, 3), (0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("name", HARNESS_NAMES + ("A5", "C4"))
+def test_orbit_density_matches_the_exact_layer(name):
+    # the float |Pf| of an orbit reads the harness pairings C; the exact one
+    # is the Pfaffian of the model layers that the harness keys name
+    h = build_harness(name)
+    gamma = {layer.r: Q(2 * layer.r + 1, 3) * (-1) ** layer.r for layer in h.layers}
+    exact = exact_density(h, gamma)
+    measured = orbit(h, {r: float(v) for r, v in gamma.items()}).pf_abs
+    assert exact > 0
+    assert abs(measured - float(exact)) <= 1e-12 * float(exact)
+
+
+def test_read_coords_in_basis_order():
+    h = build_harness("C2")
+    c = np.arange(1.0, h.dim + 1)
+    w = sum(x * mat for x, mat in zip(c, h.matrices))
+    assert np.array_equal(h.read_coords(w), c)
+    # C2: a line layer, then beta_2 with one a- and one b-root
+    assert h.starts == (0, 1)
+    zeta, p, q = h.part(c, 1)
+    assert (zeta, list(p), list(q)) == (2.0, [3.0], [4.0])

@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from stepsq.harness import (build_harness, element, identity, inverse,
-                            multiply, random_element)
+from stepsq.harness import (build_harness, element, from_matrix, identity,
+                            inverse, multiply, random_element)
 from stepsq.inversion import (
     TestFunction,
     character_of_translate,
@@ -250,3 +250,21 @@ def test_test_function_values_on_group():
     xi = f.lift_coords(g)
     assert abs(f.value(g) - np.exp(-np.pi * xi @ xi)) < 1e-12
     assert abs(f.value(identity(h)) - 1.0) < 1e-12
+
+
+def test_restriction_is_an_index_map_by_root_key():
+    # HEIS2 is the top layer of A3 with its roots in another order; the
+    # restricted function must agree with the big one on the same matrices
+    big, small = build_harness("A3"), build_harness("HEIS2")
+    assert small.keys != big.keys[1:] and set(small.keys) == set(big.keys[1:])
+    f_big = TestFunction.gaussian(big, np.linspace(-0.4, 0.5, big.dim),
+                                  np.linspace(0.3, -0.2, big.dim), 0.9)
+    f_small = restrict_test_function(f_big, small)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        g = random_element(small, rng)
+        g_big = from_matrix(big, g.to_matrix())
+        assert abs(f_small.value(g) - f_big.value(g_big)) < 1e-12
+    for other in ("C2", "A5"):
+        with pytest.raises(ValueError):
+            restrict_test_function(f_big, build_harness(other))

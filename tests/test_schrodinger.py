@@ -1,9 +1,11 @@
 """Representations, coefficients, orthogonality, restriction, decay."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stepsq.harness import (Harness, build_harness, element, identity, inverse,
+from stepsq.harness import (build_harness, element, identity, inverse,
                             multiply, random_element)
 from stepsq.schrodinger import (
     CoefficientField,
@@ -101,7 +103,7 @@ def test_invariants_grid_50_pairs(d):
 def test_stepwise_restricted_to_top_layer_matches_layer_rep():
     rep = stepwise_rep("A3", {1: 0.9, 2: 1.4})
     h = rep.harness
-    top_only = Harness(name="A3-top", size=h.size, layers=(h.top,))
+    top_only = replace(h, name="A3-top", layers=(h.top,))
     layer_rep = stepwise_rep(top_only, {h.top.r: 1.4})
     v = GaussianState.packet(2, [0.2, -0.3], [0.1, 0.5])
     g_top = element(layer_rep.harness, [(0.3, [0.5, -0.2], [0.4, 0.1])])
