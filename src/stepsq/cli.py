@@ -31,7 +31,8 @@ from .limits import (cascade_stability, check_well_aligned, exact_sqrt,
                      propagate, restriction_projection_factor)
 from .nilalg import (corrupted_fixture, layer_subalgebras,
                      realize_split_nilradical, verify_setup_axioms)
-from .plancherel import determinant, pfaffian, plancherel_density
+from .plancherel import (determinant, pfaffian, pfaffian_expansion,
+                         plancherel_density)
 from .rootsys import build_root_system, cartan_matrix
 from .schrodinger import (coefficient_norm_sq, restrict_and_renormalize,
                           stepwise_rep, validate_rep, validation_grid)
@@ -218,9 +219,12 @@ def pipeline_pfaffian(count: int, max_size: int,
         n = int(rng.integers(1, max_size + 1))
         m = _random_skew(rng, n)
         pf = pfaffian(m)  # raises unless Pf^2 = det for even n
-        ok += n % 2 == 0 or pf * pf == determinant(m)
-    rows = [make_row("pf_squared_equals_det", count, ok, 0,
-                     "exact rational determinant")]
+        if n % 2 == 0:
+            ok += pf == pfaffian_expansion(m)
+        else:
+            ok += pf == 0 == determinant(m)
+    rows = [make_row("pf_matches_expansion", count, ok, 0,
+                     "first-row expansion (even n), det = 0 (odd n)")]
     # degree-of-homogeneity per layer on the algebra realizations
     t = Q(3, 2)
     for series, rank in (("A", 3), ("C", 2), ("B", 2)):
@@ -513,6 +517,11 @@ def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
     if cmd == "axioms":
         return pipeline_axioms(args.series, args.n, args.corrupted)
     if cmd == "pfaffian":
+        if args.count < 0:
+            raise ValueError(f"--count must be nonnegative, got {args.count}")
+        if args.max_size < 1:
+            raise ValueError(f"--max-size must be at least 1, "
+                             f"got {args.max_size}")
         return pipeline_pfaffian(args.count, args.max_size, args.seed)
     if cmd == "orthogonality":
         gamma = {r: parse_rat(s) for r, s in enumerate(args.lambdas, start=1)}

@@ -84,12 +84,15 @@ def test_broken_invariant_exits_1_with_a_report(tmp_path):
     ["inversion", "--tolerance", "nan"],
     ["limit-check", "--tolerance", "inf"],
     ["limit-check", "--zeta", "nan"],
+    ["pfaffian", "--count", "-1"],
+    ["pfaffian", "--max-size", "0"],
 ])
 def test_bad_numeric_inputs_exit_2(tmp_path, capsys, argv):
     out = str(tmp_path / "r.json")
     assert run(argv + ["--out", out]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
+    assert argv[1] in err  # the message names the flag
     assert not os.path.exists(out)
 
 
@@ -295,3 +298,14 @@ def test_report_is_replaced_atomically(tmp_path, capsys):
     assert run(argv + [str(tmp_path / "d")]) == 2
     assert "cannot write the report" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["d", "r.json"]
+
+
+def test_pfaffian_row_catches_a_sign_error(tmp_path, monkeypatch):
+    # Pf^2 = det cannot see a wrong sign; the first-row expansion can
+    real = cli.pfaffian
+    monkeypatch.setattr(cli, "pfaffian", lambda m: -real(m))
+    out = str(tmp_path / "p.json")
+    assert run(["pfaffian", "--count", "20", "--out", out]) == 1
+    row = read(out)["rows"][0]
+    assert row["name"] == "pf_matches_expansion" and row["pass"] is False
+    assert 0 < row["measured"] < row["predicted"] == 20

@@ -185,6 +185,11 @@ OPTIMIZED_CHECKS = {
         "system = build_root_system('A', 3)\n"
         "layer_partition(system, tuple(reversed("
         "cascade_decomposition(system).beta)))"),
+    "Pfaffian must square to the determinant": (
+        "import stepsq.plancherel as p\n"
+        "real = p._pf_eliminate\n"
+        "p._pf_eliminate = lambda m: real(m) + 1\n"
+        "p.pfaffian([[0, 1], [-1, 0]])"),
 }
 
 

@@ -1,16 +1,19 @@
 """Pfaffian oracle, layer densities, constants, and homogeneity."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+import stepsq.plancherel as plancherel
 from stepsq.cascade import cascade_decomposition
 from stepsq.nilalg import layer_subalgebras, realize_split_nilradical
 from stepsq.plancherel import (
     b_lambda_matrix,
     determinant,
     pfaffian,
+    pfaffian_expansion,
     plancherel_constant,
     plancherel_density,
 )
@@ -40,6 +43,8 @@ def test_pfaffian_4x4_textbook():
 def test_pfaffian_conventions():
     assert pfaffian(()) == Q(1)
     assert pfaffian(((Q(0),),)) == Q(0)  # odd dimension
+    assert pfaffian_expansion(()) == Q(1)
+    assert pfaffian_expansion(((Q(0),),)) == Q(0)
     with pytest.raises(ValueError):
         pfaffian(((Q(0), Q(1)), (Q(1), Q(0))))
 
@@ -81,12 +86,77 @@ def test_elimination_matches_recursion():
     rng = random.Random(5)
     for n in (2, 4, 6, 8, 10):
         m = random_skew(rng, n)
-        assert pfaffian(m) == pf_first_row(m, list(range(n)))
+        assert pfaffian(m) == pf_first_row(m, list(range(n))) == pfaffian_expansion(m)
     # zero pivots force the elimination to swap rows and columns
     m = [[Q(0)] * 6 for _ in range(6)]
     for i, j, v in ((0, 3, 2), (1, 2, Q(-1, 3)), (4, 5, 5), (0, 4, 1), (1, 5, 7)):
         m[i][j], m[j][i] = Q(v), -Q(v)
-    assert pfaffian(m) == pf_first_row(m, list(range(6))) != 0
+    assert pfaffian(m) == pf_first_row(m, list(range(6))) == pfaffian_expansion(m) != 0
+
+
+def leibniz(m):
+    """Reference determinant: the sum over permutations, signed by parity."""
+    n = len(m)
+    total = Q(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Q((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def test_determinant_matches_leibniz():
+    rng = random.Random(11)
+    for n in range(8):
+        for _ in range(3 if n < 7 else 1):
+            m = [[Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                 for _ in range(n)]
+            assert determinant(m) == leibniz(m)
+    # singular: a repeated row, and a rank-one matrix
+    m = [[Q(1, 2), 3, Q(-2, 7)], [4, 5, 6], [Q(1, 2), 3, Q(-2, 7)]]
+    assert determinant(m) == leibniz(m) == 0
+    u, v = [1, Q(2, 3), -5, 7], [Q(3, 4), 1, 0, -2]
+    assert determinant([[a * b for b in v] for a in u]) == 0
+    # zero pivots force row swaps at steps 0 and 1
+    m = [[0, 2, 1, 0, 3], [0, 0, 0, Q(5, 3), 1], [4, 1, 0, 2, 0],
+         [0, 0, 7, 1, Q(-1, 2)], [1, 0, 0, 0, 2]]
+    assert determinant(m) == leibniz(m) != 0
+    # integer entries in, an exact Fraction out
+    assert type(determinant([[2, 1], [1, 1]])) is Q
+    assert determinant([]) == 1
+
+
+@pytest.mark.parametrize("m", [[[1, 2]], [[1], [2]], [[1, 2], [3]]])
+def test_determinant_rejects_non_square(m):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        determinant(m)
+
+
+def test_pfaffian_large_coprime_denominators_mixed_entries():
+    rng = random.Random(3)
+    primes = (999983, 1000003, 1000033, 1000037, 1000039, 7919, 104729)
+    for n in (2, 4, 6, 8):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    v = rng.randint(-9, 9)  # a plain int
+                else:
+                    v = Q(rng.randint(-10 ** 6, 10 ** 6), rng.choice(primes))
+                m[i][j], m[j][i] = v, -v
+        pf = pfaffian(m)
+        assert type(pf) is Q
+        assert pf == pf_first_row(m, list(range(n))) == pfaffian_expansion(m)
+        assert pf * pf == determinant(m)
+
+
+def test_wrong_pfaffian_kernel_fails_the_det_check(monkeypatch):
+    real = plancherel._pf_eliminate
+    monkeypatch.setattr(plancherel, "_pf_eliminate", lambda m: real(m) + 1)
+    with pytest.raises(AssertionError, match="Pfaffian must square to the determinant"):
+        pfaffian(random_skew(random.Random(4), 6))
 
 
 def test_b_lambda_heisenberg():
