@@ -5,7 +5,7 @@ stability, and runs the same inversion problem at two stages of the smallest
 chain on a coherent pair of test functions.
 """
 
-from stepsq.harness import build_harness, element
+from stepsq.harness import build_harness, element, leading_subgroup
 from stepsq.inversion import (TestFunction, limit_inversion_check,
                               restrict_test_function)
 from stepsq.limits import cascade_stability, check_well_aligned, propagate
@@ -20,7 +20,8 @@ for series, rank in (("A", 1), ("A", 2), ("B", 2), ("B", 3), ("C", 2),
     print(f"{series}{rank} chain ranks {ranks}: aligned={aligned}, "
           f"cascade stable={stable}")
 
-big, small = build_harness("A3"), build_harness("A1")
+big = build_harness("A3")
+small = leading_subgroup(big, 1)
 f_big = TestFunction.standard(big)
 f_small = restrict_test_function(f_big, small)
 x = element(small, [(0.6, [], [])])

@@ -8,8 +8,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from stepsq.cascade import cascade_decomposition
-from stepsq.nilalg import layer_subalgebras, realize_split_nilradical
+from stepsq.nilalg import realize_split_nilradical
 from stepsq.plancherel import (determinant, pfaffian, plancherel_constant,
                                plancherel_density)
 
@@ -26,9 +25,8 @@ for trial in range(3):
 
 for series, rank in (("A", 3), ("C", 2), ("B", 2)):
     alg = realize_split_nilradical(series, rank)
-    decomp = cascade_decomposition(alg.system)
-    layers = layer_subalgebras(alg, decomp)
-    gamma = {r: Q(r) for r in range(1, decomp.m + 1)}
+    layers = alg.layers
+    gamma = {r: Q(r) for r in range(1, len(layers) + 1)}
     data = plancherel_density(alg, layers, gamma)
     t = Q(3, 2)
     scaled = plancherel_density(alg, layers, {r: t * v for r, v in gamma.items()})

@@ -10,14 +10,16 @@ from fractions import Fraction as Q
 
 import numpy as np
 
+from stepsq.harness import build_harness, leading_subgroup
 from stepsq.limits import (exact_sqrt, propagate, restriction_projection_factor)
 from stepsq.rootsys import build_root_system
 from stepsq.schrodinger import restrict_and_renormalize, stepwise_rep
 from stepsq.states import GaussianState
 
 lam1, lam2 = 1.0, 2.0
-rep_big = stepwise_rep("A3", {1: lam1, 2: lam2})
-rep_small = stepwise_rep("A1", {1: lam1})
+big = build_harness("A3")
+rep_big = stepwise_rep(big, {1: lam1, 2: lam2})
+rep_small = stepwise_rep(leading_subgroup(big, 1), {1: lam1})
 scalar = GaussianState(np.zeros((0, 0)), np.zeros(0), 0.0)
 x = GaussianState.packet(2, [0.3, 0.1], [0.2, -0.4])
 report, factor = restrict_and_renormalize(rep_big, rep_small, scalar, scalar, x)

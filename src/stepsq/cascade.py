@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
-from .jsonio import vec_strs
 from .rootsys import (
     RootSystem,
     Vector,
@@ -226,18 +225,3 @@ def closed_form_beta(series: str, rank: int) -> Tuple[Vector, ...]:
     else:
         raise ValueError(f"unsupported family {series!r}")
     return tuple(betas)
-
-
-def to_json(decomp: CascadeDecomposition) -> dict:
-    """Serialize in the interchange rational format."""
-    return {
-        "beta_prime": [vec_strs(b) for b in decomp.beta_prime],
-        "beta": [vec_strs(b) for b in decomp.beta],
-        "layers": [
-            {"r": r, "beta": vec_strs(decomp.beta[r - 1]),
-             "members": [vec_strs(a) for a in decomp.layers[r]]}
-            for r in sorted(decomp.layers)
-        ],
-        "ties": [{"step": step, "candidates": [vec_strs(c) for c in cands]}
-                 for step, cands in decomp.ties],
-    }

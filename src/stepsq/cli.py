@@ -23,14 +23,15 @@ import numpy as np
 
 from .cascade import cascade_decomposition, closed_form_beta, sigma_r
 from .harness import (HARNESS_NAMES, Harness, build_harness, element,
-                      exact_density, identity, random_element)
+                      exact_density, identity, leading_subgroup,
+                      random_element)
 from .inversion import (TestFunction, fourier_inversion, limit_inversion_check,
                         restrict_test_function)
 from .jsonio import parse_rat, rat_str, vec_strs
 from .limits import (cascade_stability, check_well_aligned, exact_sqrt,
                      propagate, restriction_projection_factor)
-from .nilalg import (corrupted_fixture, layer_subalgebras,
-                     realize_split_nilradical, verify_setup_axioms)
+from .nilalg import (corrupted_fixture, realize_split_nilradical,
+                     verify_setup_axioms)
 from .plancherel import (determinant, pfaffian, pfaffian_expansion,
                          plancherel_density)
 from .rootsys import build_root_system, cartan_matrix
@@ -181,13 +182,9 @@ def pipeline_layers(series: str, rank: int) -> Tuple[dict, List[dict]]:
 
 def pipeline_axioms(series: str, rank: int,
                     corrupted: bool = False) -> Tuple[dict, List[dict]]:
-    if corrupted:
-        alg, decomp = corrupted_fixture()
-    else:
-        alg = realize_split_nilradical(series, rank)
-        decomp = cascade_decomposition(alg.system)
-    layers = layer_subalgebras(alg, decomp, validate=False)
-    report = verify_setup_axioms(alg, layers)
+    alg = (corrupted_fixture() if corrupted
+           else realize_split_nilradical(series, rank))
+    report = verify_setup_axioms(alg)
     by_axiom: Dict[str, bool] = {}
     for row in report.rows:
         by_axiom[row["axiom"]] = by_axiom.get(row["axiom"], True) and row["ok"]
@@ -229,12 +226,10 @@ def pipeline_pfaffian(count: int, max_size: int,
     t = Q(3, 2)
     for series, rank in (("A", 3), ("C", 2), ("B", 2)):
         alg = realize_split_nilradical(series, rank)
-        decomp = cascade_decomposition(alg.system)
-        layers = layer_subalgebras(alg, decomp)
-        base = {r: Q(r + 1) for r in range(1, decomp.m + 1)}
+        base = {r: Q(r + 1) for r in range(1, len(alg.layers) + 1)}
         scaled = {r: t * v for r, v in base.items()}
-        d0 = plancherel_density(alg, layers, base)
-        d1 = plancherel_density(alg, layers, scaled)
+        d0 = plancherel_density(alg, alg.layers, base)
+        d1 = plancherel_density(alg, alg.layers, scaled)
         homogeneous = all(d1.pf[r] == t ** d0.d_list[r - 1] * d0.pf[r]
                           for r in d0.pf)
         rows.append(make_row(f"homogeneity_{series}{rank}", True, homogeneous,
@@ -270,8 +265,9 @@ def pipeline_orthogonality(h: Harness, gamma: Dict[int, Q],
 
 
 def pipeline_restriction(lam1: Q, lam2: Q, seed: int) -> Tuple[dict, List[dict]]:
-    rep_big = stepwise_rep("A3", {1: float(lam1), 2: float(lam2)})
-    rep_small = stepwise_rep("A1", {1: float(lam1)})
+    big = build_harness("A3")
+    rep_big = stepwise_rep(big, {1: float(lam1), 2: float(lam2)})
+    rep_small = stepwise_rep(leading_subgroup(big, 1), {1: float(lam1)})
     rng = np.random.default_rng(seed)
     scalar = GaussianState(np.zeros((0, 0)), np.zeros(0), 0.0)
     x = GaussianState.packet(2, rng.normal(size=2) * 0.3,
@@ -334,7 +330,8 @@ def pipeline_limit_check(zeta: float, tolerance: float) -> Tuple[dict, List[dict
         rows.append(make_row(f"{fam}_cascade_stable", True,
                              cascade_stability(chain).stable, 0,
                              "stage-independent cascade table"))
-    big, small = build_harness("A3"), build_harness("A1")
+    big = build_harness("A3")
+    small = leading_subgroup(big, 1)
     f_big = TestFunction.standard(big)
     f_small = restrict_test_function(f_big, small)
     x = element(small, [(zeta, [], [])])

@@ -1,14 +1,15 @@
 """Desk-scale matrix harness groups with layered exponential coordinates.
 
-A harness is a nilpotent matrix group cut from the split model ``(series,
-rank)`` of ``nilalg``: its layers, a polarization of each symplectic part,
-and numeric exp/log coordinate maps.  Each coordinate is keyed by the root
-whose root space it spans; the basis order is, layer by layer, beta_r, the
-a-roots, then the b-roots.  Harnesses: HEIS1-3 (the top layer of A_{d+1}:
-beta = e_1 - e_{d+2}, a_i = e_1 - e_{1+i}, b_i = e_{1+i} - e_{d+2}), A1 (the
-first layer of A3), and the whole split model of any other ``<series><rank>``
-name, such as A3, C2, B2 or C3.  ``exact_density`` takes |Pf| from the model
-layers the keys name; it predicts the ``orthogonality`` row density_abs.
+A harness is a nilpotent matrix group cut from a split model of ``nilalg``,
+which it keeps in ``model``: its layers, a polarization of each symplectic
+part, and numeric exp/log coordinate maps.  Each coordinate is keyed by the
+root whose root space it spans; the basis order is, layer by layer, beta_r,
+the a-roots, then the b-roots.  Harnesses: HEIS1-3 (the top layer of A_{d+1}:
+beta = e_1 - e_{d+2}, a_i = e_1 - e_{1+i}, b_i = e_{1+i} - e_{d+2}) and the
+whole split model of any ``<series><rank>`` name, such as A1, A3, C2, B2 or
+C3.  ``leading_subgroup`` cuts the first k layers from a harness and shares
+its model.  ``exact_density`` takes |Pf| from the model layers the keys name;
+it predicts the ``orthogonality`` row density_abs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .cascade import cascade_decomposition
-from .nilalg import NilpotentAlgebra, layer_subalgebras, realize_split_nilradical
+from .nilalg import NilpotentAlgebra, realize_split_nilradical
 from .plancherel import b_lambda_matrix, determinant, plancherel_density
 from .rootsys import SERIES, Vector, vsub
 
@@ -71,13 +71,23 @@ class LayerDesc:
 
 @dataclass(frozen=True, eq=False)
 class Harness:
-    """A layered matrix group cut from the split model (series, rank)."""
+    """A layered matrix group cut from the split model it keeps."""
 
     name: str
-    size: int
     layers: Tuple[LayerDesc, ...]
-    series: str
-    rank: int
+    model: NilpotentAlgebra
+
+    @property
+    def series(self) -> str:
+        return self.model.series
+
+    @property
+    def rank(self) -> int:
+        return self.model.rank
+
+    @property
+    def size(self) -> int:
+        return self.model.size
 
     @property
     def m(self) -> int:
@@ -165,6 +175,13 @@ def identity(h: Harness) -> GroupElement:
         (0.0, np.zeros(layer.d), np.zeros(layer.d)) for layer in h.layers))
 
 
+def leading_subgroup(h: Harness, k: int) -> Harness:
+    """The subgroup of h's first k layers; it shares h's model."""
+    if not 1 <= k <= h.m:
+        raise ValueError(f"{h.name} has no leading subgroup of {k} layers")
+    return replace(h, name=f"{h.name}[:{k}]", layers=h.layers[:k])
+
+
 def embed_leading(h: Harness, g: GroupElement) -> GroupElement:
     """Extend an element of a leading-layer subgroup of h by identity
     coordinates on the remaining layers."""
@@ -228,16 +245,17 @@ def random_element(h: Harness, rng: np.random.Generator, scale: float = 1.0) -> 
 def _heisenberg_harness(d: int) -> Harness:
     """Generalized Heisenberg group of dimension 2d + 1: the top layer of
     A_{d+1}, with its roots in Heisenberg order."""
+    alg = realize_split_nilradical("A", d + 1)
     n = d + 2
     # E_ij spans the root space of e_i - e_j (1-based): z, then the a's and b's
     pairs = ([(1, n)] + [(1, 1 + i) for i in range(1, d + 1)]
              + [(1 + i, n) for i in range(1, d + 1)])
-    mats = [np.outer(np.eye(n)[i - 1], np.eye(n)[j - 1]) for i, j in pairs]
     keys = tuple(tuple((k == i) - (k == j) for k in range(1, n + 1))
                  for i, j in pairs)
+    mats = [_dense(alg, key) for key in keys]
     layer = LayerDesc(1, d, mats[0], tuple(mats[1:d + 1]), tuple(mats[d + 1:]),
                       np.eye(d), keys)
-    return Harness(f"HEIS{d}", n, (layer,), "A", d + 1)
+    return Harness(f"HEIS{d}", (layer,), alg)
 
 
 def _dense(alg: NilpotentAlgebra, root: Vector) -> np.ndarray:
@@ -248,12 +266,11 @@ def _dense(alg: NilpotentAlgebra, root: Vector) -> np.ndarray:
     return M
 
 
-def _algebra_harness(series: str, rank: int, name: str) -> Harness:
-    """Layered harness from the split matrix model: each symplectic root
+def _algebra_harness(alg: NilpotentAlgebra, name: str) -> Harness:
+    """Layered harness of the whole split model: each symplectic root
     alpha pairs with beta_r - alpha, the greater one being the a-root."""
-    alg = realize_split_nilradical(series, rank)
     descs: List[LayerDesc] = []
-    for layer in layer_subalgebras(alg, cascade_decomposition(alg.system)):
+    for layer in alg.layers:
         a_roots: List[Vector] = []
         b_roots: List[Vector] = []
         for alpha in sorted(layer.members, reverse=True):
@@ -273,38 +290,32 @@ def _algebra_harness(series: str, rank: int, name: str) -> Harness:
         descs.append(LayerDesc(layer.r, d, mats[0], tuple(mats[1:d + 1]),
                                tuple(mats[d + 1:]),
                                np.array(C, dtype=float).reshape(d, d), keys))
-    return Harness(name, alg.size, tuple(descs), series, rank)
+    return Harness(name, tuple(descs), alg)
 
 
 def build_harness(name: str) -> Harness:
-    """HEIS1-HEIS3, A1 (the first layer of A3), or the split model
-    ``<series><rank>`` of any other name."""
+    """HEIS1-HEIS3, or the split model ``<series><rank>`` of any other name."""
     if name.startswith("HEIS"):
         d = int(name[4:])
         if d < 1 or d > 3:
             raise ValueError("HEIS harnesses support d = 1, 2, 3")
         return _heisenberg_harness(d)
-    if name == "A1":
-        big = _algebra_harness("A", 3, "A1")
-        return replace(big, layers=big.layers[:1])
     series, rank = name[:1], name[1:]
     if series not in SERIES or not rank.isdigit():
-        raise ValueError(f"unknown harness {name!r}; expected HEIS1-3, A1 or "
+        raise ValueError(f"unknown harness {name!r}; expected HEIS1-3 or "
                          "<series><rank> such as A3 or C2")
-    return _algebra_harness(series, int(rank), name)
+    return _algebra_harness(realize_split_nilradical(series, int(rank)), name)
 
 
 def exact_density(h: Harness, gamma: Dict[int, Q]) -> Q:
     """|Pf| of gamma (keyed by harness layer) from ``plancherel_density`` on
-    the model layers named by h's keys, not from the float pairing C."""
-    alg = realize_split_nilradical(h.series, h.rank)
-    model = {layer.beta: layer for layer in
-             layer_subalgebras(alg, cascade_decomposition(alg.system))}
+    the layers of h's model named by h's keys, not from the float pairing C."""
+    model = {layer.beta: layer for layer in h.model.layers}
     layers = [replace(model[layer.keys[0]], r=layer.r) for layer in h.layers]
     if any(set(layer.keys[1:]) != set(exact.members)
            for layer, exact in zip(h.layers, layers)):
         raise AssertionError(f"{h.name}: a layer is not a layer of its model")
-    return abs(plancherel_density(alg, layers, gamma).product)
+    return abs(plancherel_density(h.model, layers, gamma).product)
 
 
 def adjoint_action_on_top(h: Harness, g_mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

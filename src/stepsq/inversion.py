@@ -11,7 +11,9 @@ That integral over lam in R^m, one parameter per layer, uses one rule for
 every depth m: a tensor Gauss-Legendre rule on [-cutoff, cutoff]^m whose node
 count per axis doubles until two successive estimates agree to tolerance / 10.
 Each result carries its error budget: ``tail_bound`` for the integrand outside
-the cube and ``quad_error`` for the rule inside it.
+the cube and ``quad_error`` for the rule inside it.  The budget is enforced:
+a reconstruction whose budget exceeds the tolerance raises, so an infinite
+budget (the rule could not refine) is never a pass.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -165,25 +167,6 @@ def euclidean_ft(f: TestFunction) -> FourierData:
     return FourierData(f)
 
 
-def euclidean_ft_grid(samples: np.ndarray, spacing: float) -> Tuple[np.ndarray, np.ndarray]:
-    """FFT Fourier transform of samples on [-W, W)^D with the given spacing.
-
-    Returns (freqs_per_axis, values) with values indexed by the fft frequency
-    grid; phases are corrected so the transform refers to the centered
-    coordinates.
-    """
-    D = samples.ndim
-    n = samples.shape[0]
-    vals = np.fft.fftn(samples) * spacing ** D
-    freqs = np.fft.fftfreq(n, spacing)
-    half = n // 2
-    for ax in range(D):
-        shape = [1] * D
-        shape[ax] = -1
-        vals = vals * np.exp(2j * np.pi * freqs * (half * spacing)).reshape(shape)
-    return freqs, vals
-
-
 def orbit_integral(fhat: FourierData, orb: OrbitDescriptor) -> complex:
     """Character value: normalized integral of fhat over the affine dual slice."""
     orb.check_regular()
@@ -273,12 +256,6 @@ class InversionResult:
     tail_bound: float
     quad_error: float
 
-    def to_json(self) -> dict:
-        return {"value": [self.value.real, self.value.imag],
-                "reference": [self.reference.real, self.reference.imag],
-                "rel_error": self.rel_error, "cutoff": self.cutoff,
-                "tail_bound": self.tail_bound, "quad_error": self.quad_error}
-
 
 #: Gauss-Legendre nodes per axis of the first tensor-rule estimate.
 START_NODES = 16
@@ -289,20 +266,20 @@ MAX_AXIS_NODES = 2 ** 10
 
 
 def fourier_inversion(f: TestFunction, x: GroupElement,
-                      tolerance: float = 1e-6,
-                      cutoff: Optional[float] = None) -> InversionResult:
+                      tolerance: float = 1e-6) -> InversionResult:
     """Reconstruct f(x) by integrating the translated characters.
 
     The integrand over the functional parameters lam in R^m is
     c * Theta_lam(r_x f) * |Pf(lam)|; the density cancels the normalization,
-    leaving a sum of Gaussians in lam.  Without an explicit cutoff, the cube
-    [-cutoff, cutoff]^m grows by 1.5 from 2 until the integrand on its corners
-    and face centres is below tolerance / 100; ``tail_bound`` is a Gaussian
-    fit of that envelope integrated outside the cube.  Inside it, one tensor
-    Gauss-Legendre rule serves every m: n = START_NODES points per axis,
-    doubled until two successive estimates differ by at most tolerance / 10,
-    or until doubling would take n past MAX_AXIS_NODES or n^m past
-    MAX_NODES; ``quad_error`` is their last difference.
+    leaving a sum of Gaussians in lam.  The cube [-cutoff, cutoff]^m grows
+    by 1.5 from 2 until the integrand on its corners and face centres is
+    below tolerance / 100; ``tail_bound`` is a Gaussian fit of that envelope
+    integrated outside the cube.  Inside it, one tensor Gauss-Legendre rule
+    serves every m: n = START_NODES points per axis, doubled until two
+    successive estimates differ by at most tolerance / 10, or until doubling
+    would take n past MAX_AXIS_NODES or n^m past MAX_NODES; ``quad_error``
+    is their last difference, infinite when n could not double.  Raises
+    AssertionError when the budget tail_bound + quad_error exceeds tolerance.
     """
     m = f.harness.m
     terms = []
@@ -328,10 +305,9 @@ def fourier_inversion(f: TestFunction, x: GroupElement,
     def envelope(rad: float) -> float:
         return float(np.max(np.abs(integrand(rad * probes))))
 
-    if cutoff is None:
-        cutoff = 2.0
-        while envelope(cutoff) > tolerance / 100.0 and cutoff < 64.0:
-            cutoff *= 1.5
+    cutoff = 2.0
+    while envelope(cutoff) > tolerance / 100.0 and cutoff < 64.0:
+        cutoff *= 1.5
     # Gaussian-fit tail estimate from the envelope at cutoff/2 and cutoff
     v1, v2 = envelope(cutoff / 2.0) + 1e-300, envelope(cutoff) + 1e-300
     alpha = max(math.log(v1 / v2) / (cutoff ** 2 * 0.75), 1e-6)
@@ -354,6 +330,11 @@ def fourier_inversion(f: TestFunction, x: GroupElement,
         quad_error = abs(val - prev)
         if quad_error <= tolerance / 10.0:
             break
+    if not tail + quad_error <= tolerance:
+        raise AssertionError(
+            f"{f.harness.name}: inversion error budget {tail + quad_error:.2g} "
+            f"(tail {tail:.2g}, quadrature {quad_error:.2g}) exceeds the "
+            f"tolerance {tolerance:g}")
 
     reference = f.value(x)
     scale = max(f.sup_norm_bound(), 1e-300)
@@ -371,11 +352,6 @@ class LimitInversionReport:
     stage_small: InversionResult
     stage_big: InversionResult
     agree: bool
-
-    def to_json(self) -> dict:
-        return {"coherent": self.coherent, "coherence_gap": self.coherence_gap,
-                "stage_small": self.stage_small.to_json(),
-                "stage_big": self.stage_big.to_json(), "agree": self.agree}
 
 
 def restrict_test_function(f_big: TestFunction, small: Harness) -> TestFunction:

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .cascade import cascade_decomposition
 from .jsonio import rat_str
-from .nilalg import layer_subalgebras, realize_split_nilradical
+from .nilalg import realize_split_nilradical
 from .plancherel import plancherel_density
 from .rootsys import RootSystem, Vector, build_root_system, inner
 
@@ -241,11 +241,9 @@ class FactorReport:
 
 def _stage_density(system: RootSystem, gamma: Dict[int, Q]):
     alg = realize_split_nilradical(system.series, system.rank)
-    decomp = cascade_decomposition(system)
-    layers = layer_subalgebras(alg, decomp)
-    if any(r < 1 or r > decomp.m for r in gamma):
+    if any(r < 1 or r > len(alg.layers) for r in gamma):
         raise ValueError("gamma indexes a layer that does not exist")
-    return plancherel_density(alg, layers, gamma), decomp.m
+    return plancherel_density(alg, alg.layers, gamma), len(alg.layers)
 
 
 def restriction_projection_factor(chain: DirectChain,
@@ -286,14 +284,3 @@ def exact_sqrt(q: Q) -> Q:
     if rn * rn != q.numerator or rd * rd != q.denominator:
         raise ValueError(f"{q} is not a rational perfect square")
     return Q(rn, rd)
-
-
-def renormalization_identity(pf_small: Q, pf_big: Q) -> bool:
-    """Exactly check sqrt(pf_big) * sqrt(pf_small/pf_big) == sqrt(pf_small).
-
-    The per-stage scaling maps (multiplication by the root of the stage
-    density) commute with restriction precisely because of this identity;
-    it is decidable exactly when both densities are rational squares.
-    """
-    return (exact_sqrt(Q(pf_big)) * exact_sqrt(Q(pf_small) / Q(pf_big))
-            == exact_sqrt(Q(pf_small)))

@@ -5,6 +5,11 @@ with one or two entries equal to +1 or -1.  It is stored as a sparse map
 ``{(row, col): value}`` with 0-based positions and ``int`` values, and
 brackets and decompositions work on such maps directly.  Distinct roots sit
 at disjoint positions, so a bracket's coefficients are read off entrywise.
+
+``realize_split_nilradical(series, rank)`` is the one place that builds a
+model: it checks the grading and closure, cuts the layers l_r = z_r + v_r
+from the Kostant cascade, checks them, and returns the algebra with its
+layers in ``layers``.  Every consumer reads ``alg.layers``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cascade import CascadeDecomposition
+from .cascade import cascade_decomposition
 from .rootsys import RootSystem, Vector, build_root_system, inner, vadd
 
 Entries = Dict[Tuple[int, int], int | Q]  # sparse matrix: position -> nonzero value
@@ -32,11 +37,34 @@ def sparse_commutator(a: Entries, b: Entries) -> Entries:
 
 
 @dataclass(frozen=True)
+class Layer:
+    """One layer: the central root beta and the symplectic member roots.
+
+    The root-space matrices are looked up in the algebra's ``basis``.
+    """
+
+    r: int
+    beta: Vector
+    members: Tuple[Vector, ...]
+
+    @property
+    def d_r(self) -> int:
+        """Half the symplectic dimension."""
+        return len(self.members) // 2
+
+    @property
+    def dim(self) -> int:
+        """Layer dimension."""
+        return 1 + len(self.members)
+
+
+@dataclass(frozen=True)
 class NilpotentAlgebra:
     """Nilradical graded by positive restricted roots, as sparse root-space maps.
 
-    ``posmap`` sends each basis position to its owning root and entry; it is
-    built, and the positions checked disjoint, at construction.
+    ``layers`` are the cascade layers in order r = 1..m.  ``posmap`` sends
+    each basis position to its owning root and entry; it is built, and the
+    positions checked disjoint, at construction.
     """
 
     series: str
@@ -44,6 +72,7 @@ class NilpotentAlgebra:
     system: RootSystem
     basis: Dict[Vector, Dict[Tuple[int, int], int]]
     size: int
+    layers: Tuple[Layer, ...]
     posmap: Dict[Tuple[int, int], Tuple[Vector, int]] = field(
         init=False, repr=False, compare=False)
 
@@ -130,13 +159,17 @@ def _build_basis(series: str, rank: int,
     raise ValueError(f"unsupported series {series!r}")
 
 
-def realize_split_nilradical(series: str, rank: int, _validate: bool = True) -> NilpotentAlgebra:
-    """Strictly-triangularizable rational model of the split nilradical."""
+def realize_split_nilradical(series: str, rank: int) -> NilpotentAlgebra:
+    """Strictly-triangularizable rational model of the split nilradical,
+    with its cascade layers; the algebra and the layers are checked."""
     system = build_root_system(series, rank)
     basis, size = _build_basis(series, rank, system)
-    alg = NilpotentAlgebra(series, rank, system, basis, size)
-    if _validate:
-        _validate_algebra(alg)
+    decomp = cascade_decomposition(system)
+    layers = tuple(Layer(r, beta, decomp.layers[r])
+                   for r, beta in enumerate(decomp.beta, start=1))
+    alg = NilpotentAlgebra(series, rank, system, basis, size, layers)
+    _validate_algebra(alg)
+    check_layers(alg)
     return alg
 
 
@@ -164,48 +197,21 @@ def _validate_algebra(alg: NilpotentAlgebra) -> None:
                 raise AssertionError(f"bracket [{a},{b}] should vanish")
 
 
-@dataclass(frozen=True)
-class Layer:
-    """One layer: the central root beta and the symplectic member roots.
-
-    The root-space matrices are looked up in the algebra's ``basis``.
-    """
-
-    r: int
-    beta: Vector
-    members: Tuple[Vector, ...]
-
-    @property
-    def d_r(self) -> int:
-        """Half the symplectic dimension."""
-        return len(self.members) // 2
-
-    @property
-    def dim(self) -> int:
-        """Layer dimension."""
-        return 1 + len(self.members)
-
-
-def layer_subalgebras(alg: NilpotentAlgebra, decomp: CascadeDecomposition,
-                      validate: bool = True) -> List[Layer]:
-    """Layers l_r = z_r + v_r, checked two-step with bracket into z_r."""
-    layers: List[Layer] = []
-    for r in range(1, decomp.m + 1):
-        beta = decomp.beta[r - 1]
-        members = decomp.layers[r]
-        if validate:
-            if len(members) % 2:
-                raise AssertionError(f"v_{r} has odd dimension")
-            for a in members:
-                x = alg.basis[a]
-                for b in members:
-                    coeffs = decompose(alg, sparse_commutator(x, alg.basis[b]))
-                    if coeffs is None or not set(coeffs) <= {beta}:
-                        raise AssertionError(f"[v_{r}, v_{r}] escapes z_{r} at ({a},{b})")
-                if sparse_commutator(alg.basis[beta], x):
-                    raise AssertionError(f"z_{r} must be central in l_{r}")
-        layers.append(Layer(r, beta, members))
-    return layers
+def check_layers(alg: NilpotentAlgebra) -> None:
+    """Check that each layer of alg is two-step with bracket into z_r:
+    [v_r, v_r] lies in z_r and z_r is central in l_r."""
+    for layer in alg.layers:
+        r, beta, members = layer.r, layer.beta, layer.members
+        if len(members) % 2:
+            raise AssertionError(f"v_{r} has odd dimension")
+        for a in members:
+            x = alg.basis[a]
+            for b in members:
+                coeffs = decompose(alg, sparse_commutator(x, alg.basis[b]))
+                if coeffs is None or not set(coeffs) <= {beta}:
+                    raise AssertionError(f"[v_{r}, v_{r}] escapes z_{r} at ({a},{b})")
+            if sparse_commutator(alg.basis[beta], x):
+                raise AssertionError(f"z_{r} must be central in l_{r}")
 
 
 def decompose(alg: NilpotentAlgebra, entries: Entries) -> Optional[Dict[Vector, Q]]:
@@ -256,19 +262,16 @@ class AxiomReport:
         """True iff every axiom instance holds."""
         return all(row["ok"] for row in self.rows)
 
-    def to_json(self) -> dict:
-        """Serialize the report."""
-        return {"rows": list(self.rows), "passed": self.passed}
 
-
-def verify_setup_axioms(alg: NilpotentAlgebra, layers: Sequence[Layer]) -> AxiomReport:
-    """Exact verification of the stepwise-decomposition axioms.
+def verify_setup_axioms(alg: NilpotentAlgebra) -> AxiomReport:
+    """Exact verification of the stepwise-decomposition axioms on alg.layers.
 
     (i)  [l_r, z_s] = 0 for r < s;
     (ii) [l_r, l_s] lies in the symplectic part v_s for r < s;
     (iii) each tail l_{r+1} + ... + l_m is an ideal of the full algebra.
     """
     rows: List[dict] = []
+    layers = alg.layers
     m = len(layers)
     table = bracket_support_table(alg)
 
@@ -300,20 +303,16 @@ def verify_setup_axioms(alg: NilpotentAlgebra, layers: Sequence[Layer]) -> Axiom
     return AxiomReport(tuple(rows))
 
 
-def corrupted_fixture() -> Tuple[NilpotentAlgebra, CascadeDecomposition]:
+def corrupted_fixture() -> NilpotentAlgebra:
     """Negative control: two basis matrices swapped across a bridge root.
 
     The matrix of the first-layer root and of a second-layer root trade
-    places, so the tail ideal axiom must fail.
+    places, so the tail ideal axiom must fail.  The result carries A3's
+    layers unchecked.
     """
-    from .cascade import cascade_decomposition
-
     alg = realize_split_nilradical("A", 3)
-    decomp = cascade_decomposition(alg.system)
-    beta1 = decomp.beta[0]
-    other = decomp.layers[2][0]
+    beta1, other = alg.layers[0].beta, alg.layers[1].members[0]
     basis = dict(alg.basis)
     basis[beta1], basis[other] = basis[other], basis[beta1]
-    bad = NilpotentAlgebra(alg.series, alg.rank, alg.system, basis, alg.size)
-    return bad, decomp
-
+    return NilpotentAlgebra(alg.series, alg.rank, alg.system, basis, alg.size,
+                            alg.layers)

@@ -17,7 +17,6 @@ from fractions import Fraction as Q
 from math import factorial, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .jsonio import rat_str
 from .nilalg import Layer, NilpotentAlgebra, decompose, sparse_commutator
 
 SkewMatrix = Tuple[Tuple[Q, ...], ...]
@@ -218,16 +217,6 @@ class PlancherelData:
     d_list: Tuple[int, ...]
     c: int
     in_t_star: bool
-
-    def to_json(self) -> dict:
-        """Serialize with rational strings."""
-        return {
-            "pf": {str(r): rat_str(v) for r, v in sorted(self.pf.items())},
-            "product": rat_str(self.product),
-            "d_list": list(self.d_list),
-            "c": self.c,
-            "in_t_star": self.in_t_star,
-        }
 
 
 def plancherel_density(alg: NilpotentAlgebra, layers: Sequence[Layer],

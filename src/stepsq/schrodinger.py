@@ -5,7 +5,8 @@ acts on functions of the top layer's b-coordinates, held either as Gaussian
 states or as grid samples (single-layer harnesses only): the state passed in
 picks the closed or grid path.  Earlier layers act by the adjoint point
 transformation.  Also: coefficient functions with their orthogonality,
-restriction/renormalization, central Fourier transform, and decay reports.
+restriction to a leading-layer subgroup with renormalization, and decay
+reports.
 """
 
 from __future__ import annotations
@@ -228,11 +229,6 @@ class NormReport:
     path: str
     tail_bound: float
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "predicted": self.predicted,
-                "rel_error": self.rel_error, "path": self.path,
-                "tail_bound": self.tail_bound}
-
 
 def _closed_norm_sq(rep: RepInstance, u: GaussianState, v: GaussianState) -> Tuple[float, float]:
     """Exact integral of |<u, pi(0,p,q)v>|^2 over (p, q).
@@ -348,18 +344,6 @@ class RestrictionReport:
     factor: float
     central_deviation: float
 
-    def to_json(self) -> dict:
-        return {
-            "slice_value_big": [self.slice_value_big.real, self.slice_value_big.imag],
-            "slice_value_small": [self.slice_value_small.real, self.slice_value_small.imag],
-            "pointwise_abs_err": self.pointwise_abs_err,
-            "norm_ratio_measured": self.norm_ratio_measured,
-            "norm_ratio_predicted": self.norm_ratio_predicted,
-            "norm_ratio_rel_err": self.norm_ratio_rel_err,
-            "factor": self.factor,
-            "central_deviation": self.central_deviation,
-        }
-
 
 def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
                              u: State, v: State, x: State,
@@ -428,38 +412,6 @@ def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
         factor=factor, central_deviation=dev,
     )
     return report, factor
-
-
-def partial_center_transform(values: np.ndarray, spacing: float,
-                             gamma: float) -> np.ndarray:
-    """Fourier transform along the trailing (central) axis at frequency gamma.
-
-    values[..., j] are samples over the central coordinate on a uniform grid
-    centered at 0 with the given spacing; returns the integral of
-    f(x, s) exp(2 pi i gamma s) ds by the rectangle rule.
-    """
-    ns = values.shape[-1]
-    if abs(gamma) > 0.5 / spacing:
-        raise ValueError(
-            f"grid too coarse: |gamma| exceeds the resolvable bound {0.5 / spacing:g}")
-    s = spacing * (np.arange(ns) - ns // 2)
-    phases = np.exp(2j * np.pi * gamma * s)
-    return spacing * np.tensordot(values, phases, axes=([-1], [0]))
-
-
-def inverse_center_transform(slices: np.ndarray, gammas: np.ndarray,
-                             spacing: float, ns: int) -> np.ndarray:
-    """Reconstruct central-coordinate samples from frequency slices.
-
-    slices[..., k] holds the partial transform at frequency gammas[k]; the
-    reconstruction integrates slices * exp(-2 pi i gamma s) over the
-    frequency grid (spacing 1 / (ns * spacing)) at the sample points
-    s_j = spacing * (j - ns // 2).
-    """
-    s = spacing * (np.arange(ns) - ns // 2)
-    dgamma = 1.0 / (ns * spacing)
-    kernel = np.exp(-2j * np.pi * np.outer(gammas, s))
-    return dgamma * np.tensordot(slices, kernel, axes=([-1], [0]))
 
 
 @dataclass(frozen=True)

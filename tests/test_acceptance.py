@@ -8,13 +8,14 @@ import numpy as np
 
 from stepsq.cascade import cascade_decomposition, closed_form_beta, sigma_r
 from stepsq.cli import run
-from stepsq.harness import build_harness, element, identity, random_element
+from stepsq.harness import (build_harness, element, identity,
+                            leading_subgroup, random_element)
 from stepsq.inversion import (TestFunction, fourier_inversion,
                               limit_inversion_check, restrict_test_function)
 from stepsq.limits import (cascade_stability, check_well_aligned, propagate,
                            restriction_projection_factor)
-from stepsq.nilalg import (corrupted_fixture, layer_subalgebras,
-                           realize_split_nilradical, verify_setup_axioms)
+from stepsq.nilalg import (corrupted_fixture, realize_split_nilradical,
+                           verify_setup_axioms)
 from stepsq.plancherel import determinant, pfaffian, plancherel_density
 from stepsq.rootsys import build_root_system, vadd
 from stepsq.schrodinger import (CoefficientField, coefficient_norm_sq,
@@ -57,12 +58,8 @@ def test_03_setup_axioms_with_negative_control():
              + [(s, r) for s in "BCD" for r in range(2, 6)])
     for series, rank in cases:
         alg = realize_split_nilradical(series, rank)
-        decomp = cascade_decomposition(alg.system)
-        layers = layer_subalgebras(alg, decomp)
-        assert verify_setup_axioms(alg, layers).passed, (series, rank)
-    bad_alg, bad_decomp = corrupted_fixture()
-    bad_layers = layer_subalgebras(bad_alg, bad_decomp, validate=False)
-    assert not verify_setup_axioms(bad_alg, bad_layers).passed
+        assert verify_setup_axioms(alg).passed, (series, rank)
+    assert not verify_setup_axioms(corrupted_fixture()).passed
 
 
 def test_04_pfaffian_oracle_and_homogeneity():
@@ -78,12 +75,10 @@ def test_04_pfaffian_oracle_and_homogeneity():
     t = Q(5, 3)
     for series, rank in (("A", 3), ("C", 2), ("B", 2), ("D", 4)):
         alg = realize_split_nilradical(series, rank)
-        decomp = cascade_decomposition(alg.system)
-        layers = layer_subalgebras(alg, decomp)
-        base = {r: Q(2 * r - 1, 2) for r in range(1, decomp.m + 1)}
+        base = {r: Q(2 * r - 1, 2) for r in range(1, len(alg.layers) + 1)}
         scaled = {r: t * v for r, v in base.items()}
-        d0 = plancherel_density(alg, layers, base)
-        d1 = plancherel_density(alg, layers, scaled)
+        d0 = plancherel_density(alg, alg.layers, base)
+        d1 = plancherel_density(alg, alg.layers, scaled)
         for r, d in enumerate(d0.d_list, start=1):
             assert d1.pf[r] == t ** d * d0.pf[r]
 
@@ -128,8 +123,9 @@ def test_05_orthogonality_closed_and_grid():
 
 
 def test_06_restriction_and_factor_transitivity():
-    rep_big = stepwise_rep("A3", {1: 0.9, 2: 1.7})
-    rep_small = stepwise_rep("A1", {1: 0.9})
+    big = build_harness("A3")
+    rep_big = stepwise_rep(big, {1: 0.9, 2: 1.7})
+    rep_small = stepwise_rep(leading_subgroup(big, 1), {1: 0.9})
     scalar = GaussianState(np.zeros((0, 0)), np.zeros(0), 0.0)
     x = GaussianState.packet(2, [0.2, -0.3], [0.1, 0.4])
     report, factor = restrict_and_renormalize(rep_big, rep_small, scalar,
@@ -159,7 +155,8 @@ def test_07_fourier_inversion_and_two_stage_limit():
         res = fourier_inversion(f, random_element(h, rng, 1.0))
         assert res.rel_error < 1e-4
     assert time.perf_counter() - start < 120.0
-    big, small = build_harness("A3"), build_harness("A1")
+    big = build_harness("A3")
+    small = leading_subgroup(big, 1)
     f_big = TestFunction.standard(big)
     f_small = restrict_test_function(f_big, small)
     rep = limit_inversion_check(f_big, f_small,
@@ -178,7 +175,8 @@ def test_08_alignment_coherence_and_negative_control():
         assert len(chain.stages) >= 4
         assert check_well_aligned(chain).aligned, (series, rank)
         assert cascade_stability(chain).stable, (series, rank)
-    big, small = build_harness("A3"), build_harness("A1")
+    big = build_harness("A3")
+    small = leading_subgroup(big, 1)
     f_big = TestFunction.standard(big)
     bad = TestFunction.gaussian(small, [0.2], [0.0], 1.05)
     rep = limit_inversion_check(f_big, bad, element(small, [(0.3, [], [])]))

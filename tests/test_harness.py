@@ -15,6 +15,7 @@ from stepsq.harness import (
     from_matrix,
     identity,
     inverse,
+    leading_subgroup,
     logm_unipotent,
     multiply,
     random_element,
@@ -96,10 +97,19 @@ def test_a_side_is_lexicographically_greater():
 
 
 def test_a1_is_leading_subgroup_of_a3():
-    small, big = build_harness("A1"), build_harness("A3")
+    # the A1 split model is a line; in A3 it is the subgroup of the first
+    # layer, cut from the A3 harness and sharing its model
+    a1, big = build_harness("A1"), build_harness("A3")
+    assert (a1.series, a1.rank, a1.size) == ("A", 1, 2)
+    small = leading_subgroup(big, 1)
+    assert [layer.d for layer in small.layers] == [layer.d for layer in a1.layers]
+    assert small.model is big.model and (small.series, small.rank) == ("A", 3)
     assert small.size == big.size
-    assert np.array_equal(small.layers[0].z, big.layers[0].z)
-    assert small.m == 1 and small.top.d == 0
+    assert small.layers == big.layers[:1] and small.keys == big.keys[:1]
+    assert leading_subgroup(big, 2).layers == big.layers
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            leading_subgroup(big, k)
 
 
 @pytest.mark.parametrize("name", ["A3", "C2", "B2"])
@@ -139,7 +149,7 @@ def test_unknown_harness():
 
 MODELS = {"HEIS1": ("A", 2), "HEIS2": ("A", 3), "HEIS3": ("A", 4),
           "A3": ("A", 3), "C2": ("C", 2), "B2": ("B", 2), "C3": ("C", 3),
-          "A1": ("A", 3)}
+          "A1": ("A", 1)}
 
 
 @pytest.mark.parametrize("name", HARNESS_NAMES)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from stepsq.harness import (build_harness, element, from_matrix, identity,
-                            inverse, multiply, random_element)
+                            inverse, leading_subgroup, multiply,
+                            random_element)
 from stepsq.inversion import (
     TestFunction,
     character_of_translate,
     euclidean_ft,
-    euclidean_ft_grid,
     fourier_inversion,
     limit_inversion_check,
     orbit,
@@ -36,18 +36,6 @@ def test_euclidean_ft_translate_phase():
     fhat0, fhat1 = euclidean_ft(f0), euclidean_ft(shifted)
     xs = np.array([0.3, 0.1, -0.5])
     assert abs(fhat1(xs) - np.exp(-2j * np.pi * xs @ a) * fhat0(xs)) < 1e-12
-
-
-def test_euclidean_ft_grid_matches_closed():
-    n, W = 64, 6.0
-    h = 2 * W / n
-    ax = -W + h * np.arange(n)
-    mesh = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-    samples = np.exp(-np.pi * np.sum(mesh ** 2, axis=-1))
-    freqs, vals = euclidean_ft_grid(samples, h)
-    for idx in [(0, 0, 0), (3, 1, 60), (10, 5, 2)]:
-        nu = np.array([freqs[i] for i in idx])
-        assert abs(vals[idx] - np.exp(-np.pi * nu @ nu)) < 1e-6
 
 
 @pytest.mark.parametrize("t", [1.0, 2.0, -0.5, 0.25])
@@ -153,13 +141,24 @@ def test_inversion_scaling_linearity():
                - 2.5 * fourier_inversion(f, x).value) < 1e-10
 
 
-def test_inversion_residual_decreases_with_cutoff():
+def test_inversion_of_an_offset_packet():
     h = build_harness("HEIS1")
     f = TestFunction.gaussian(h, [0.1, 0.2, -0.1], [0.3, 0.0, 0.1], 1.2)
     x = element(h, [(0.1, [0.2], [0.3])])
-    errs = [fourier_inversion(f, x, cutoff=c).rel_error for c in (0.5, 1.0, 2.0, 4.0)]
-    assert errs[-1] < errs[0]
-    assert errs[-1] < 1e-6
+    res = fourier_inversion(f, x)
+    assert res.rel_error < 1e-6
+    assert res.tail_bound + res.quad_error <= 1e-6
+
+
+def test_an_error_budget_over_tolerance_raises():
+    # at depth m = 4 the tensor rule cannot double its 16 nodes per axis
+    # within MAX_NODES, so the quadrature error is unknown (infinite)
+    h = build_harness("C4")
+    assert h.m == 4
+    f = TestFunction.standard(h)
+    x = random_element(h, np.random.default_rng(8), 0.8)
+    with pytest.raises(AssertionError, match=r"C4: inversion error budget inf"):
+        fourier_inversion(f, x)
 
 
 @pytest.mark.parametrize("name,lam", [("A3", {1: 0.5, 2: 1.1}),
@@ -197,7 +196,8 @@ def test_inversion_three_layers():
 
 
 def test_limit_inversion_two_stage_agreement():
-    big, small = build_harness("A3"), build_harness("A1")
+    big = build_harness("A3")
+    small = leading_subgroup(big, 1)
     f_big = TestFunction.standard(big)
     f_small = restrict_test_function(f_big, small)
     for zeta in (0.0, 0.6):
@@ -209,7 +209,8 @@ def test_limit_inversion_two_stage_agreement():
 
 
 def test_limit_inversion_flags_incoherent_family():
-    big, small = build_harness("A3"), build_harness("A1")
+    big = build_harness("A3")
+    small = leading_subgroup(big, 1)
     f_big = TestFunction.standard(big)
     bad = TestFunction.gaussian(small, [0.1], [0.0], 1.1)
     rep = limit_inversion_check(f_big, bad, element(small, [(0.3, [], [])]))
@@ -220,8 +221,9 @@ def test_limit_inversion_flags_incoherent_family():
 
 def test_abelian_stage_is_classical_fourier_inversion():
     # the one-layer line group: characters are scalars, c = 1, density = 1
-    small = build_harness("A1")
-    f = restrict_test_function(TestFunction.standard(build_harness("A3")), small)
+    big = build_harness("A3")
+    small = leading_subgroup(big, 1)
+    f = restrict_test_function(TestFunction.standard(big), small)
     orb_ = orbit(small, {1: 0.8})
     assert orb_.c == 1 and orb_.pf_abs == 1.0
     x = element(small, [(0.4, [], [])])

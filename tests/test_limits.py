@@ -13,7 +13,6 @@ from stepsq.limits import (
     exact_sqrt,
     family_of,
     propagate,
-    renormalization_identity,
     restriction_projection_factor,
     stage_embedding,
 )
@@ -170,14 +169,6 @@ def test_restriction_factor_rejects_singular_and_incoherent():
         restriction_projection_factor(chain, {1: Q(1)}, {1: Q(2), 2: Q(1)})
     with pytest.raises(ValueError):
         restriction_projection_factor(chain, {5: Q(1)}, {1: Q(1), 2: Q(1)})
-
-
-def test_scaling_identity_on_rational_squares():
-    assert renormalization_identity(Q(9, 4), Q(1, 4))
-    assert renormalization_identity(Q(16), Q(4))
-    chain = propagate(build_root_system("A", 1), 1)
-    rep = restriction_projection_factor(chain, {1: Q(1)}, {1: Q(1), 2: Q(2)})
-    assert renormalization_identity(rep.pf_small, rep.pf_big)
 
 
 def test_exact_sqrt():

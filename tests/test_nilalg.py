@@ -9,12 +9,11 @@ from fractions import Fraction as Q
 import pytest
 
 import stepsq
-from stepsq.cascade import cascade_decomposition
 from stepsq.nilalg import (
     NilpotentAlgebra,
+    check_layers,
     corrupted_fixture,
     decompose,
-    layer_subalgebras,
     realize_split_nilradical,
     sparse_commutator,
     verify_setup_axioms,
@@ -88,13 +87,11 @@ def test_jacobi_random_triples():
 
 
 def test_layer_dims():
-    alg = realize_split_nilradical("A", 3)
-    layers = layer_subalgebras(alg, cascade_decomposition(alg.system))
+    layers = realize_split_nilradical("A", 3).layers
     assert layers[0].dim == 1 and layers[0].d_r == 0
     assert layers[1].dim == 5 and layers[1].d_r == 2
     for series in ("C", "B"):
-        alg = realize_split_nilradical(series, 2)
-        layers = layer_subalgebras(alg, cascade_decomposition(alg.system))
+        layers = realize_split_nilradical(series, 2).layers
         assert layers[1].dim == 3 and layers[1].d_r == 1
 
 
@@ -123,19 +120,18 @@ AXIOM_CASES = (
 
 @pytest.mark.parametrize("series,rank", AXIOM_CASES)
 def test_setup_axioms_pass(series, rank):
-    alg = realize_split_nilradical(series, rank)
-    decomp = cascade_decomposition(alg.system)
-    layers = layer_subalgebras(alg, decomp)
-    report = verify_setup_axioms(alg, layers)
+    report = verify_setup_axioms(realize_split_nilradical(series, rank))
     assert report.passed, [r for r in report.rows if not r["ok"]]
 
 
 def test_corrupted_negative_control():
-    bad, decomp = corrupted_fixture()
-    layers = layer_subalgebras(bad, decomp, validate=False)
-    report = verify_setup_axioms(bad, layers)
+    bad = corrupted_fixture()
+    assert bad.layers == realize_split_nilradical("A", 3).layers
+    report = verify_setup_axioms(bad)
     assert not report.passed
     assert any(not r["ok"] for r in report.rows)
+    with pytest.raises(AssertionError, match="escapes z_2"):
+        check_layers(bad)
 
 
 def test_symplectic_form_nondegenerate_on_layers():
@@ -143,9 +139,7 @@ def test_symplectic_form_nondegenerate_on_layers():
     # its sigma partner, nondegenerately
     for series, rank in (("A", 5), ("B", 4), ("C", 3), ("D", 4)):
         alg = realize_split_nilradical(series, rank)
-        decomp = cascade_decomposition(alg.system)
-        layers = layer_subalgebras(alg, decomp)
-        for layer in layers:
+        for layer in alg.layers:
             if layer.d_r == 0:
                 continue
             roots = layer.members
@@ -167,7 +161,8 @@ def test_overlapping_basis_positions_rejected():
     a, b = sorted(basis)[:2]
     basis[a] = basis[b]
     with pytest.raises(AssertionError, match="disjoint"):
-        NilpotentAlgebra(alg.series, alg.rank, alg.system, basis, alg.size)
+        NilpotentAlgebra(alg.series, alg.rank, alg.system, basis, alg.size,
+                         alg.layers)
 
 
 def test_shape_errors():
@@ -177,8 +172,8 @@ def test_shape_errors():
 
 OPTIMIZED_CHECKS = {
     "escapes z_2": (
-        "from stepsq.nilalg import corrupted_fixture, layer_subalgebras\n"
-        "layer_subalgebras(*corrupted_fixture())"),
+        "from stepsq.nilalg import check_layers, corrupted_fixture\n"
+        "check_layers(corrupted_fixture())"),
     "layer characterization failed at r=1": (
         "from stepsq.cascade import cascade_decomposition, layer_partition\n"
         "from stepsq.rootsys import build_root_system\n"

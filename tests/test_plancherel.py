@@ -7,8 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 import stepsq.plancherel as plancherel
-from stepsq.cascade import cascade_decomposition
-from stepsq.nilalg import layer_subalgebras, realize_split_nilradical
+from stepsq.nilalg import realize_split_nilradical
 from stepsq.plancherel import (
     b_lambda_matrix,
     determinant,
@@ -21,8 +20,7 @@ from stepsq.plancherel import (
 
 def harness(series, rank):
     alg = realize_split_nilradical(series, rank)
-    decomp = cascade_decomposition(alg.system)
-    return alg, layer_subalgebras(alg, decomp)
+    return alg, alg.layers
 
 
 def test_pfaffian_2x2():

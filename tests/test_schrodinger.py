@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from stepsq.harness import (build_harness, element, identity, inverse,
-                            multiply, random_element)
+                            leading_subgroup, multiply, random_element)
 from stepsq.schrodinger import (
     CoefficientField,
     check_invariants,
     coefficient,
     coefficient_norm_sq,
-    inverse_center_transform,
-    partial_center_transform,
     restrict_and_renormalize,
     schwartz_decay_report,
     stepwise_rep,
@@ -226,8 +224,9 @@ def test_coefficient_norm_rejects_character_reps():
 
 def test_restriction_a1_in_a3():
     lam1, lam2 = 0.8, 1.5
-    rep_big = stepwise_rep("A3", {1: lam1, 2: lam2})
-    rep_small = stepwise_rep("A1", {1: lam1})
+    big = build_harness("A3")
+    rep_big = stepwise_rep(big, {1: lam1, 2: lam2})
+    rep_small = stepwise_rep(leading_subgroup(big, 1), {1: lam1})
     u, v = scalar_state(0.9), scalar_state(np.exp(0.4j))
     e = GaussianState.ground(2)
     report, factor = restrict_and_renormalize(rep_big, rep_small, u, v, e)
@@ -240,8 +239,9 @@ def test_restriction_a1_in_a3():
 
 
 def test_restriction_general_x_y():
-    rep_big = stepwise_rep("A3", {1: 0.5, 2: 2.0})
-    rep_small = stepwise_rep("A1", {1: 0.5})
+    big = build_harness("A3")
+    rep_big = stepwise_rep(big, {1: 0.5, 2: 2.0})
+    rep_small = stepwise_rep(leading_subgroup(big, 1), {1: 0.5})
     u, v = scalar_state(1.0), scalar_state(0.7)
     x = GaussianState.packet(2, [0.3, 0.1], [0.2, -0.4])
     y = GaussianState.ground(2)
@@ -254,10 +254,11 @@ def test_restriction_general_x_y():
 
 def test_restriction_factor_transitivity_on_values():
     # |P1/P3|^(1/2) = |P1/P2|^(1/2) * |P2/P3|^(1/2) for the same harness pair
-    rep_a = stepwise_rep("A1", {1: 0.3})
+    big = build_harness("A3")
+    rep_a = stepwise_rep(leading_subgroup(big, 1), {1: 0.3})
     for lam2a, lam2b in [(1.5, 3.0), (0.5, 2.0)]:
-        big_a = stepwise_rep("A3", {1: 0.3, 2: lam2a})
-        big_b = stepwise_rep("A3", {1: 0.3, 2: lam2b})
+        big_a = stepwise_rep(big, {1: 0.3, 2: lam2a})
+        big_b = stepwise_rep(big, {1: 0.3, 2: lam2b})
         s = scalar_state(1.0)
         e = GaussianState.ground(2)
         _, fa = restrict_and_renormalize(big_a, rep_a, s, s, e)
@@ -266,58 +267,12 @@ def test_restriction_factor_transitivity_on_values():
 
 
 def test_restriction_incompatible_gamma():
-    rep_big = stepwise_rep("A3", {1: 0.8, 2: 1.5})
-    rep_small = stepwise_rep("A1", {1: 0.9})
+    big = build_harness("A3")
+    rep_big = stepwise_rep(big, {1: 0.8, 2: 1.5})
+    rep_small = stepwise_rep(leading_subgroup(big, 1), {1: 0.9})
     s = scalar_state(1.0)
     with pytest.raises(ValueError):
         restrict_and_renormalize(rep_big, rep_small, s, s, GaussianState.ground(2))
-
-
-# ---------- partial center transform ----------
-
-def test_center_transform_gaussian_oracle():
-    ns, hs = 64, 0.15
-    s = hs * (np.arange(ns) - ns // 2)
-    x = np.linspace(-2, 2, 9)
-    f = np.exp(-np.pi * (x[:, None] ** 2 + s[None, :] ** 2))
-    out = partial_center_transform(f, hs, 1.0)
-    assert np.abs(out - np.exp(-np.pi * x ** 2) * np.exp(-np.pi)).max() < 1e-12
-
-
-def test_center_transform_zero_frequency_is_integral():
-    ns, hs = 64, 0.15
-    s = hs * (np.arange(ns) - ns // 2)
-    f = np.exp(-np.pi * s ** 2)[None, :]
-    assert abs(partial_center_transform(f, hs, 0.0)[0] - 1.0) < 1e-12
-
-
-def test_center_transform_round_trip():
-    ns, hs = 64, 0.15
-    s = hs * (np.arange(ns) - ns // 2)
-    x = np.linspace(-2, 2, 9)
-    f = np.exp(-np.pi * (x[:, None] ** 2 + s[None, :] ** 2)) * (1 + 0.3j)
-    gammas = np.fft.fftfreq(ns, hs)
-    slices = np.stack([partial_center_transform(f, hs, float(g)) for g in gammas],
-                      axis=-1)
-    rec = inverse_center_transform(slices, gammas, hs, ns)
-    assert np.abs(rec - f).max() < 1e-6
-
-
-def test_center_transform_equivariance_under_shift():
-    # shifting the central coordinate multiplies the transform by a phase
-    ns, hs = 64, 0.15
-    s = hs * (np.arange(ns) - ns // 2)
-    f = np.exp(-np.pi * s ** 2)[None, :]
-    shifted = np.exp(-np.pi * (s - hs * 3) ** 2)[None, :]
-    g = 0.7
-    lhs = partial_center_transform(shifted, hs, g)
-    rhs = np.exp(2j * np.pi * g * hs * 3) * partial_center_transform(f, hs, g)
-    assert np.abs(lhs - rhs).max() < 1e-9
-
-
-def test_center_transform_nyquist_error():
-    with pytest.raises(ValueError):
-        partial_center_transform(np.zeros((3, 16)), 0.5, 2.0)
 
 
 # ---------- Schwartz decay ----------
