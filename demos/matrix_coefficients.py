@@ -8,7 +8,7 @@ paths.
 
 import numpy as np
 
-from stepsq.harness import build_harness, random_element
+from stepsq.harness import random_element
 from stepsq.schrodinger import (check_invariants, coefficient,
                                 coefficient_norm_sq, stepwise_rep,
                                 validation_grid)

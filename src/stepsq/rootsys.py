@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .jsonio import rat_str, vec_strs
+from .jsonio import vec_strs
 
 Rational = Union[int, Q]
 Vector = Tuple[Rational, ...]

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -160,27 +161,25 @@ class GridState:
     def from_gaussian(g: GaussianState, grid: Grid) -> "GridState":
         return GridState(grid, g.evaluate(grid.mesh()).astype(complex))
 
+    def _axis_phases(self, freq: np.ndarray, x: np.ndarray, const: complex = 1.0):
+        """const * exp(2 pi i freq . y) for y in x^D: one phase vector per axis."""
+        freq = np.asarray(freq, dtype=float).reshape(self.grid.D)
+        return math.prod(np.ix_(*np.exp(2j * np.pi * np.outer(freq, x))), start=const)
+
     def translate(self, q: np.ndarray) -> "GridState":
         """Band-limited shift y -> f(y + q) via FFT phase rotation."""
-        q = np.asarray(q, dtype=float)
-        vals = np.fft.fftn(self.values)
-        for ax in range(self.grid.D):
-            freq = self.grid.freqs()
-            shape = [1] * self.grid.D
-            shape[ax] = -1
-            vals = vals * np.exp(2j * np.pi * freq * q[ax]).reshape(shape)
+        vals = np.fft.fftn(self.values) * self._axis_phases(q, self.grid.freqs())
         return GridState(self.grid, np.fft.ifftn(vals))
 
     def modulate(self, freq: np.ndarray, phase: complex = 0.0) -> "GridState":
-        mesh = self.grid.mesh()
-        factor = np.exp(2j * np.pi * mesh @ np.asarray(freq, dtype=float) + phase)
+        factor = self._axis_phases(freq, self.grid.axis(), np.exp(phase))
         return GridState(self.grid, self.values * factor)
 
     def scale(self, c: complex) -> "GridState":
         return GridState(self.grid, self.values * c)
 
     def inner(self, other: "GridState") -> complex:
-        if self.grid.points != other.grid.points:
+        if self.grid != other.grid:
             raise ValueError("the states live on different grids")
         return complex(np.vdot(self.values, other.values) * self.grid.h ** self.grid.D)
 

@@ -10,11 +10,10 @@ from stepsq.cascade import (
     cascade_decomposition,
     closed_form_beta,
     kostant_cascade,
-    layer_partition,
     reverse_cascade,
     sigma_r,
 )
-from stepsq.rootsys import (RootSystem, build_root_system, inner, vadd, vscale,
+from stepsq.rootsys import (RootSystem, build_root_system, vadd, vscale,
                             strongly_orthogonal)
 
 

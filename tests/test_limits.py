@@ -7,7 +7,6 @@ import pytest
 from stepsq.cascade import cascade_decomposition, closed_form_beta
 from stepsq.limits import (
     FAMILIES,
-    DirectChain,
     check_well_aligned,
     cascade_stability,
     exact_sqrt,

@@ -213,6 +213,48 @@ def test_orthogonality_grid(d, points):
         assert report.rel_error < 1e-3, (d, lam, report.rel_error)
 
 
+def _per_shift_norm_sq(rep, u, v, q_stride, q_span):
+    """The grid coefficient norm with one FFT per shift s: the frequency sum
+    of |FFT(conj(u) * v(. + s))|^2, summed over the shift lattice."""
+    grid = u.grid
+    D, h, n = grid.D, grid.h, grid.points
+    steps = int(q_span / (q_stride * h))
+    total = 0.0
+    for flat in np.ndindex(*([2 * steps + 1] * D)):
+        shifts = tuple((steps - s) * q_stride for s in flat)
+        vs = np.roll(v.values, shifts, axis=tuple(range(D)))
+        total += float(np.sum(np.abs(np.fft.fftn(np.conj(u.values) * vs) * h ** D) ** 2))
+    dp = 1.0 / (n * h * abs(rep.lam))
+    return total * dp ** D * (q_stride * h) ** D
+
+
+@pytest.mark.parametrize("d,points", [(1, 256), (2, 64), (3, 24)])
+def test_grid_norm_matches_per_shift_quadrature(d, points):
+    grid = Grid(d, points, 3.3)
+    q_stride, q_span = max(1, int(round(0.55 / grid.h))), 3.5
+    steps = int(q_span / (q_stride * grid.h))
+    residues = (np.arange(-steps, steps + 1) * q_stride) % points
+    # the 24-point grid wraps: the extreme shifts +-12 share one residue
+    assert (len(set(residues)) < len(residues)) == (points == 24)
+    rng = np.random.default_rng(17)
+    for lam in (1.0, -1.5, 0.5):
+        rep = stepwise_rep(f"HEIS{d}", {1: lam})
+        u, v = rep.random_state(rng, grid), rep.random_state(rng, grid)
+        assert np.abs(u.values - v.values).max() > 1e-3
+        value = coefficient_norm_sq(rep, u, v, q_stride, q_span).value
+        oracle = _per_shift_norm_sq(rep, u, v, q_stride, q_span)
+        assert abs(value - oracle) <= 1e-12 * oracle, (d, lam, value, oracle)
+
+
+def test_grid_norm_rejects_states_on_different_grids():
+    rep = stepwise_rep("HEIS1", {1: 1.0})
+    g = GaussianState.ground(1)
+    u = GridState.from_gaussian(g, Grid(1, 64, 3.0))
+    v = GridState.from_gaussian(g, Grid(1, 64, 5.0))
+    with pytest.raises(ValueError, match="different grids"):
+        coefficient_norm_sq(rep, u, v)
+
+
 def test_coefficient_norm_rejects_character_reps():
     rep = stepwise_rep("A1", {1: 1.0})
     s = scalar_state(1.0)

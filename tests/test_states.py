@@ -140,6 +140,40 @@ def test_grid_modulate_matches_closed():
     assert np.abs(out.values - ref.values).max() < 1e-12
 
 
+SEPARABLE_GRIDS = [Grid(2, 64, 5.0), Grid(3, 48, 4.0)]
+
+
+@pytest.mark.parametrize("grid", SEPARABLE_GRIDS, ids=lambda g: f"D{g.D}")
+def test_grid_translate_matches_closed_nd(grid):
+    D = grid.D
+    g = GaussianState.packet(D, [0.2, -0.1, 0.15][:D], [0.3, -0.2, 0.1][:D])
+    q = np.array([0.37, -0.21, 0.13][:D])  # not grid aligned
+    moved = GridState.from_gaussian(g, grid).translate(q)
+    ref = GridState.from_gaussian(g.translate(q), grid)
+    assert np.abs(moved.values - ref.values).max() < 1e-9
+
+
+@pytest.mark.parametrize("grid", SEPARABLE_GRIDS, ids=lambda g: f"D{g.D}")
+def test_grid_modulate_matches_closed_nd(grid):
+    D = grid.D
+    g = GaussianState.packet(D, [0.2, -0.1, 0.15][:D], [0.3, -0.2, 0.1][:D])
+    freq = np.array([1.3, -0.7, 0.45][:D])  # not on the frequency grid
+    out = GridState.from_gaussian(g, grid).modulate(freq, 0.3 + 0.2j)
+    ref = GridState.from_gaussian(g.modulate(freq, 0.3 + 0.2j), grid)
+    assert np.abs(out.values - ref.values).max() < 1e-12
+
+
+def test_grid_states_on_different_grids_rejected():
+    # same point count, different half-widths: the spacings differ
+    g = GaussianState.ground(1)
+    a = GridState.from_gaussian(g, Grid(1, 64, 3.0))
+    b = GridState.from_gaussian(g, Grid(1, 64, 5.0))
+    with pytest.raises(ValueError, match="different grids"):
+        a.inner(b)
+    with pytest.raises(ValueError, match="different grids"):
+        b.inner(a)
+
+
 def test_grid_axis_and_freqs():
     grid = Grid(1, 8, 4.0)
     assert grid.h == 1.0
