@@ -8,13 +8,13 @@ function from its characters at random group points.
 import numpy as np
 
 from stepsq.harness import build_harness, identity, random_element
-from stepsq.inversion import (TestFunction, euclidean_ft, fourier_inversion,
-                              orbit, orbit_integral)
+from stepsq.inversion import (TestFunction, fourier_inversion, orbit,
+                              orbit_integral)
 
 h = build_harness("HEIS1")
 f = TestFunction.standard(h)
 for t in (0.5, 1.0, 2.0):
-    theta = orbit_integral(euclidean_ft(f), orbit(h, {1: t}))
+    theta = orbit_integral(f, orbit(h, {1: t}))
     oracle = np.exp(-np.pi * t * t) / (2 * abs(t))
     print(f"character at lambda={t}: {theta.real:.10f} "
           f"(closed form {oracle:.10f})")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
 from .rootsys import (
@@ -20,14 +19,6 @@ from .rootsys import (
 
 
 @dataclass(frozen=True)
-class CascadeChain:
-    """Cascade in construction order, with tie metadata per greedy step."""
-
-    beta_prime: Tuple[Vector, ...]
-    ties: Tuple[Tuple[int, Tuple[Vector, ...]], ...]
-
-
-@dataclass(frozen=True)
 class CascadeDecomposition:
     """Reversed cascade beta_1..beta_m and the layer partition of positives."""
 
@@ -35,19 +26,11 @@ class CascadeDecomposition:
     beta_prime: Tuple[Vector, ...]
     beta: Tuple[Vector, ...]
     layers: Dict[int, Tuple[Vector, ...]]
-    ties: Tuple[Tuple[int, Tuple[Vector, ...]], ...] = ()
 
     @property
     def m(self) -> int:
         """Number of layers."""
         return len(self.beta)
-
-    def d_r(self, r: int) -> int:
-        """Half the dimension of the r-th symplectic part."""
-        n = len(self.layers[r])
-        if n % 2:
-            raise AssertionError("split layers have even symplectic dimension")
-        return n // 2
 
 
 def _dominates(ca: Tuple[int, ...], cb: Tuple[int, ...]) -> bool:
@@ -55,15 +38,14 @@ def _dominates(ca: Tuple[int, ...], cb: Tuple[int, ...]) -> bool:
     return all(x >= y for x, y in zip(ca, cb))
 
 
-def kostant_cascade(system: RootSystem) -> CascadeChain:
-    """Greedy sequence of maximal, mutually strongly orthogonal positive roots.
+def kostant_cascade(system: RootSystem) -> Tuple[Vector, ...]:
+    """Greedy sequence beta'_1, beta'_2, ... of maximal, mutually strongly
+    orthogonal positive roots, in construction order.
 
     Among the strongly-orthogonal candidates the maximal elements of the
     simple-coordinate partial order are found; ties are broken by the
-    lexicographically greatest coordinate vector and recorded.
+    lexicographically greatest coordinate vector.
     """
-    if not system.simple_enumeration:
-        raise ValueError("cascade requires a generated system with simple roots")
     simples = [system.simple_enumeration[i] for i in system.simple_indices()]
     coords: Dict[Vector, Tuple[int, ...]] = {}
     for a, c in zip(system.positives,
@@ -72,24 +54,20 @@ def kostant_cascade(system: RootSystem) -> CascadeChain:
             raise AssertionError(f"simple coordinates of {a} are not integral")
         coords[a] = tuple(int(x) for x in c)
     chosen: List[Vector] = []
-    ties: List[Tuple[int, Tuple[Vector, ...]]] = []
     candidates = list(system.positives)
     while candidates:
         maxima = [
             a for a in candidates
             if not any(b != a and _dominates(coords[b], coords[a]) for b in candidates)
         ]
-        maxima.sort(reverse=True)
-        if len(maxima) > 1:
-            ties.append((len(chosen) + 1, tuple(maxima)))
-        pick = maxima[0]
+        pick = max(maxima)
         chosen.append(pick)
         candidates = [a for a in candidates if strongly_orthogonal(system, a, pick)]
     for i, a in enumerate(chosen):
         for b in chosen[i + 1:]:
             if not strongly_orthogonal(system, a, b):
                 raise AssertionError(f"cascade roots {a} and {b} are not strongly orthogonal")
-    return CascadeChain(tuple(chosen), tuple(ties))
+    return tuple(chosen)
 
 
 def reverse_cascade(beta_prime: Sequence[Vector]) -> Tuple[Vector, ...]:
@@ -97,8 +75,8 @@ def reverse_cascade(beta_prime: Sequence[Vector]) -> Tuple[Vector, ...]:
     return tuple(reversed(tuple(beta_prime)))
 
 
-def layer_partition(system: RootSystem, beta: Sequence[Vector],
-                    ties: Tuple = ()) -> CascadeDecomposition:
+def layer_partition(system: RootSystem,
+                    beta: Sequence[Vector]) -> CascadeDecomposition:
     """Partition the positives into layers by the descending recursion.
 
     Layer r collects the unassigned positives alpha with beta_r - alpha a
@@ -127,22 +105,27 @@ def layer_partition(system: RootSystem, beta: Sequence[Vector],
         }
         if expected != characterized:
             raise AssertionError(f"layer characterization failed at r={r}")
-    return CascadeDecomposition(system, reverse_cascade(beta), beta, layers, tuple(ties))
+    return CascadeDecomposition(system, reverse_cascade(beta), beta, layers)
 
 
 def cascade_decomposition(system: RootSystem) -> CascadeDecomposition:
     """Convenience: cascade, reverse, and partition in one call."""
-    chain = kostant_cascade(system)
-    return layer_partition(system, reverse_cascade(chain.beta_prime), chain.ties)
+    return layer_partition(system, reverse_cascade(kostant_cascade(system)))
 
 
 def sigma_r(decomp: CascadeDecomposition, alpha: Vector, r: int) -> Vector:
-    """Negated reflection -s_{beta_r}(alpha) pairing alpha with beta_r - alpha."""
+    """Negated reflection -s_{beta_r}(alpha) pairing alpha with beta_r - alpha.
+
+    The Cartan integer 2(alpha, beta_r)/(beta_r, beta_r) is computed by
+    exact int division, so the image of an int root is an int root.
+    """
     if alpha not in set(decomp.layers.get(r, ())):
         raise ValueError(f"{alpha} is not in layer {r}")
     b = decomp.beta[r - 1]
-    image = vadd(vscale(Q(-1), alpha),
-                 vscale(Q(2) * inner(alpha, b) / inner(b, b), b))
+    cartan, rest = divmod(2 * inner(alpha, b), inner(b, b))
+    if rest:
+        raise AssertionError(f"the Cartan integer of {alpha} at {b} is not integral")
+    image = vsub(vscale(cartan, b), alpha)
     if image not in set(decomp.layers[r]):
         raise AssertionError("sigma must preserve the layer")
     if vadd(alpha, image) != b:

@@ -27,14 +27,13 @@ from .harness import (HARNESS_NAMES, Harness, build_harness, element,
                       random_element)
 from .inversion import (TestFunction, fourier_inversion, limit_inversion_check,
                         restrict_test_function)
-from .jsonio import parse_rat, rat_str, vec_strs
 from .limits import (cascade_stability, check_well_aligned, exact_sqrt,
                      propagate, restriction_projection_factor)
 from .nilalg import (corrupted_fixture, realize_split_nilradical,
                      verify_setup_axioms)
 from .plancherel import (determinant, pfaffian, pfaffian_expansion,
                          plancherel_density)
-from .rootsys import build_root_system, cartan_matrix
+from .rootsys import build_root_system, cartan_matrix, vadd
 from .schrodinger import (coefficient_norm_sq, restrict_and_renormalize,
                           stepwise_rep, validate_rep, validation_grid)
 from .states import GaussianState, Grid, GridState
@@ -55,6 +54,26 @@ REPORT_SCHEMA = {
 
 # ---------------------------------------------------------------------------
 # report plumbing
+
+
+def rat_str(x: Q) -> str:
+    """Render an exact rational as the canonical "p/q" string."""
+    x = Q(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_rat(s: str) -> Q:
+    """Parse a "p/q" (or plain integer) string into an exact rational."""
+    s = s.strip()
+    if "/" in s:
+        num, den = s.split("/")
+        return Q(int(num), int(den))
+    return Q(int(s))
+
+
+def vec_strs(v: Sequence[Q]) -> list:
+    """Render a rational vector as a list of "p/q" strings."""
+    return [rat_str(x) for x in v]
 
 
 def make_row(name: str, predicted, measured, tolerance: float,
@@ -173,8 +192,8 @@ def pipeline_layers(series: str, rank: int) -> Tuple[dict, List[dict]]:
         rows.append(make_row(f"layer_{r}_even_dimension", True,
                              len(members) % 2 == 0, 0,
                              "symplectic pairing"))
-        pairing = all(tuple(np.add(a, sigma_r(decomp, a, r)))
-                      == decomp.beta[r - 1] for a in members) if members else True
+        pairing = all(vadd(a, sigma_r(decomp, a, r)) == decomp.beta[r - 1]
+                      for a in members)
         rows.append(make_row(f"layer_{r}_pairing_sums_to_beta", True, pairing,
                              0, "exact involution pairing"))
     return {"series": series, "rank": rank}, rows
@@ -182,6 +201,9 @@ def pipeline_layers(series: str, rank: int) -> Tuple[dict, List[dict]]:
 
 def pipeline_axioms(series: str, rank: int,
                     corrupted: bool = False) -> Tuple[dict, List[dict]]:
+    if corrupted and (series, rank) != ("A", 3):
+        raise ValueError("the corrupted control is the A3 fixture; run it "
+                         "with --series A --n 3")
     alg = (corrupted_fixture() if corrupted
            else realize_split_nilradical(series, rank))
     report = verify_setup_axioms(alg)

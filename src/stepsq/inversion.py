@@ -1,10 +1,13 @@
 """Distribution characters via orbit integrals and Fourier inversion.
 
-A test function lives on a harness group through its lift to the Lie algebra.
-The character of the representation attached to a regular functional is the
-normalized integral of the Euclidean Fourier transform over the affine
-subspace spanned by the symplectic dual coordinates; inversion integrates the
-characters of right translates against the density over the functional
+A test function lives on a harness group through its lift to the Lie algebra,
+a finite sum of Gaussians.  The character of the representation attached to
+a regular functional has two independent paths.  ``orbit_integral(f, orb)``
+integrates the Euclidean Fourier transform of the lift, in closed form per
+Gaussian term, over the affine subspace spanned by the symplectic dual
+coordinates (the Kirillov orbit).  ``character_of_translate`` reduces the
+character of a right translate to the centre slice.  Inversion integrates
+the characters of right translates against the density over the functional
 parameters.
 
 That integral over lam in R^m, one parameter per layer, uses one rule for
@@ -21,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,11 +72,6 @@ class TestFunction:
 
     def scale(self, c: complex) -> "TestFunction":
         return TestFunction(self.harness, tuple(t.scale(c) for t in self.terms))
-
-    def plus(self, other: "TestFunction") -> "TestFunction":
-        if other.harness is not self.harness:
-            raise ValueError("the summands live on different harnesses")
-        return TestFunction(self.harness, self.terms + other.terms)
 
     def lift_coords(self, g: GroupElement) -> np.ndarray:
         """Algebra coordinates of log g in the harness basis order."""
@@ -148,27 +146,9 @@ def orbit(harness: Union[Harness, str], lam: Dict[int, float]) -> OrbitDescripto
     return OrbitDescriptor(h, tuple(sorted((int(r), float(v)) for r, v in lam.items())))
 
 
-@dataclass(frozen=True, eq=False)
-class FourierData:
-    """Closed-form Fourier transform of a lifted test function."""
-
-    f: TestFunction
-
-    def __call__(self, xi_star: np.ndarray) -> complex:
-        xi_star = np.asarray(xi_star, dtype=float)
-        total = 0.0 + 0.0j
-        for t in self.f.terms:
-            total += gaussian_integral(t.M, t.ell - 2j * np.pi * xi_star, t.k)
-        return complex(total)
-
-
-def euclidean_ft(f: TestFunction) -> FourierData:
-    """Classical Fourier transform of the lift, in closed form."""
-    return FourierData(f)
-
-
-def orbit_integral(fhat: FourierData, orb: OrbitDescriptor) -> complex:
-    """Character value: normalized integral of fhat over the affine dual slice."""
+def orbit_integral(f: TestFunction, orb: OrbitDescriptor) -> complex:
+    """Character value: the normalized integral of the Euclidean Fourier
+    transform of f's lift over the affine dual slice of orb."""
     orb.check_regular()
     h = orb.harness
     lam_full = np.zeros(h.dim)
@@ -176,14 +156,14 @@ def orbit_integral(fhat: FourierData, orb: OrbitDescriptor) -> complex:
     # columns spanning the symplectic dual coordinates inside the full dual
     V = np.eye(h.dim)[:, [i for i in range(h.dim) if i not in h.starts]]
     total = 0.0 + 0.0j
-    for t in fhat.f.terms:
+    for t in f.terms:
         Minv = np.linalg.inv(t.M)
         a = t.ell - 2j * np.pi * lam_full
         S = (np.pi ** 2) * V.T @ Minv @ V
         S = 0.5 * (S + S.T)
         L = -1j * np.pi * V.T @ (Minv @ a)
         K = 0.25 * a @ Minv @ a + t.k
-        pre, _ = gaussian_integral_parts(t.M, t.ell, t.k)  # normalization of fhat
+        pre, _ = gaussian_integral_parts(t.M, t.ell, t.k)  # normalization of the transform
         total += pre * gaussian_integral(S, L, K) if orb.slice_dim else pre * np.exp(K)
     return complex(total / (orb.c * orb.pf_abs))
 
@@ -345,12 +325,13 @@ def fourier_inversion(f: TestFunction, x: GroupElement,
 
 @dataclass(frozen=True)
 class LimitInversionReport:
-    """Two-stage inversion agreement for a coherent restriction family."""
+    """Two-stage inversion agreement for a coherent restriction family;
+    an incoherent family is not inverted, and its stages are None."""
 
     coherent: bool
     coherence_gap: float
-    stage_small: InversionResult
-    stage_big: InversionResult
+    stage_small: Optional[InversionResult]
+    stage_big: Optional[InversionResult]
     agree: bool
 
 
@@ -388,9 +369,11 @@ def limit_inversion_check(f_big: TestFunction, f_small: TestFunction,
         gap = max(gap, abs(f_small.value(g_small)
                            - f_big.value(embed_leading(big, g_small))))
     coherent = gap < 1e-9
+    if not coherent:
+        return LimitInversionReport(False, gap, None, None, False)
     x_big = embed_leading(big, x_small)
     stage_small = fourier_inversion(f_small, x_small, tolerance=tolerance / 10)
     stage_big = fourier_inversion(f_big, x_big, tolerance=tolerance / 10)
-    agree = (coherent and stage_small.rel_error < tolerance
+    agree = (stage_small.rel_error < tolerance
              and stage_big.rel_error < tolerance)
-    return LimitInversionReport(coherent, gap, stage_small, stage_big, agree)
+    return LimitInversionReport(True, gap, stage_small, stage_big, agree)

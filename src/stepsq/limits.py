@@ -15,7 +15,6 @@ from math import isqrt
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .cascade import cascade_decomposition
-from .jsonio import rat_str
 from .nilalg import realize_split_nilradical
 from .plancherel import plancherel_density
 from .rootsys import RootSystem, Vector, build_root_system, inner
@@ -53,8 +52,7 @@ class StageEmbedding:
     right: int
 
     def apply(self, v: Vector) -> Vector:
-        return (tuple(Q(0) for _ in range(self.left)) + tuple(v)
-                + tuple(Q(0) for _ in range(self.right)))
+        return (0,) * self.left + tuple(v) + (0,) * self.right
 
 
 def stage_embedding(small: RootSystem, big: RootSystem) -> StageEmbedding:
@@ -153,9 +151,6 @@ class AlignmentReport:
     rows: Tuple[dict, ...]
     aligned: bool
 
-    def to_json(self) -> dict:
-        return {"rows": [dict(r) for r in self.rows], "aligned": self.aligned}
-
 
 def check_well_aligned(
         chain: Union[DirectChain, Sequence[RootSystem]]) -> AlignmentReport:
@@ -186,9 +181,6 @@ class StabilityReport:
 
     rows: Tuple[dict, ...]
     stable: bool
-
-    def to_json(self) -> dict:
-        return {"rows": [dict(r) for r in self.rows], "stable": self.stable}
 
 
 def cascade_stability(chain: DirectChain) -> StabilityReport:
@@ -224,19 +216,6 @@ class FactorReport:
     factor: Q
     pf_small: Q
     pf_big: Q
-    gamma_small: Dict[int, Q]
-    gamma_big: Dict[int, Q]
-
-    def to_json(self) -> dict:
-        return {
-            "factor": rat_str(self.factor),
-            "pf_small": rat_str(self.pf_small),
-            "pf_big": rat_str(self.pf_big),
-            "gamma_small": {str(r): rat_str(v)
-                            for r, v in sorted(self.gamma_small.items())},
-            "gamma_big": {str(r): rat_str(v)
-                          for r, v in sorted(self.gamma_big.items())},
-        }
 
 
 def _stage_density(system: RootSystem, gamma: Dict[int, Q]):
@@ -271,8 +250,7 @@ def restriction_projection_factor(chain: DirectChain,
     if not dens_small.in_t_star or not dens_big.in_t_star:
         raise ValueError("singular parameter: a layer density vanishes")
     factor = abs(dens_small.product) / abs(dens_big.product)
-    return FactorReport(factor, abs(dens_small.product),
-                        abs(dens_big.product), gamma_small, gamma_big)
+    return FactorReport(factor, abs(dens_small.product), abs(dens_big.product))
 
 
 def exact_sqrt(q: Q) -> Q:

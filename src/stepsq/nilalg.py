@@ -85,11 +85,6 @@ class NilpotentAlgebra:
                 posmap[pos] = (a, val)
         object.__setattr__(self, "posmap", posmap)
 
-    @property
-    def dimension(self) -> int:
-        """Number of positive root spaces (all one-dimensional here)."""
-        return len(self.basis)
-
     def cartan(self, t: Sequence[Q]) -> Entries:
         """Diagonal Cartan element with split parameters t_1..t_rank, as a sparse map."""
         t = [Q(x) for x in t]

@@ -1,24 +1,20 @@
-"""Classical restricted root systems with exact rational coordinates.
+"""Classical restricted root systems with exact integer coordinates.
 
-Generated roots are tuples of ints in the orthonormal ambient basis e1..eN,
-in which every classical root is integral.  Coordinates are Fractions only
-where division happens (simple coordinates, Cartan entries, sigma_r) and in
-ingested raw root sets; int and Fraction compare and hash alike, so the two
-mix freely in sets and sorts.  Simple roots carry the center-out (type A) or
-multiple-bond-end-first (types B, C, D) index scheme used throughout the
-package.
+Roots are tuples of ints in the orthonormal ambient basis e1..eN, in which
+every classical root is integral.  Fractions appear only where division
+happens: in simple coordinates and in Cartan entries.  Simple roots carry
+the center-out (type A) or multiple-bond-end-first (types B, C, D) index
+scheme used throughout the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-from .jsonio import vec_strs
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Q]
-Vector = Tuple[Rational, ...]
+Vector = Tuple[int, ...]
 
 SERIES = ("A", "B", "C", "D")
 
@@ -63,18 +59,16 @@ def _e(i: int, dim: int) -> Vector:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A root system given by exact coordinate vectors.
+    """A classical root system of series "A", "B", "C" or "D".
 
-    series is one of "A", "B", "C", "D", or "raw" for ingested root sets.
-    simple_enumeration maps the signed index scheme to simple roots; it is
-    empty for raw data.
+    simple_enumeration maps the signed index scheme to simple roots.
     """
 
     series: str
     rank: int
     roots: frozenset
     positives: Tuple[Vector, ...]
-    simple_enumeration: Dict[int, Vector] = field(default_factory=dict)
+    simple_enumeration: Dict[int, Vector]
 
     @property
     def dim(self) -> int:
@@ -155,20 +149,6 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     return system
 
 
-def raw_root_system(vectors: Iterable[Sequence[Q]]) -> RootSystem:
-    """Ingest an explicit root set; only closure under negation is validated."""
-    vs = frozenset(tuple(Q(x) for x in v) for v in vectors)
-    if not vs:
-        raise ValueError("empty root set")
-    for v in vs:
-        if all(x == 0 for x in v):
-            raise ValueError("zero vector is not a root")
-        if vneg(v) not in vs:
-            raise ValueError(f"root set not closed under negation at {v}")
-    pos = tuple(sorted((v for v in vs if v > vneg(v)), reverse=True))
-    return RootSystem("raw", 0, vs, pos, {})
-
-
 def _check_invariants(system: RootSystem) -> None:
     """Raise AssertionError where a structural invariant of a generated
     system fails; the checks survive ``python -O``."""
@@ -240,21 +220,6 @@ def simple_coordinates(target: Vector,
     return simple_coordinates_all([target], simples)[0]
 
 
-def is_root(system: RootSystem, v: Sequence[Q]) -> bool:
-    """Membership test against the exact root set."""
-    return tuple(Q(x) for x in v) in system.roots
-
-
-def nonmultipliable(system: RootSystem) -> RootSystem:
-    """Subsystem of roots a with 2a not a root; idempotent."""
-    keep = frozenset(a for a in system.roots if vscale(Q(2), a) not in system.roots)
-    pos = tuple(a for a in system.positives if a in keep)
-    if not pos:
-        pos = tuple(sorted((v for v in keep if v > vneg(v)), reverse=True))
-    simple = {i: a for i, a in system.simple_enumeration.items() if a in keep}
-    return RootSystem(system.series, system.rank, keep, pos, simple)
-
-
 def strongly_orthogonal(system: RootSystem, a: Vector, b: Vector) -> bool:
     """True iff neither a+b nor a-b is a root (a == b gives False)."""
     if len(a) != len(b):
@@ -273,15 +238,3 @@ def cartan_matrix(system: RootSystem) -> List[List[Q]]:
     simples = [system.simple_enumeration[i] for i in idx]
     return [[Q(2) * inner(a, b) / inner(b, b) for b in simples] for a in simples]
 
-
-def to_json(system: RootSystem) -> dict:
-    """Serialize to the interchange document with "p/q" rationals."""
-    return {
-        "series": system.series,
-        "params": {"rank": system.rank},
-        "simple": [
-            {"index": i, "coords": vec_strs(system.simple_enumeration[i])}
-            for i in system.simple_indices()
-        ],
-        "positives": [vec_strs(a) for a in system.positives],
-    }

@@ -335,8 +335,6 @@ def coefficient_norm_sq(rep: RepInstance, u: State, v: State,
 class RestrictionReport:
     """Pointwise and norm-level comparison of a restricted coefficient."""
 
-    slice_value_big: complex
-    slice_value_small: complex
     inner_xy: complex
     pointwise_abs_err: float
     norm_ratio_measured: float
@@ -406,8 +404,7 @@ def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
             dev = max(dev, abs(f_big(g) - inner_xy * f_small(g)))
 
     report = RestrictionReport(
-        slice_value_big=big_val, slice_value_small=small_val, inner_xy=inner_xy,
-        pointwise_abs_err=pointwise_err,
+        inner_xy=inner_xy, pointwise_abs_err=pointwise_err,
         norm_ratio_measured=measured, norm_ratio_predicted=predicted,
         norm_ratio_rel_err=abs(measured - predicted) / predicted,
         factor=factor, central_deviation=dev,
@@ -425,12 +422,6 @@ class DecayReport:
     sup_stable: bool
     l1_cauchy_gap: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {"sups": {str(k): list(v) for k, v in self.sups.items()},
-                "l1": list(self.l1), "boxes": list(self.boxes),
-                "sup_stable": self.sup_stable,
-                "l1_cauchy_gap": self.l1_cauchy_gap, "passed": self.passed}
 
 
 def schwartz_decay_report(field: Callable[[np.ndarray], np.ndarray], dim: int,

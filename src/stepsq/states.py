@@ -175,9 +175,6 @@ class GridState:
         factor = self._axis_phases(freq, self.grid.axis(), np.exp(phase))
         return GridState(self.grid, self.values * factor)
 
-    def scale(self, c: complex) -> "GridState":
-        return GridState(self.grid, self.values * c)
-
     def inner(self, other: "GridState") -> complex:
         if self.grid != other.grid:
             raise ValueError("the states live on different grids")

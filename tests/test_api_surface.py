@@ -1,0 +1,94 @@
+"""Every public name of the package is reached by the package or a demo.
+
+A public top-level function or class in ``src/stepsq``, or a public method
+of such a class, must be referenced (as a name or an attribute) somewhere in
+``src/stepsq`` or ``demos/``.  A name that only tests reach is either given
+a pipeline, a caller or a demo, or deleted; the few kept on purpose are
+listed in ``ALLOWED`` with the reason.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stepsq"
+DEMOS = ROOT / "demos"
+
+ALLOWED = {
+    "harness.inverse": "the group inverse, kept with multiply and identity",
+    "inversion.character_of_translate":
+        "the centre-slice character path, kept for a characters pipeline "
+        "beside orbit_integral",
+    "inversion.TestFunction.conjugate_by":
+        "conjugation invariance of the character, kept for a characters "
+        "pipeline",
+    "rootsys.simple_coordinates":
+        "BENCHMARK.json traces it by name (per-layer metrics "
+        "rootsys.simple_coordinates.calls and .self_s)",
+    "schrodinger.CoefficientField":
+        "the coefficient field whose decay acceptance test_09 checks",
+    "schrodinger.CoefficientField.at":
+        "the field at a group element, checked against bound()",
+    "schrodinger.CoefficientField.at_pq":
+        "the field on the non-central coordinates, which acceptance test_09 "
+        "samples",
+    "schrodinger.CoefficientField.bound":
+        "the Cauchy-Schwarz bound on the field",
+    "schrodinger.schwartz_decay_report":
+        "the rapid-decay check of acceptance test_09",
+}
+
+
+def _sources():
+    assert SRC.is_dir() and DEMOS.is_dir()
+    files = sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py"))
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+
+
+def _referenced(trees):
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _public_api(trees):
+    """(qualified name, bare name) of each public top-level function or
+    class of the package and each public method of such a class."""
+    out = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            out.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{path.stem}.{node.name}.{sub.name}", sub.name)
+                        for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")]
+    return out
+
+
+def test_every_public_name_is_reached():
+    trees = _sources()
+    referenced = _referenced(trees)
+    unreached = sorted(qual for qual, name in _public_api(trees)
+                       if name not in referenced and qual not in ALLOWED)
+    assert unreached == [], ("public names that no module or demo reaches: "
+                             f"{unreached}; use them or delete them")
+
+
+def test_the_allowlist_holds_only_unreached_names():
+    trees = _sources()
+    referenced = _referenced(trees)
+    api = dict(_public_api(trees))
+    stale = sorted(qual for qual in ALLOWED
+                   if qual not in api or api[qual] in referenced)
+    assert stale == [], f"allowlist entries that are gone or now reached: {stale}"

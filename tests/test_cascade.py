@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from stepsq.cascade import (
+    CascadeDecomposition,
     cascade_decomposition,
     closed_form_beta,
     kostant_cascade,
@@ -38,32 +39,23 @@ def brute_force_greedy(system):
 
 def test_cascade_a3():
     s = build_root_system("A", 3)
-    chain = kostant_cascade(s)
-    assert chain.beta_prime == (V(1, 0, 0, -1), V(0, 1, -1, 0))
-    assert chain.ties == ()
+    assert kostant_cascade(s) == (V(1, 0, 0, -1), V(0, 1, -1, 0))
 
 
 def test_cascade_c2():
     s = build_root_system("C", 2)
-    chain = kostant_cascade(s)
-    assert chain.beta_prime == (V(2, 0), V(0, 2))
+    assert kostant_cascade(s) == (V(2, 0), V(0, 2))
 
 
 def test_cascade_a1_singleton():
     s = build_root_system("A", 1)
-    assert kostant_cascade(s).beta_prime == (V(1, -1),)
+    assert kostant_cascade(s) == (V(1, -1),)
 
 
 def test_cascade_brute_force_agreement():
     for series, rank in (("A", 3), ("A", 4), ("B", 3), ("C", 3), ("B", 2)):
         s = build_root_system(series, rank)
-        assert kostant_cascade(s).beta_prime == brute_force_greedy(s)
-
-
-def test_d_series_tie_recorded():
-    s = build_root_system("D", 4)
-    chain = kostant_cascade(s)
-    assert chain.ties, "fork maxima tie expected for D"
+        assert kostant_cascade(s) == brute_force_greedy(s)
 
 
 def test_reverse_cascade():
@@ -81,7 +73,6 @@ def test_layer_partition_a3():
     assert set(d.layers[2]) == {V(1, -1, 0, 0), V(1, 0, -1, 0),
                                 V(0, 1, 0, -1), V(0, 0, 1, -1)}
     assert d.layers[1] == ()
-    assert d.d_r(1) == 0 and d.d_r(2) == 2
 
 
 def test_layer_partition_c2_b2():
@@ -116,6 +107,25 @@ def test_sigma_involution_and_pairing():
                     assert vadd(a, b) == d.beta[r - 1]
 
 
+def test_sigma_images_are_int_vectors():
+    for series, rank in (("B", 4), ("D", 5)):
+        d = cascade_decomposition(build_root_system(series, rank))
+        images = [sigma_r(d, a, r) for r, members in d.layers.items()
+                  for a in members]
+        assert images
+        assert all(type(x) is int for img in images for x in img)
+
+
+def test_sigma_rejects_a_non_integral_cartan_integer():
+    # with beta_2 = 2 e1 of C2 doubled, 2(alpha, beta)/(beta, beta) = 8/16
+    # for alpha = e1 +- e2, which is not an integer
+    d = cascade_decomposition(build_root_system("C", 2))
+    doubled = (d.beta[0], vscale(2, d.beta[1]))
+    bad = CascadeDecomposition(d.system, d.beta_prime, doubled, d.layers)
+    with pytest.raises(AssertionError, match="not integral"):
+        sigma_r(bad, d.layers[2][0], 2)
+
+
 def test_closed_form_examples():
     s3 = build_root_system("C", 3)
     p = s3.simple_enumeration
@@ -144,7 +154,7 @@ ORACLE_FAMILIES = (
 @pytest.mark.parametrize("series,rank", ORACLE_FAMILIES)
 def test_cascade_matches_closed_form(series, rank):
     s = build_root_system(series, rank)
-    computed = reverse_cascade(kostant_cascade(s).beta_prime)
+    computed = reverse_cascade(kostant_cascade(s))
     assert computed == closed_form_beta(series, rank)
 
 

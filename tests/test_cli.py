@@ -135,6 +135,15 @@ def test_corrupted_axioms_detected(tmp_path):
     assert doc["rows"][0]["pass"] is True
 
 
+@pytest.mark.parametrize("series,n", [("C", "5"), ("D", "1"), ("A", "4")])
+def test_corrupted_control_is_only_the_a3_fixture(tmp_path, capsys, series, n):
+    out = tmp_path / "a.json"
+    assert run(["axioms", "--series", series, "--n", n, "--corrupted",
+                "--out", str(out)]) == 2
+    assert "A3 fixture" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_restriction_report(tmp_path):
     out = str(tmp_path / "r.json")
     assert run(["restriction", "--lambda2", "2", "--out", out]) == 0

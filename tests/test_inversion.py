@@ -5,13 +5,13 @@ import time
 import numpy as np
 import pytest
 
+from stepsq import inversion
 from stepsq.harness import (build_harness, element, from_matrix, identity,
                             inverse, leading_subgroup, multiply,
                             random_element)
 from stepsq.inversion import (
     TestFunction,
     character_of_translate,
-    euclidean_ft,
     fourier_inversion,
     limit_inversion_check,
     orbit,
@@ -20,29 +20,10 @@ from stepsq.inversion import (
 )
 
 
-def test_euclidean_ft_self_dual():
-    h = build_harness("HEIS1")
-    fhat = euclidean_ft(TestFunction.standard(h))
-    xs = np.array([0.5, 0.2, -0.1])
-    assert abs(fhat(np.zeros(3)) - 1.0) < 1e-12
-    assert abs(fhat(xs) - np.exp(-np.pi * xs @ xs)) < 1e-12
-
-
-def test_euclidean_ft_translate_phase():
-    h = build_harness("HEIS1")
-    a = np.array([0.4, -0.2, 0.7])
-    f0 = TestFunction.standard(h)
-    shifted = TestFunction(h, (f0.terms[0].translate(-a),))  # f1(xi - a)
-    fhat0, fhat1 = euclidean_ft(f0), euclidean_ft(shifted)
-    xs = np.array([0.3, 0.1, -0.5])
-    assert abs(fhat1(xs) - np.exp(-2j * np.pi * xs @ a) * fhat0(xs)) < 1e-12
-
-
 @pytest.mark.parametrize("t", [1.0, 2.0, -0.5, 0.25])
 def test_heisenberg_orbit_integral_oracle(t):
     h = build_harness("HEIS1")
-    fhat = euclidean_ft(TestFunction.standard(h))
-    theta = orbit_integral(fhat, orbit(h, {1: t}))
+    theta = orbit_integral(TestFunction.standard(h), orbit(h, {1: t}))
     oracle = np.exp(-np.pi * t * t) / (2.0 * abs(t))
     assert abs(theta - oracle) < 1e-12
 
@@ -53,7 +34,7 @@ def test_orbit_integral_matches_slice_path():
         h = build_harness(name)
         f = TestFunction.standard(h)
         orb = orbit(h, lam)
-        assert abs(orbit_integral(euclidean_ft(f), orb)
+        assert abs(orbit_integral(f, orb)
                    - character_of_translate(f, identity(h), orb)) < 1e-12
 
 
@@ -62,17 +43,17 @@ def test_orbit_integral_linearity():
     orb = orbit(h, {1: 0.9})
     f = TestFunction.standard(h)
     g = TestFunction.gaussian(h, [0.2] * h.dim, [0.1] * h.dim)
-    total = orbit_integral(euclidean_ft(f.plus(g)), orb)
-    parts = orbit_integral(euclidean_ft(f), orb) + orbit_integral(euclidean_ft(g), orb)
+    total = orbit_integral(TestFunction(h, f.terms + g.terms), orb)
+    parts = orbit_integral(f, orb) + orbit_integral(g, orb)
     assert abs(total - parts) < 1e-12
-    assert abs(orbit_integral(euclidean_ft(f.scale(3.0)), orb)
-               - 3.0 * orbit_integral(euclidean_ft(f), orb)) < 1e-12
+    assert abs(orbit_integral(f.scale(3.0), orb)
+               - 3.0 * orbit_integral(f, orb)) < 1e-12
 
 
 def test_orbit_integral_rejects_singular_functional():
     h = build_harness("HEIS1")
     with pytest.raises(ValueError):
-        orbit_integral(euclidean_ft(TestFunction.standard(h)), orbit(h, {1: 0.0}))
+        orbit_integral(TestFunction.standard(h), orbit(h, {1: 0.0}))
     with pytest.raises(ValueError):
         orbit(h, {2: 1.0})
 
@@ -217,6 +198,28 @@ def test_limit_inversion_flags_incoherent_family():
     assert not rep.coherent
     assert rep.coherence_gap > 1e-3
     assert not rep.agree
+
+
+def test_limit_inversion_does_not_invert_incoherent_family(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fourier_inversion(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "fourier_inversion", counted)
+    big = build_harness("A3")
+    small = leading_subgroup(big, 1)
+    x = element(small, [(0.3, [], [])])
+    f_big = TestFunction.standard(big)
+    bad = TestFunction.gaussian(small, [0.1], [0.0], 1.1)
+    rep = limit_inversion_check(f_big, bad, x)
+    assert not rep.coherent and not rep.agree
+    assert rep.stage_small is None and rep.stage_big is None
+    assert calls == []
+    # the coherent family still inverts both stages
+    rep = limit_inversion_check(f_big, restrict_test_function(f_big, small), x)
+    assert rep.agree and len(calls) == 2
 
 
 def test_abelian_stage_is_classical_fourier_inversion():

@@ -52,6 +52,13 @@ def test_propagate_a_chain_symmetric_growth():
             == chain.stages[1].simple_enumeration[0])
 
 
+def test_embedded_roots_are_int_vectors():
+    chain = propagate(build_root_system("C", 2), 2)
+    images = [chain.embed(0, 2, a) for a in chain.stages[0].positives]
+    assert all(type(x) is int for img in images for x in img)
+    assert set(images) <= set(chain.stages[2].positives)
+
+
 def test_embedding_functoriality():
     chain = propagate(build_root_system("C", 2), 3)
     direct = stage_embedding(chain.stages[0], chain.stages[3])
@@ -176,19 +183,6 @@ def test_exact_sqrt():
         exact_sqrt(Q(2))
     with pytest.raises(ValueError):
         exact_sqrt(Q(-4))
-
-
-def test_reports_serialize():
-    chain = propagate(build_root_system("C", 2), 1)
-    doc = check_well_aligned(chain).to_json()
-    assert doc["aligned"] is True and doc["rows"][0]["from"] == "C2"
-    doc = cascade_stability(chain).to_json()
-    assert doc["stable"] is True
-    rep = restriction_projection_factor(chain, {1: Q(1), 2: Q(1)},
-                                        {1: Q(1), 2: Q(1), 3: Q(2)})
-    doc = rep.to_json()
-    assert isinstance(doc["factor"], str)
-    assert doc["gamma_big"]["3"] == "2/1"
 
 
 def test_direct_chain_embed_range_errors():

@@ -34,11 +34,11 @@ def combine(*terms):
 
 
 def test_dimensions():
-    assert realize_split_nilradical("A", 2).dimension == 3
-    assert realize_split_nilradical("A", 3).dimension == 6
-    assert realize_split_nilradical("C", 2).dimension == 4
-    assert realize_split_nilradical("B", 3).dimension == 9
-    assert realize_split_nilradical("D", 4).dimension == 12
+    assert len(realize_split_nilradical("A", 2).basis) == 3
+    assert len(realize_split_nilradical("A", 3).basis) == 6
+    assert len(realize_split_nilradical("C", 2).basis) == 4
+    assert len(realize_split_nilradical("B", 3).basis) == 9
+    assert len(realize_split_nilradical("D", 4).basis) == 12
 
 
 def test_strictly_triangular_a():

@@ -3,19 +3,14 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stepsq import rootsys
 from stepsq.rootsys import (
     build_root_system,
     cartan_matrix,
     inner,
-    is_root,
-    nonmultipliable,
-    raw_root_system,
+    simple_coordinates_all,
     strongly_orthogonal,
-    to_json,
     vneg,
 )
 
@@ -92,35 +87,11 @@ def test_rejects_bad_input():
 
 
 def test_nonmultipliable_identity_on_reduced():
+    # the classical systems are reduced: every root a is nonmultipliable,
+    # that is, 2a is not a root
     for series, rank in (("A", 3), ("B", 3), ("C", 3), ("D", 4)):
         s = build_root_system(series, rank)
-        assert nonmultipliable(s).roots == s.roots
-
-
-def test_nonmultipliable_bc_raw():
-    raw = raw_root_system([V(1), V(-1), V(2), V(-2)])
-    out = nonmultipliable(raw)
-    assert out.roots == frozenset({V(2), V(-2)})
-    assert out.positives == (V(2),)
-
-
-def test_raw_requires_negation_closure():
-    with pytest.raises(ValueError):
-        raw_root_system([V(1, 0)])
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=8))
-def test_nonmultipliable_idempotent(vs):
-    vecs = [v for v in vs if any(v)]
-    closed = {tuple(Q(x) for x in v) for v in vecs}
-    closed |= {vneg(v) for v in closed}
-    if not closed:
-        return
-    raw = raw_root_system(closed)
-    once = nonmultipliable(raw)
-    twice = nonmultipliable(once)
-    assert once.roots == twice.roots
+        assert not any(tuple(2 * x for x in a) in s.roots for a in s.roots)
 
 
 def test_strongly_orthogonal_examples():
@@ -144,26 +115,18 @@ def test_strong_orthogonality_implies_orthogonality_rank8():
 
 def test_is_root_and_inner_exact():
     s = build_root_system("B", 3)
-    assert is_root(s, V(1, 0, 0))
-    assert not is_root(s, V(2, 0, 0))
+    assert V(1, 0, 0) in s.roots
+    assert V(2, 0, 0) not in s.roots
     assert inner(V(Q(1, 2), Q(1, 3)), V(Q(2), Q(3))) == Q(2)
     with pytest.raises(ValueError):
         inner(V(1), V(1, 2))
-
-
-def test_json_rational_format():
-    doc = to_json(build_root_system("C", 2))
-    assert doc["series"] == "C"
-    assert {"index": 1, "coords": ["0/1", "2/1"]} in doc["simple"]
-    assert all("/" in x for row in doc["positives"] for x in row)
 
 
 def test_positive_roots_are_nonneg_simple_combos():
     for series, rank in (("A", 4), ("B", 4), ("C", 4), ("D", 4)):
         s = build_root_system(series, rank)
         simples = [s.simple_enumeration[i] for i in s.simple_indices()]
-        for a in s.positives:
-            coeffs = rootsys.simple_coordinates(a, simples)
+        for coeffs in simple_coordinates_all(s.positives, simples):
             assert coeffs is not None
             assert all(c.denominator == 1 and c >= 0 for c in coeffs)
 
@@ -186,9 +149,12 @@ def test_simple_coordinates_exact_on_integer_roots():
     assert all(type(x) is int for a in c.positives for x in a)
     simples = [c.simple_enumeration[i] for i in c.simple_indices()]
     # e_3 = 1/2 * (2 e_3), the long simple root psi_1
-    coeffs = rootsys.simple_coordinates((0, 0, 1), simples)
+    [coeffs] = simple_coordinates_all([(0, 0, 1)], simples)
     assert coeffs == [Q(1, 2), 0, 0]
     assert all(type(x) is Q for x in coeffs)
     a = build_root_system("A", 3)
     a_simples = [a.simple_enumeration[i] for i in a.simple_indices()]
+    assert simple_coordinates_all([(1, 0, 0, 0)], a_simples) == [None]
+    # the one-target form is the batch solve of one target
+    assert rootsys.simple_coordinates((0, 0, 1), simples) == coeffs
     assert rootsys.simple_coordinates((1, 0, 0, 0), a_simples) is None

@@ -346,9 +346,3 @@ def test_schwartz_negative_control():
     report = schwartz_decay_report(lambda m: np.ones(m.shape[:-1]), 2, k_max=2)
     assert not report.passed
     assert not report.sup_stable
-
-
-def test_decay_report_json():
-    report = schwartz_decay_report(heisenberg_field(), 2, k_max=1)
-    doc = report.to_json()
-    assert doc["passed"] and "1" in doc["sups"]
