@@ -4,25 +4,24 @@ A test function lives on a harness group through its lift to the Lie algebra,
 a finite sum of Gaussians.  The character of the representation attached to
 a regular functional has two independent paths.  ``orbit_integral(f, orb)``
 integrates the Euclidean Fourier transform of the lift, in closed form per
-Gaussian term, over the affine subspace spanned by the symplectic dual
-coordinates (the Kirillov orbit).  ``character_of_translate`` reduces the
-character of a right translate to the centre slice.  Inversion integrates
-the characters of right translates against the density over the functional
-parameters.
+Gaussian term, over the affine dual slice lam + v*, the span of the
+symplectic dual coordinates through lam.  That slice is the Kirillov orbit
+only on one-layer groups; with two or more layers the coadjoint orbit curves
+out of it.  ``character_of_translate`` reduces the character of a right
+translate to the centre slice.  Inversion integrates the characters of right
+translates against the density over the functional parameters.
 
 That integral over lam in R^m, one parameter per layer, uses one rule for
-every depth m: a tensor Gauss-Legendre rule on [-cutoff, cutoff]^m whose node
-count per axis doubles until two successive estimates agree to tolerance / 10.
-Each result carries its error budget: ``tail_bound`` for the integrand outside
-the cube and ``quad_error`` for the rule inside it.  The budget is enforced:
-a reconstruction whose budget exceeds the tolerance raises, so an infinite
-budget (the rule could not refine) is never a pass.
+every depth m.  Each term of the integrand is a Gaussian in lam; whitening it
+splits its integral into m one-dimensional integrals over R, each evaluated
+by a Gauss-Hermite rule whose node count doubles until two successive
+estimates agree to tolerance / 10.  Each result carries its error budget
+``quad_error``.  The budget is enforced: a reconstruction whose budget
+exceeds the tolerance raises.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -69,9 +68,6 @@ class TestFunction:
                  momentum: Sequence[float], width: float = 1.0) -> "TestFunction":
         return TestFunction(harness, (GaussianState.packet(
             harness.dim, center, momentum, width),))
-
-    def scale(self, c: complex) -> "TestFunction":
-        return TestFunction(self.harness, tuple(t.scale(c) for t in self.terms))
 
     def lift_coords(self, g: GroupElement) -> np.ndarray:
         """Algebra coordinates of log g in the harness basis order."""
@@ -147,8 +143,12 @@ def orbit(harness: Union[Harness, str], lam: Dict[int, float]) -> OrbitDescripto
 
 
 def orbit_integral(f: TestFunction, orb: OrbitDescriptor) -> complex:
-    """Character value: the normalized integral of the Euclidean Fourier
-    transform of f's lift over the affine dual slice of orb."""
+    """Slice value: the normalized integral of the Euclidean Fourier
+    transform of f's lift over the affine dual slice lam + v* of orb.
+
+    On one-layer groups the slice is the Kirillov orbit and this is the
+    character; with two or more layers the orbit curves out of the slice.
+    """
     orb.check_regular()
     h = orb.harness
     lam_full = np.zeros(h.dim)
@@ -226,23 +226,13 @@ def character_of_translate(f: TestFunction, x: GroupElement,
 class InversionResult:
     """Reconstruction of f(x) from the characters of its right translates.
 
-    Its error budget is ``tail_bound`` plus ``quad_error``.
+    Its error budget is ``quad_error``.
     """
 
     value: complex
     reference: complex
     rel_error: float
-    cutoff: float
-    tail_bound: float
     quad_error: float
-
-
-#: Gauss-Legendre nodes per axis of the first tensor-rule estimate.
-START_NODES = 16
-#: Cap on the total node count n^m of one tensor-rule estimate.
-MAX_NODES = 2 ** 18
-#: Cap on n itself: numpy's leggauss solves an n x n eigenproblem.
-MAX_AXIS_NODES = 2 ** 10
 
 
 def fourier_inversion(f: TestFunction, x: GroupElement,
@@ -251,76 +241,58 @@ def fourier_inversion(f: TestFunction, x: GroupElement,
 
     The integrand over the functional parameters lam in R^m is
     c * Theta_lam(r_x f) * |Pf(lam)|; the density cancels the normalization,
-    leaving a sum of Gaussians in lam.  The cube [-cutoff, cutoff]^m grows
-    by 1.5 from 2 until the integrand on its corners and face centres is
-    below tolerance / 100; ``tail_bound`` is a Gaussian fit of that envelope
-    integrated outside the cube.  Inside it, one tensor Gauss-Legendre rule
-    serves every m: n = START_NODES points per axis, doubled until two
-    successive estimates differ by at most tolerance / 10, or until doubling
-    would take n past MAX_AXIS_NODES or n^m past MAX_NODES; ``quad_error``
-    is their last difference, infinite when n could not double.  Raises
-    AssertionError when the budget tail_bound + quad_error exceeds tolerance.
+    leaving one Gaussian in lam per term, pre * exp(L^T S^-1 L / 4 + K) with
+    L = L0 - 2 pi i lam.  With S^-1 = R R^T and u = pi R^T lam, b = R^T L0,
+    the term integrates to pre * exp(L0^T S^-1 L0 / 4 + K) / (pi^m det R)
+    times the product over i of the integrals of exp(-u^2 - i b_i u) over R.
+    Each factor takes an n-point Gauss-Hermite rule, n = 8, 16, ... doubled
+    until two successive estimates of the sum differ by at most
+    tolerance / 10, or n reaches 256 (hermgauss loses its weights above
+    about 300 nodes).  ``quad_error`` is the last difference, floored at the
+    rounding bound n * eps * sum |summands| of the final sum.  Raises
+    ValueError for a slice form that is not real, and AssertionError when
+    quad_error exceeds tolerance.
     """
-    m = f.harness.m
+    name, m = f.harness.name, f.harness.m
     terms = []
     for S, L0, K in _slice_quadratic(f, x):
-        # checks S and gives the prefactor, which depends on S only
-        pre, _ = gaussian_integral_parts(S, L0, K)
-        terms.append((pre, np.linalg.inv(S), L0, K))
+        if np.any(S.imag):
+            raise ValueError(f"{name}: inversion needs a real slice form, "
+                             "and a term of the test function has a complex "
+                             "quadratic part")
+        # checks that S is symmetric positive definite
+        pre, expo = gaussian_integral_parts(S, L0, K)
+        R = np.linalg.cholesky(np.linalg.inv(S.real))
+        terms.append((pre * np.exp(expo) / (np.pi ** m * np.prod(np.diag(R))),
+                      R.T @ L0))
 
-    def integrand(lam: np.ndarray) -> np.ndarray:
-        """Sum of the slice Gaussians at L0 - 2 pi i lam, for lam of shape (N, m)."""
-        total = np.zeros(len(lam), dtype=complex)
-        for pre, S_inv, L0, K in terms:
-            L = L0 - 2j * np.pi * lam
-            total += pre * np.exp(0.25 * np.einsum("ni,ij,nj->n", L, S_inv, L) + K)
-        return total
+    def estimate(n: int) -> Tuple[complex, float]:
+        """The n-point rule's sum and the sum of its summands' moduli."""
+        u, w = np.polynomial.hermite.hermgauss(n)
+        total, size = 0j, 0.0
+        for const, b in terms:
+            factors = np.exp(-1j * np.outer(b, u))  # row i: exp(-i b_i u)
+            total += const * np.prod(factors @ w)
+            size += abs(const) * np.prod(np.abs(factors) @ w)
+        return complex(total), float(size)
 
-    # corners and face centres of [-1, 1]^m: on the surface of a cube around
-    # its peak, a Gaussian is largest near the face centres, not the corners
-    probes = np.concatenate([
-        np.array(list(itertools.product((-1.0, 1.0), repeat=m))),
-        np.eye(m), -np.eye(m)])
-
-    def envelope(rad: float) -> float:
-        return float(np.max(np.abs(integrand(rad * probes))))
-
-    cutoff = 2.0
-    while envelope(cutoff) > tolerance / 100.0 and cutoff < 64.0:
-        cutoff *= 1.5
-    # Gaussian-fit tail estimate from the envelope at cutoff/2 and cutoff
-    v1, v2 = envelope(cutoff / 2.0) + 1e-300, envelope(cutoff) + 1e-300
-    alpha = max(math.log(v1 / v2) / (cutoff ** 2 * 0.75), 1e-6)
-    tail = v2 / (2.0 * alpha * cutoff) * (2.0 * cutoff) ** max(m - 1, 0) * 2 * m
-
-    def estimate(n: int) -> complex:
-        """n-point Gauss-Legendre rule per axis over [-cutoff, cutoff]^m."""
-        def tensor(axis: np.ndarray) -> np.ndarray:
-            grids = np.meshgrid(*([cutoff * axis] * m), indexing="ij")
-            return np.stack(grids, axis=-1).reshape(-1, m)
-
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        return complex(tensor(weights).prod(axis=1) @ integrand(tensor(nodes)))
-
-    n = START_NODES
-    val, quad_error = estimate(n), math.inf
-    while 2 * n <= MAX_AXIS_NODES and (2 * n) ** m <= MAX_NODES:
+    n, val = 8, estimate(8)[0]
+    while True:
         n *= 2
-        prev, val = val, estimate(n)
+        prev, (val, size) = val, estimate(n)
         quad_error = abs(val - prev)
-        if quad_error <= tolerance / 10.0:
+        if quad_error <= tolerance / 10.0 or n == 256:
             break
-    if not tail + quad_error <= tolerance:
+    quad_error = max(quad_error, n * np.finfo(float).eps * size)
+    if not quad_error <= tolerance:
         raise AssertionError(
-            f"{f.harness.name}: inversion error budget {tail + quad_error:.2g} "
-            f"(tail {tail:.2g}, quadrature {quad_error:.2g}) exceeds the "
+            f"{name}: inversion error budget {quad_error:.2g} exceeds the "
             f"tolerance {tolerance:g}")
 
     reference = f.value(x)
     scale = max(f.sup_norm_bound(), 1e-300)
     return InversionResult(val, complex(reference),
-                           abs(val - reference) / scale, float(cutoff), tail,
-                           quad_error)
+                           abs(val - reference) / scale, quad_error)
 
 
 @dataclass(frozen=True)

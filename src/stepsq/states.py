@@ -106,10 +106,6 @@ class GaussianState:
             raise AssertionError("substitution must preserve measure")
         return GaussianState(B.T @ self.M @ B, B.T @ self.ell, self.k)
 
-    def scale(self, c: complex) -> "GaussianState":
-        """Multiply the state by a nonzero complex scalar."""
-        return GaussianState(self.M, self.ell, self.k + np.log(complex(c)))
-
     def inner_parts(self, other: "GaussianState") -> Tuple[complex, complex]:
         """(prefactor, exponent) of the inner product <self, other>."""
         S = np.conj(self.M) + other.M

@@ -108,11 +108,6 @@ def test_inner_product_oracle_1d():
     assert abs(u.inner(v) - (re + 1j * im)) < 1e-10
 
 
-def test_scale():
-    g = GaussianState.ground(1)
-    assert abs(g.scale(3j).norm_sq() - 9.0) < 1e-12
-
-
 def test_grid_matches_closed_inner():
     grid = Grid(2, 64, 6.0)
     u = GaussianState.packet(2, [0.3, -0.2], [0.5, 0.1])
