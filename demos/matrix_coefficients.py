@@ -35,7 +35,7 @@ for name, gamma in (("HEIS1", {1: 2.0}), ("HEIS2", {1: 0.7}),
 grid = Grid(1, 256, 3.3)
 # the same representation acts on grid samples; the state picks the path
 rep = stepwise_rep("HEIS1", {1: 1.0})
-checks = check_invariants(rep, rng, trials=3, grid=validation_grid(1))
+checks = check_invariants(rep, rng, trials=3, grid=validation_grid(rep))
 gu = GridState.from_gaussian(GaussianState.ground(1), grid)
 report = coefficient_norm_sq(rep, gu, gu)
 print(f"grid states (HEIS1): unitarity {checks['unitarity']:.1e}, "

@@ -267,7 +267,7 @@ def pipeline_orthogonality(h: Harness, gamma: Dict[int, Q],
     u = GaussianState.ground(rep.D)
     tol = 1e-6
     if backend == "grid":
-        validate_rep(rep, 1e-4, validation_grid(rep.D))
+        validate_rep(rep, 1e-4, validation_grid(rep))
         u = GridState.from_gaussian(
             u, Grid(rep.D, {1: 256, 2: 64, 3: 24}[rep.D], 3.3))
         tol = 1e-3

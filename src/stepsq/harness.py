@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
@@ -132,19 +133,32 @@ class Harness:
                 out *= abs(gamma[layer.r]) ** layer.d * abs(np.linalg.det(layer.C))
         return out
 
+    @cached_property
+    def _supports(self) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray,
+                                 np.ndarray, np.ndarray]:
+        """Every basis matrix's nonzero entries at once: their positions,
+        their values, the coordinate each belongs to, and the mask of the
+        entries no support covers."""
+        mats = self.matrices
+        pos = [np.nonzero(mat) for mat in mats]
+        rows = np.concatenate([r for r, _ in pos])
+        cols = np.concatenate([c for _, c in pos])
+        owner = np.repeat(np.arange(len(mats)), [len(r) for r, _ in pos])
+        vals = np.concatenate([mat[r, c] for mat, (r, c) in zip(mats, pos)])
+        uncovered = np.ones((self.size, self.size), dtype=bool)
+        uncovered[rows, cols] = False
+        return (rows, cols), vals, owner, uncovered
+
     def read_coords(self, w: np.ndarray, atol: float = 1e-9) -> np.ndarray:
         """Coefficients of a Lie-algebra element in basis order, read off
         the disjoint supports; AssertionError outside the harness algebra."""
-        coords = np.zeros(self.dim)
-        covered = np.zeros(w.shape, dtype=bool)
-        for i, mat in enumerate(self.matrices):
-            mask = mat != 0
-            vals = w[mask] / mat[mask]
-            coords[i] = np.mean(vals.real)
-            if not np.allclose(vals, coords[i], atol=atol):
-                raise AssertionError("element outside the harness algebra")
-            covered |= mask
-        if not np.allclose(w[~covered], 0.0, atol=atol):
+        pos, vals, owner, uncovered = self._supports
+        ratios, off = w[pos] / vals, w[uncovered]
+        coords = np.bincount(owner, ratios.real) / np.bincount(owner)
+        # each ratio equals its coordinate and w vanishes off the supports
+        if not np.allclose(np.concatenate([ratios, off]),
+                           np.concatenate([coords[owner], np.zeros(off.shape)]),
+                           atol=atol):
             raise AssertionError("element outside the harness algebra")
         return coords
 

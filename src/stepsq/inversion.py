@@ -23,6 +23,7 @@ exceeds the tolerance raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -222,6 +223,15 @@ def character_of_translate(f: TestFunction, x: GroupElement,
     return complex(total / (orb.c * orb.pf_abs))
 
 
+@lru_cache(maxsize=None)
+def _hermite_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Hermite rule, built once per n
+    and returned read-only."""
+    u, w = np.polynomial.hermite.hermgauss(n)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 @dataclass(frozen=True)
 class InversionResult:
     """Reconstruction of f(x) from the characters of its right translates.
@@ -268,7 +278,7 @@ def fourier_inversion(f: TestFunction, x: GroupElement,
 
     def estimate(n: int) -> Tuple[complex, float]:
         """The n-point rule's sum and the sum of its summands' moduli."""
-        u, w = np.polynomial.hermite.hermgauss(n)
+        u, w = _hermite_rule(n)
         total, size = 0j, 0.0
         for const, b in terms:
             factors = np.exp(-1j * np.outer(b, u))  # row i: exp(-i b_i u)

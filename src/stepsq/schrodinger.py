@@ -2,11 +2,12 @@
 
 A representation is fixed by a harness group and a regular functional.  It
 acts on functions of the top layer's b-coordinates, held either as Gaussian
-states or as grid samples (single-layer harnesses only): the state passed in
-picks the closed or grid path.  Earlier layers act by the adjoint point
-transformation.  Also: coefficient functions with their orthogonality,
-restriction to a leading-layer subgroup with renormalization, and decay
-reports.
+states or as product states sampled axis by axis on a grid (single-layer
+harnesses only, where the action is a translation and a modulation, both
+axis by axis): the state passed in picks the closed or grid path.  Earlier
+layers act by the adjoint point transformation.  Also: coefficient functions
+with their orthogonality, restriction to a leading-layer subgroup with
+renormalization, and decay reports.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from .harness import (
 from .states import GaussianState, Grid, GridState, gaussian_integral
 
 State = Union[GaussianState, GridState]
+
+# momentum bound and width range of the random grid packets
+_GRID_PACKET = (0.5, (1.0, 1.3))
+# coordinate range of the random elements check_invariants draws
+_CHECK_SCALE = 0.8
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +114,7 @@ class RepInstance:
         Grid packets stay mild (low momentum, width >= 1) so the grid
         resolves their frequency content.
         """
-        p, (w0, w1) = (1.0, (0.8, 1.2)) if grid is None else (0.5, (1.0, 1.3))
+        p, (w0, w1) = (1.0, (0.8, 1.2)) if grid is None else _GRID_PACKET
         g = GaussianState.packet(self.D, rng.uniform(-0.5, 0.5, self.D),
                                  rng.uniform(-p, p, self.D),
                                  float(rng.uniform(w0, w1)))
@@ -130,16 +136,31 @@ def _state_distance(lhs: State, rhs: State) -> float:
     return math.sqrt(max(float(np.real(diff)), 0.0) / rhs.norm_sq())
 
 
-def validation_grid(D: int) -> Grid:
-    """The grid on which grid-state invariants are sampled: wider than the
-    sampling grids, so shifted packets stay off the periodic boundary."""
-    if D not in (1, 2, 3):
-        raise ValueError(f"the grid path needs 1 <= D <= 3, got D = {D}")
-    return Grid(D, {1: 256, 2: 96, 3: 64}[D], 5.0)
+def validation_grid(rep: RepInstance) -> Grid:
+    """The grid on which check_invariants samples rep's grid states.
+
+    It is wider than the sampling grids, so shifted packets stay off the
+    periodic boundary, and fine enough that no checked state aliases: its
+    Nyquist frequency n / (4 half_width) covers the grid packets' momentum,
+    the modulation |lam| * scale of one checked element, and the packets'
+    Gaussian spectrum exp(-pi w^2 xi^2) down to 1e-12.  n is the next power
+    of two; ValueError when it would exceed 2^16.
+    """
+    if not 1 <= rep.D <= 3:
+        raise ValueError(f"the grid path needs 1 <= D <= 3, got D = {rep.D}")
+    half_width = 5.0
+    momentum, (width, _) = _GRID_PACKET
+    nyquist = (momentum + abs(rep.lam) * _CHECK_SCALE
+               + math.sqrt(math.log(1e12) / math.pi) / width)
+    points = 2 ** math.ceil(math.log2(4.0 * half_width * nyquist))
+    if points > 2 ** 16:
+        raise ValueError(f"|lambda| = {abs(rep.lam):g} is too large for the "
+                         "grid path")
+    return Grid(rep.D, points, half_width)
 
 
 def check_invariants(rep: RepInstance, rng: np.random.Generator,
-                     trials: int = 5, scale: float = 0.8,
+                     trials: int = 5, scale: float = _CHECK_SCALE,
                      grid: Optional[Grid] = None) -> Dict[str, float]:
     """Max unitarity and homomorphism deviations over random samples,
     on grid states when a grid is given."""
@@ -274,12 +295,14 @@ def _closed_norm_sq(rep: RepInstance, u: GaussianState, v: GaussianState) -> Tup
 
 def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState,
                   q_stride: int, q_span: float) -> Tuple[float, float]:
-    """Quadrature of the coefficient norm on tensor grids (single layer).
+    """Quadrature of the coefficient norm on product grid states (single layer).
 
     By discrete Parseval the p-sum on the frequency grid at a grid shift s is
-    n^D h^2D sum_y |u(y)|^2 |v(y+s)|^2, so all shifts k*q_stride mod n
-    (|k| <= steps, wrapped ones counted per k) are read off one FFT
-    cross-correlation of |u|^2 and |v|^2.
+    n^D h^2D sum_y |u(y)|^2 |v(y+s)|^2, a cyclic cross-correlation of |u|^2
+    and |v|^2.  For product states it is the product of the D per-axis
+    correlations, so the sum over the shift box (shifts k*q_stride mod n,
+    |k| <= steps, wrapped ones counted per k) is the product of D per-axis
+    sums, each read off one 1-D FFT correlation.
     """
     grid = u.grid
     if v.grid != grid:
@@ -293,10 +316,11 @@ def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState,
     n = grid.points
     dp = 1.0 / (n * h * abs(lam))
     steps = int(q_span / (q_stride * h))
-    corr = np.fft.ifftn(np.conj(np.fft.fftn(np.abs(u.values) ** 2))
-                        * np.fft.fftn(np.abs(v.values) ** 2)).real
     idx = (np.arange(-steps, steps + 1) * q_stride) % n
-    total = float(np.sum(corr[np.ix_(*[idx] * D)])) * n ** D * h ** (2 * D)
+    total = math.prod(
+        float(np.sum(np.fft.ifft(np.conj(np.fft.fft(np.abs(fu) ** 2))
+                                 * np.fft.fft(np.abs(fv) ** 2)).real[idx]))
+        for fu, fv in zip(u.factors, v.factors)) * n ** D * h ** (2 * D)
     hq = q_stride * h
     total *= dp ** D * hq ** D
     # outermost p-frequency magnitude (per axis) for the tail report
@@ -313,8 +337,9 @@ def coefficient_norm_sq(rep: RepInstance, u: State, v: State,
     Reports the measured value, the predicted norm_u^2 norm_v^2 / |Pf|, and
     their relative error.  The state type picks the path: Gaussian states
     take the closed path, exact up to roundoff; grid states take the
-    quadrature over grid shifts, one cyclic correlation of |u|^2 and |v|^2,
-    which reports an explicit tail bound for the frequency truncation.
+    quadrature over grid shifts, one 1-D cyclic correlation of |u|^2 and
+    |v|^2 per axis, which reports an explicit tail bound for the frequency
+    truncation.
     """
     if rep.D < 1:
         raise ValueError("the coefficient norm needs a symplectic layer")

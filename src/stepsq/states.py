@@ -1,4 +1,5 @@
-"""State-vector backends: closed-form Gaussian states and tensor-grid states."""
+"""State-vector backends: closed-form Gaussian states, and product states
+sampled axis by axis on a uniform tensor grid."""
 
 from __future__ import annotations
 
@@ -137,10 +138,6 @@ class Grid:
     def axis(self) -> np.ndarray:
         return -self.half_width + self.h * np.arange(self.points)
 
-    def mesh(self) -> np.ndarray:
-        axes = [self.axis()] * self.D
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
     def freqs(self) -> np.ndarray:
         """DFT frequency axis matching numpy fft conventions."""
         return np.fft.fftfreq(self.points, d=self.h)
@@ -148,33 +145,53 @@ class Grid:
 
 @dataclass
 class GridState:
-    """State sampled on a uniform tensor grid; quadrature is the rectangle rule."""
+    """Product state f_1(y_1) ... f_D(y_D) sampled on a uniform tensor grid,
+    held as one sample vector per axis; quadrature is the rectangle rule.
+
+    Translation and modulation act axis by axis, so they keep products and
+    every operation costs O(D n log n) for n points per axis.
+    """
 
     grid: Grid
-    values: np.ndarray
+    factors: Tuple[np.ndarray, ...]
 
     @staticmethod
     def from_gaussian(g: GaussianState, grid: Grid) -> "GridState":
-        return GridState(grid, g.evaluate(grid.mesh()).astype(complex))
-
-    def _axis_phases(self, freq: np.ndarray, x: np.ndarray, const: complex = 1.0):
-        """const * exp(2 pi i freq . y) for y in x^D: one phase vector per axis."""
-        freq = np.asarray(freq, dtype=float).reshape(self.grid.D)
-        return math.prod(np.ix_(*np.exp(2j * np.pi * np.outer(freq, x))), start=const)
+        """Samples of a Gaussian with diagonal M, exp(k) folded into the
+        first factor; ValueError for any other M."""
+        M = g.M
+        if g.dim != grid.D:
+            raise ValueError("the Gaussian and the grid differ in dimension")
+        if np.any(M - np.diag(np.diag(M))):
+            raise ValueError("grid states need a Gaussian with diagonal M")
+        x = grid.axis()
+        factors = [np.exp(-M[i, i] * x * x + g.ell[i] * x) for i in range(g.dim)]
+        factors[0] = factors[0] * np.exp(g.k)
+        return GridState(grid, tuple(factors))
 
     def translate(self, q: np.ndarray) -> "GridState":
         """Band-limited shift y -> f(y + q) via FFT phase rotation."""
-        vals = np.fft.fftn(self.values) * self._axis_phases(q, self.grid.freqs())
-        return GridState(self.grid, np.fft.ifftn(vals))
+        q = np.asarray(q, dtype=float).reshape(self.grid.D)
+        freqs = self.grid.freqs()
+        return GridState(self.grid, tuple(
+            np.fft.ifft(np.fft.fft(f) * np.exp(2j * np.pi * qi * freqs))
+            for qi, f in zip(q, self.factors)))
 
     def modulate(self, freq: np.ndarray, phase: complex = 0.0) -> "GridState":
-        factor = self._axis_phases(freq, self.grid.axis(), np.exp(phase))
-        return GridState(self.grid, self.values * factor)
+        """Multiply by exp(2*pi*i*(freq . y) + phase)."""
+        freq = np.asarray(freq, dtype=float).reshape(self.grid.D)
+        x = self.grid.axis()
+        factors = [f * np.exp(2j * np.pi * fi * x)
+                   for fi, f in zip(freq, self.factors)]
+        factors[0] = factors[0] * np.exp(phase)
+        return GridState(self.grid, tuple(factors))
 
     def inner(self, other: "GridState") -> complex:
         if self.grid != other.grid:
             raise ValueError("the states live on different grids")
-        return complex(np.vdot(self.values, other.values) * self.grid.h ** self.grid.D)
+        return complex(math.prod(np.vdot(f, g) for f, g in
+                                 zip(self.factors, other.factors))
+                       * self.grid.h ** self.grid.D)
 
     def norm_sq(self) -> float:
         return float(np.real(self.inner(self)))

@@ -58,13 +58,24 @@ def test_grid_path_needs_one_symplectic_layer(tmp_path, capsys, argv):
     assert not os.path.exists(out)
 
 
+# the CLI with the validation grid pinned to 64 points on [-5, 5)^D, which
+# aliases the packets that HEIS3 modulates at lambda = 3
+COARSE_GRID_CLI = """
+import sys
+from stepsq import cli
+from stepsq.states import Grid
+cli.validation_grid = lambda rep: Grid(rep.D, 64, 5.0)
+cli.main()
+"""
+
+
 def test_broken_invariant_exits_1_with_a_report(tmp_path):
-    # the grid homomorphism check fails for HEIS3 at lambda = 3; the run
-    # must exit 1 with a report naming it, also under python -O
+    # on a grid too coarse for the state, the grid homomorphism check fails;
+    # the run must exit 1 with a report naming it, also under python -O
     out = tmp_path / "o.json"
     src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "stepsq.cli", "orthogonality",
+        [sys.executable, "-O", "-c", COARSE_GRID_CLI, "orthogonality",
          "--harness", "HEIS3", "--lambda", "3", "--backend", "grid",
          "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
@@ -75,6 +86,22 @@ def test_broken_invariant_exits_1_with_a_report(tmp_path):
     [row] = doc["rows"]
     assert row["name"] == "invariant" and row["pass"] is False
     assert "grid homomorphism deviation" in row["provenance"]
+
+
+def test_grid_orthogonality_at_lambda_3_passes(tmp_path):
+    # the validation grid is sized from lambda, so HEIS3 passes here too
+    out = str(tmp_path / "o.json")
+    assert run(["orthogonality", "--harness", "HEIS3", "--lambda", "3",
+                "--backend", "grid", "--out", out]) == 0
+    assert read(out)["passed"] is True
+
+
+def test_grid_lambda_beyond_the_grid_cap_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "o.json")
+    assert run(["orthogonality", "--harness", "HEIS1", "--lambda", "100000",
+                "--backend", "grid", "--out", out]) == 2
+    assert "too large for the grid path" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv", [

@@ -141,6 +141,22 @@ def test_read_coords_rejects_outside_elements():
         h.read_coords(w)
 
 
+def test_read_coords_rejects_a_broken_support_or_an_entry_off_all():
+    # B2's basis matrices each span two signed entries
+    h = build_harness("B2")
+    c = np.arange(1.0, h.dim + 1)
+    w = sum(x * mat for x, mat in zip(c, h.matrices))
+    assert np.array_equal(h.read_coords(w), c)
+    rows, cols = np.nonzero(h.matrices[-1])
+    skewed = w.copy()
+    skewed[rows[0], cols[0]] *= 1.5  # the two ratios of one support disagree
+    off = w.copy()
+    off[h.size - 1, 0] = 0.3  # below the diagonal: no support covers it
+    for bad in (skewed, off):
+        with pytest.raises(AssertionError, match="outside the harness algebra"):
+            h.read_coords(bad)
+
+
 def test_unknown_harness():
     for bad in ("E8", "HEIS9", "A", "A3x", "C1"):
         with pytest.raises(ValueError):

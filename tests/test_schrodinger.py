@@ -1,5 +1,6 @@
 """Representations, coefficients, orthogonality, restriction, decay."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,11 @@ STEPWISE_CASES = [
     ("A3", {1: 1.0, 2: 1.0}), ("C2", {1: 0.7, 2: 1.3}),
     ("B2", {1: -0.4, 2: 0.9}), ("A1", {1: 1.5}),
 ]
+
+
+def dense(state):
+    """The n^D samples of a product grid state."""
+    return math.prod(np.ix_(*state.factors))
 
 
 def scalar_state(value: complex) -> GaussianState:
@@ -93,9 +99,20 @@ def test_invariants_closed_50_pairs(name, gamma):
 def test_invariants_grid_50_pairs(d):
     rep = stepwise_rep(f"HEIS{d}", {1: 1.0})
     checks = check_invariants(rep, np.random.default_rng(43), trials=50,
-                              grid=validation_grid(d))
+                              grid=validation_grid(rep))
     assert checks["unitarity"] <= 1e-4
     assert checks["homomorphism"] <= 1e-4
+
+
+@pytest.mark.parametrize("lam", [3.0, 6.0, -4.0])
+def test_validation_grid_resolves_large_lambda(lam):
+    # the grid grows with |lambda|, so the modulated packets do not alias
+    rep = stepwise_rep("HEIS3", {1: lam})
+    checks = check_invariants(rep, np.random.default_rng(11), trials=3,
+                              grid=validation_grid(rep))
+    assert checks["unitarity"] <= 1e-4
+    assert checks["homomorphism"] <= 1e-4
+
 
 
 def test_stepwise_restricted_to_top_layer_matches_layer_rep():
@@ -219,11 +236,12 @@ def _per_shift_norm_sq(rep, u, v, q_stride, q_span):
     grid = u.grid
     D, h, n = grid.D, grid.h, grid.points
     steps = int(q_span / (q_stride * h))
+    cu, dv = np.conj(dense(u)), dense(v)
     total = 0.0
     for flat in np.ndindex(*([2 * steps + 1] * D)):
         shifts = tuple((steps - s) * q_stride for s in flat)
-        vs = np.roll(v.values, shifts, axis=tuple(range(D)))
-        total += float(np.sum(np.abs(np.fft.fftn(np.conj(u.values) * vs) * h ** D) ** 2))
+        vs = np.roll(dv, shifts, axis=tuple(range(D)))
+        total += float(np.sum(np.abs(np.fft.fftn(cu * vs) * h ** D) ** 2))
     dp = 1.0 / (n * h * abs(rep.lam))
     return total * dp ** D * (q_stride * h) ** D
 
@@ -240,7 +258,7 @@ def test_grid_norm_matches_per_shift_quadrature(d, points):
     for lam in (1.0, -1.5, 0.5):
         rep = stepwise_rep(f"HEIS{d}", {1: lam})
         u, v = rep.random_state(rng, grid), rep.random_state(rng, grid)
-        assert np.abs(u.values - v.values).max() > 1e-3
+        assert np.abs(dense(u) - dense(v)).max() > 1e-3
         value = coefficient_norm_sq(rep, u, v, q_stride, q_span).value
         oracle = _per_shift_norm_sq(rep, u, v, q_stride, q_span)
         assert abs(value - oracle) <= 1e-12 * oracle, (d, lam, value, oracle)

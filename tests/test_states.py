@@ -1,5 +1,7 @@
 """Gaussian state algebra, closed-form integrals, and grid quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,6 +13,12 @@ from stepsq.states import (
     gaussian_integral,
     gaussian_integral_parts,
 )
+
+
+def dense(state):
+    """The n^D samples of a product grid state: the outer product of its
+    per-axis factors."""
+    return math.prod(np.ix_(*state.factors))
 
 
 def test_gaussian_integral_1d_oracle():
@@ -124,7 +132,7 @@ def test_grid_translate_matches_closed():
     q = np.array([0.37])  # not grid aligned
     ref = GridState.from_gaussian(g.translate(q), grid)
     moved = gs.translate(q)
-    assert np.abs(moved.values - ref.values).max() < 1e-9
+    assert np.abs(dense(moved) - dense(ref)).max() < 1e-9
 
 
 def test_grid_modulate_matches_closed():
@@ -132,7 +140,7 @@ def test_grid_modulate_matches_closed():
     g = GaussianState.ground(1)
     out = GridState.from_gaussian(g, grid).modulate(np.array([1.3]), 0.2j)
     ref = GridState.from_gaussian(g.modulate(np.array([1.3]), 0.2j), grid)
-    assert np.abs(out.values - ref.values).max() < 1e-12
+    assert np.abs(dense(out) - dense(ref)).max() < 1e-12
 
 
 SEPARABLE_GRIDS = [Grid(2, 64, 5.0), Grid(3, 48, 4.0)]
@@ -145,7 +153,7 @@ def test_grid_translate_matches_closed_nd(grid):
     q = np.array([0.37, -0.21, 0.13][:D])  # not grid aligned
     moved = GridState.from_gaussian(g, grid).translate(q)
     ref = GridState.from_gaussian(g.translate(q), grid)
-    assert np.abs(moved.values - ref.values).max() < 1e-9
+    assert np.abs(dense(moved) - dense(ref)).max() < 1e-9
 
 
 @pytest.mark.parametrize("grid", SEPARABLE_GRIDS, ids=lambda g: f"D{g.D}")
@@ -155,7 +163,7 @@ def test_grid_modulate_matches_closed_nd(grid):
     freq = np.array([1.3, -0.7, 0.45][:D])  # not on the frequency grid
     out = GridState.from_gaussian(g, grid).modulate(freq, 0.3 + 0.2j)
     ref = GridState.from_gaussian(g.modulate(freq, 0.3 + 0.2j), grid)
-    assert np.abs(out.values - ref.values).max() < 1e-12
+    assert np.abs(dense(out) - dense(ref)).max() < 1e-12
 
 
 def test_grid_states_on_different_grids_rejected():
@@ -174,3 +182,50 @@ def test_grid_axis_and_freqs():
     assert grid.h == 1.0
     assert grid.axis()[0] == -4.0 and grid.axis()[-1] == 3.0
     assert np.allclose(sorted(grid.freqs()), np.arange(-4, 4) / 8.0)
+
+
+def _dense_translate(grid, values, q):
+    """y -> f(y + q) by n^D FFT phase rotation on the full frequency mesh."""
+    freqs = np.meshgrid(*[grid.freqs()] * grid.D, indexing="ij")
+    phase = np.exp(2j * np.pi * sum(qi * k for qi, k in zip(q, freqs)))
+    return np.fft.ifftn(np.fft.fftn(values) * phase)
+
+
+def _dense_modulate(grid, values, freq, phase):
+    """Multiply by exp(2 pi i freq . y + phase) on the full sample mesh."""
+    mesh = np.meshgrid(*[grid.axis()] * grid.D, indexing="ij")
+    return values * np.exp(2j * np.pi * sum(f * y for f, y in zip(freq, mesh))
+                           + phase)
+
+
+@pytest.mark.parametrize("grid", SEPARABLE_GRIDS, ids=lambda g: f"D{g.D}")
+def test_product_ops_match_dense_oracle(grid):
+    # the per-axis operations against the same operations on n^D samples
+    D = grid.D
+    rng = np.random.default_rng(5)
+    u = GridState.from_gaussian(
+        GaussianState.packet(D, rng.uniform(-0.5, 0.5, D),
+                             rng.uniform(-1, 1, D), 1.1), grid)
+    v = GridState.from_gaussian(GaussianState.ground(D), grid)
+    q, freq = rng.uniform(-1.5, 1.5, D), rng.uniform(-2, 2, D)
+    phase = 0.3 + 0.7j
+    moved = u.translate(q)
+    ref = _dense_translate(grid, dense(u), q)
+    assert np.abs(dense(moved) - ref).max() < 1e-12
+    out = moved.modulate(freq, phase)
+    ref = _dense_modulate(grid, ref, freq, phase)
+    assert np.abs(dense(out) - ref).max() < 1e-12
+    oracle = np.vdot(dense(v), ref) * grid.h ** D
+    # relative to the Cauchy-Schwarz bound: the modulated overlap is small
+    assert abs(v.inner(out) - oracle) < 1e-12 * math.sqrt(v.norm_sq() * out.norm_sq())
+    assert abs(out.norm_sq() - np.vdot(ref, ref).real * grid.h ** D) \
+        < 1e-12 * out.norm_sq()
+
+
+def test_from_gaussian_rejects_non_diagonal_forms():
+    g = GaussianState.ground(2)
+    sheared = GaussianState(g.M + 0.1 * np.array([[0, 1], [1, 0]]), g.ell, g.k)
+    with pytest.raises(ValueError, match="diagonal"):
+        GridState.from_gaussian(sheared, Grid(2, 32, 3.0))
+    with pytest.raises(ValueError, match="dimension"):
+        GridState.from_gaussian(g, Grid(3, 32, 3.0))
