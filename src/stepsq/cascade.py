@@ -8,9 +8,8 @@ from typing import Dict, List, Sequence, Tuple
 from .rootsys import (
     RootSystem,
     Vector,
-    build_root_system,
+    _simple_enumeration,
     inner,
-    simple_coordinates_all,
     strongly_orthogonal,
     vadd,
     vscale,
@@ -43,16 +42,12 @@ def kostant_cascade(system: RootSystem) -> Tuple[Vector, ...]:
     orthogonal positive roots, in construction order.
 
     Among the strongly-orthogonal candidates the maximal elements of the
-    simple-coordinate partial order are found; ties are broken by the
-    lexicographically greatest coordinate vector.
+    partial order on the integer simple coordinates ``system.coords`` are
+    found; ties are broken by the lexicographically greatest root.  Reading
+    ``system.coords`` raises AssertionError if a positive root is not an
+    integer combination of the simple roots.
     """
-    simples = [system.simple_enumeration[i] for i in system.simple_indices()]
-    coords: Dict[Vector, Tuple[int, ...]] = {}
-    for a, c in zip(system.positives,
-                    simple_coordinates_all(system.positives, simples)):
-        if c is None or any(x.denominator != 1 for x in c):
-            raise AssertionError(f"simple coordinates of {a} are not integral")
-        coords[a] = tuple(int(x) for x in c)
+    coords = system.coords
     chosen: List[Vector] = []
     candidates = list(system.positives)
     while candidates:
@@ -133,78 +128,76 @@ def sigma_r(decomp: CascadeDecomposition, alpha: Vector, r: int) -> Vector:
     return image
 
 
-def _psi_combo(system: RootSystem, combo: Dict[int, int]) -> Vector:
+def _psi_combo(simple: Dict[int, Vector], combo: Dict[int, int]) -> Vector:
     """Expand an integer combination of enumerated simple roots to coordinates."""
-    dim = len(next(iter(system.simple_enumeration.values())))
-    out = (0,) * dim
+    out = (0,) * len(next(iter(simple.values())))
     for idx, coeff in combo.items():
-        out = vadd(out, vscale(coeff, system.simple_enumeration[idx]))
+        out = vadd(out, vscale(coeff, simple[idx]))
     return out
 
 
 def closed_form_beta(series: str, rank: int) -> Tuple[Vector, ...]:
     """Reversed cascade by literal transcription of the per-family closed forms.
 
-    Independent of kostant_cascade; serves as its oracle.
+    Independent of kostant_cascade; serves as its oracle.  Only the simple
+    enumeration is read, so no second root system is built.
     """
-    system = build_root_system(series, rank)
+    simple = _simple_enumeration(series, rank)
     betas: List[Vector] = []
     if series == "A":
         if rank % 2 == 1:
             n = (rank - 1) // 2
-            betas.append(_psi_combo(system, {0: 1}))
+            betas.append(_psi_combo(simple, {0: 1}))
             for r in range(2, n + 2):
-                betas.append(vadd(vadd(_psi_combo(system, {-(r - 1): 1}),
+                betas.append(vadd(vadd(_psi_combo(simple, {-(r - 1): 1}),
                                        betas[-1]),
-                                  _psi_combo(system, {r - 1: 1})))
+                                  _psi_combo(simple, {r - 1: 1})))
         else:
             n = rank // 2
             if n >= 1:
-                betas.append(_psi_combo(system, {-1: 1, 1: 1}))
+                betas.append(_psi_combo(simple, {-1: 1, 1: 1}))
             for r in range(2, n + 1):
-                betas.append(vadd(vadd(_psi_combo(system, {-r: 1}),
+                betas.append(vadd(vadd(_psi_combo(simple, {-r: 1}),
                                        betas[-1]),
-                                  _psi_combo(system, {r: 1})))
+                                  _psi_combo(simple, {r: 1})))
     elif series == "B":
         if rank % 2 == 1:
             n = (rank - 1) // 2
-            betas.append(_psi_combo(system, {1: 1}))
+            betas.append(_psi_combo(simple, {1: 1}))
             for r in range(1, n + 1):
-                betas.append(_psi_combo(system, {2 * r + 1: 1}))
+                betas.append(_psi_combo(simple, {2 * r + 1: 1}))
                 combo = {j: 2 for j in range(1, 2 * r + 1)}
                 combo[2 * r + 1] = 1
-                betas.append(_psi_combo(system, combo))
+                betas.append(_psi_combo(simple, combo))
         else:
             n = rank // 2
             for r in range(1, n + 1):
-                betas.append(_psi_combo(system, {2 * r: 1}))
+                betas.append(_psi_combo(simple, {2 * r: 1}))
                 combo = {j: 2 for j in range(1, 2 * r)}
                 combo[2 * r] = 1
-                betas.append(_psi_combo(system, combo))
+                betas.append(_psi_combo(simple, combo))
     elif series == "C":
         for r in range(1, rank + 1):
             combo = {1: 1}
             combo.update({j: 2 for j in range(2, r + 1)})
-            betas.append(_psi_combo(system, combo))
-    elif series == "D":
+            betas.append(_psi_combo(simple, combo))
+    else:  # D; _simple_enumeration rejects any other series
         if rank % 2 == 0:
             n = rank // 2
-            betas.append(_psi_combo(system, {1: 1}))
-            betas.append(_psi_combo(system, {2: 1}))
+            betas.append(_psi_combo(simple, {1: 1}))
+            betas.append(_psi_combo(simple, {2: 1}))
             for r in range(2, n + 1):
-                betas.append(_psi_combo(system, {2 * r: 1}))
+                betas.append(_psi_combo(simple, {2 * r: 1}))
                 combo = {1: 1, 2: 1, 2 * r: 1}
                 combo.update({j: 2 for j in range(3, 2 * r)})
-                betas.append(_psi_combo(system, combo))
+                betas.append(_psi_combo(simple, combo))
         else:
             n = (rank - 1) // 2
-            betas.append(_psi_combo(system, {3: 1}))
-            betas.append(_psi_combo(system, {1: 1, 2: 1, 3: 1}))
+            betas.append(_psi_combo(simple, {3: 1}))
+            betas.append(_psi_combo(simple, {1: 1, 2: 1, 3: 1}))
             for r in range(2, n + 1):
-                betas.append(_psi_combo(system, {2 * r + 1: 1}))
+                betas.append(_psi_combo(simple, {2 * r + 1: 1}))
                 combo = {1: 1, 2: 1, 2 * r + 1: 1}
                 combo.update({j: 2 for j in range(3, 2 * r + 1)})
-                betas.append(_psi_combo(system, combo))
-    else:
-        raise ValueError(f"unsupported family {series!r}")
+                betas.append(_psi_combo(simple, combo))
     return tuple(betas)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -427,9 +428,14 @@ def pipeline_all(seed: int, quick: bool) -> Tuple[dict, List[dict]]:
 # argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser() -> Tuple[argparse.ArgumentParser,
                              Dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each subcommand."""
+    """The top-level parser and the parser of each subcommand.
+
+    Built once per process, on the first run; parsing and config overrides
+    only read the parsers, so every run can share them.
+    """
     parser = argparse.ArgumentParser(
         prog="stepsq",
         description="verification pipelines with JSON reports")

@@ -1,15 +1,17 @@
 """Classical restricted root systems with exact integer coordinates.
 
 Roots are tuples of ints in the orthonormal ambient basis e1..eN, in which
-every classical root is integral.  Fractions appear only where division
-happens: in simple coordinates and in Cartan entries.  Simple roots carry
-the center-out (type A) or multiple-bond-end-first (types B, C, D) index
-scheme used throughout the package.
+every classical root is integral; so are the simple coordinates of every
+positive root (``RootSystem.coords``).  Fractions appear only where division
+happens: in the general simple-coordinate solve and in Cartan entries.
+Simple roots carry the center-out (type A) or multiple-bond-end-first
+(types B, C, D) index scheme used throughout the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -79,14 +81,44 @@ class RootSystem:
         """Sorted indices of the simple-root enumeration."""
         return sorted(self.simple_enumeration)
 
+    @cached_property
+    def coords(self) -> Dict[Vector, Tuple[int, ...]]:
+        """Integer simple coordinates of every positive root, in
+        simple_indices() order.
 
-def _positive_roots(series: str, rank: int) -> Tuple[List[Vector], int]:
-    """Standard positive roots and the ambient dimension for a series."""
+        Starting from the simple roots as unit vectors, a simple root is
+        added to a known root whenever the sum is a positive root, so every
+        root reached is a nonnegative integer combination of the simple
+        roots.  Raises AssertionError if some positive root is never reached.
+        """
+        simples = [self.simple_enumeration[i] for i in self.simple_indices()]
+        positives = set(self.positives)
+        units = [tuple(int(j == k) for j in range(len(simples)))
+                 for k in range(len(simples))]
+        found = {s: u for s, u in zip(simples, units) if s in positives}
+        frontier = list(found)
+        while frontier:
+            reached = []
+            for a in frontier:
+                for s, u in zip(simples, units):
+                    b = vadd(a, s)
+                    if b in positives and b not in found:
+                        found[b] = vadd(found[a], u)
+                        reached.append(b)
+            frontier = reached
+        for a in self.positives:
+            if a not in found:
+                raise AssertionError(f"positive root {a} is not integral: no "
+                                     "chain of simple-root additions reaches it")
+        return found
+
+
+def _positive_roots(series: str, rank: int) -> List[Vector]:
+    """Standard positive roots of a series."""
     if series == "A":
         dim = rank + 1
-        pos = [vsub(_e(i, dim), _e(j, dim)) for i in range(1, dim + 1)
-               for j in range(i + 1, dim + 1)]
-        return pos, dim
+        return [vsub(_e(i, dim), _e(j, dim)) for i in range(1, dim + 1)
+                for j in range(i + 1, dim + 1)]
     dim = rank
     pos: List[Vector] = []
     for i in range(1, rank + 1):
@@ -97,13 +129,22 @@ def _positive_roots(series: str, rank: int) -> Tuple[List[Vector], int]:
         pos.extend(_e(i, dim) for i in range(1, rank + 1))
     elif series == "C":
         pos.extend(vscale(2, _e(i, dim)) for i in range(1, rank + 1))
-    elif series != "D":
-        raise ValueError(f"unsupported series {series!r}")
-    return pos, dim
+    return pos
 
 
-def _simple_enumeration(series: str, rank: int, dim: int) -> Dict[int, Vector]:
-    """Signed-index simple roots: center-out for A, bond-end-first for B/C/D."""
+def _simple_enumeration(series: str, rank: int) -> Dict[int, Vector]:
+    """Signed-index simple roots: center-out for A, bond-end-first for B/C/D.
+
+    Raises ValueError for an unsupported series or a rank below its minimum.
+    """
+    if series not in SERIES:
+        raise ValueError(f"unsupported series {series!r}; expected one of {SERIES}")
+    if rank < _MIN_RANK[series]:
+        raise ValueError(
+            f"rank {rank} below minimum {_MIN_RANK[series]} for series {series}"
+        )
+    dim = rank + 1 if series == "A" else rank
+
     def alpha(i: int) -> Vector:
         return vsub(_e(i, dim), _e(i + 1, dim))
 
@@ -134,16 +175,9 @@ def _simple_enumeration(series: str, rank: int, dim: int) -> Dict[int, Vector]:
 
 def build_root_system(series: str, rank: int) -> RootSystem:
     """Build the standard root system of the given series and rank."""
-    if series not in SERIES:
-        raise ValueError(f"unsupported series {series!r}; expected one of {SERIES}")
-    if rank < _MIN_RANK[series]:
-        raise ValueError(
-            f"rank {rank} below minimum {_MIN_RANK[series]} for series {series}"
-        )
-    pos, dim = _positive_roots(series, rank)
-    pos_sorted = tuple(sorted(pos, reverse=True))
+    simple = _simple_enumeration(series, rank)
+    pos_sorted = tuple(sorted(_positive_roots(series, rank), reverse=True))
     roots = frozenset(pos_sorted) | frozenset(vneg(a) for a in pos_sorted)
-    simple = _simple_enumeration(series, rank, dim)
     system = RootSystem(series, rank, roots, pos_sorted, simple)
     _check_invariants(system)
     return system
@@ -161,11 +195,7 @@ def _check_invariants(system: RootSystem) -> None:
         for b in simples[i + 1:]:
             if inner(a, b) > 0:
                 raise AssertionError(f"simple roots {a}, {b} form an acute angle")
-    coords = simple_coordinates_all(system.positives, simples)
-    for a, coeffs in zip(system.positives, coords):
-        if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
-            raise AssertionError(f"positive root {a} is not a nonnegative "
-                                 "integer combination of the simple roots")
+    system.coords  # raises unless every positive is an integer combination
 
 
 def simple_coordinates_all(targets: Sequence[Vector],

@@ -184,3 +184,18 @@ def test_cascade_rejects_non_integral_simple_coordinates():
     bad = RootSystem(s.series, s.rank, s.roots, s.positives, doubled)
     with pytest.raises(AssertionError, match="not integral"):
         kostant_cascade(bad)
+
+
+# beyond the rank 13 / 12 oracle range, both parities where the closed form
+# branches on them
+LARGE_RANKS = [("A", 31), ("A", 32), ("B", 20), ("B", 21), ("C", 32),
+               ("D", 31), ("D", 32)]
+
+
+@pytest.mark.parametrize("series,rank", LARGE_RANKS)
+def test_large_rank_cascade_and_pairing(series, rank):
+    d = cascade_decomposition(build_root_system(series, rank))
+    assert d.beta == closed_form_beta(series, rank)
+    for r, members in d.layers.items():
+        for a in members:
+            assert vadd(a, sigma_r(d, a, r)) == d.beta[r - 1]

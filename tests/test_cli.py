@@ -10,8 +10,10 @@ from dataclasses import replace
 import pytest
 
 import stepsq
+import stepsq.cascade as cascade
 import stepsq.cli as cli
 import stepsq.harness as harness
+import stepsq.rootsys as rootsys
 from stepsq.cli import ReportDocument, make_row, run
 
 
@@ -212,6 +214,42 @@ def test_config_file_overrides_flags(tmp_path):
     bad.write_text("{nope")
     assert run(["roots", "--series", "A", "--n", "2", "--config", str(bad),
                 "--out", out]) == 2
+
+
+def test_parser_cache_keeps_runs_independent(tmp_path):
+    # the parser is built once per process; a config override of one run
+    # must not leak into the defaults of the next
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 0}))
+    out = str(tmp_path / "r.json")
+    assert run(["inversion", "--config", str(cfg), "--out", out]) == 0
+    assert read(out)["inputs"]["points"] == 0
+    assert run(["inversion", "--out", out]) == 0
+    assert read(out)["inputs"]["points"] == 10
+    assert run(["inversion", "--points", "ten", "--out", out]) == 2
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("cmd", ["roots", "cascade", "layers"])
+def test_one_root_system_per_exact_invocation(tmp_path, monkeypatch, cmd):
+    calls = []
+    build = rootsys.build_root_system
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    def no_solve(*args):
+        raise AssertionError("Fraction elimination on the exact-table path")
+
+    for module in (rootsys, cascade, cli):
+        monkeypatch.setattr(module, "build_root_system", counted,
+                            raising=False)
+        monkeypatch.setattr(module, "simple_coordinates_all", no_solve,
+                            raising=False)
+    out = str(tmp_path / "r.json")
+    assert run([cmd, "--series", "C", "--n", "5", "--out", out]) == 0
+    assert calls == [("C", 5)]
 
 
 @pytest.mark.parametrize("argv,config", [

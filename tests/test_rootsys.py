@@ -158,3 +158,21 @@ def test_simple_coordinates_exact_on_integer_roots():
     # the one-target form is the batch solve of one target
     assert rootsys.simple_coordinates((0, 0, 1), simples) == coeffs
     assert rootsys.simple_coordinates((1, 0, 0, 0), a_simples) is None
+
+
+# the exact-table oracle range of the acceptance tests
+ORACLE_SYSTEMS = ([("A", r) for r in range(1, 14)]
+                  + [(s, r) for s in "BCD" for r in range(2, 13)])
+
+
+@pytest.mark.parametrize("series,rank", ORACLE_SYSTEMS)
+def test_coords_match_the_fraction_solve(series, rank):
+    # the integer table found by simple-root additions against the general
+    # Gauss-Jordan solve over the rationals
+    s = build_root_system(series, rank)
+    simples = [s.simple_enumeration[i] for i in s.simple_indices()]
+    assert set(s.coords) == set(s.positives)
+    for a, want in zip(s.positives, simple_coordinates_all(s.positives,
+                                                           simples)):
+        assert s.coords[a] == tuple(want)
+        assert all(type(c) is int for c in s.coords[a])
