@@ -76,7 +76,8 @@ def layer_partition(system: RootSystem,
 
     Layer r collects the unassigned positives alpha with beta_r - alpha a
     positive root.  The fill-out partition property and the orthogonality
-    characterization of each layer are checked before returning.
+    characterization of each layer are checked before returning; a root's
+    pairing with beta_r is read from its (at most two) nonzero coordinates.
     """
     beta = tuple(beta)
     m = len(beta)
@@ -91,7 +92,9 @@ def layer_partition(system: RootSystem,
         remaining = [a for a in remaining if a not in taken]
     if remaining:
         raise AssertionError(f"fill-out partition failed; unassigned {remaining}")
-    pairings = {a: tuple(inner(a, b) for b in beta) for a in system.positives}
+    support = {a: [(i, x) for i, x in enumerate(a) if x] for a in system.positives}
+    pairings = {a: tuple(sum(x * b[i] for i, x in nz) for b in beta)
+                for a, nz in support.items()}
     for r in range(1, m + 1):
         expected = set(layers[r]) | {beta[r - 1]}
         characterized = {

@@ -10,16 +10,22 @@ at disjoint positions, so a bracket's coefficients are read off entrywise.
 model: it checks the grading and closure, cuts the layers l_r = z_r + v_r
 from the Kostant cascade, checks them, and returns the algebra with its
 layers in ``layers``.  Every consumer reads ``alg.layers``.
+
+Each model computes its brackets once, in ``alg.brackets``; every check,
+the setup axioms and the Pfaffian densities read that table.  The grading
+is checked in integers, from the weight of each matrix index under the
+series' diagonal Cartan element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from .cascade import cascade_decomposition
-from .rootsys import RootSystem, Vector, build_root_system, inner, vadd
+from .rootsys import RootSystem, Vector, build_root_system, vadd, vscale, vsub
 
 Entries = Dict[Tuple[int, int], int | Q]  # sparse matrix: position -> nonzero value
 
@@ -85,27 +91,20 @@ class NilpotentAlgebra:
                 posmap[pos] = (a, val)
         object.__setattr__(self, "posmap", posmap)
 
-    def cartan(self, t: Sequence[Q]) -> Entries:
-        """Diagonal Cartan element with split parameters t_1..t_rank, as a sparse map."""
-        t = [Q(x) for x in t]
-        if len(t) != self.rank:
-            raise ValueError("dimension mismatch")
-        if self.series == "A":
-            diag = t + [Q(0)] * (self.size - self.rank)
-        elif self.series == "B":
-            diag = t + [Q(0)] + [-x for x in reversed(t)]
-        elif self.series == "D":
-            diag = t + [-x for x in reversed(t)]
-        else:
-            diag = t + [-x for x in t]
-        return {(r, r): x for r, x in enumerate(diag) if x != 0}
-
-    def root_value(self, alpha: Vector, t: Sequence[Q]) -> Q:
-        """alpha(h) for the Cartan element with parameters t."""
-        tt = [Q(x) for x in t]
-        if self.series == "A":
-            tt = tt + [Q(0)] * (len(alpha) - len(tt))
-        return inner(alpha, tuple(tt))
+    @cached_property
+    def brackets(self) -> Dict[Tuple[Vector, Vector], Optional[Dict[Vector, Q]]]:
+        """Basis coefficients of [x_a, x_b] for every ordered pair (a, b) of
+        basis roots, or None outside the span; one commutator per unordered
+        pair, with (b, a) the negation of (a, b)."""
+        table: Dict[Tuple[Vector, Vector], Optional[Dict[Vector, Q]]] = {}
+        items = list(self.basis.items())
+        for i, (a, x) in enumerate(items):
+            for b, y in items[i:]:
+                coeffs = decompose(self, sparse_commutator(x, y))
+                table[(b, a)] = None if coeffs is None else {
+                    c: -v for c, v in coeffs.items()}
+                table[(a, b)] = coeffs
+        return table
 
 
 def _build_basis(series: str, rank: int,
@@ -131,27 +130,26 @@ def _build_basis(series: str, rank: int,
                 i = pos[0]
                 basis[a] = {(i, k + i): 1}
         return basis, 2 * k
-    if series in ("B", "D"):
-        k = rank
-        n = 2 * k + 1 if series == "B" else 2 * k
+    # B or D; build_root_system rejects any other series
+    k = rank
+    n = 2 * k + 1 if series == "B" else 2 * k
 
-        def conj(i: int) -> int:
-            return n - 1 - i
+    def conj(i: int) -> int:
+        return n - 1 - i
 
-        for a in system.positives:
-            pos = [idx for idx, x in enumerate(a) if x > 0]
-            neg = [idx for idx, x in enumerate(a) if x < 0]
-            if neg:
-                i, j = pos[0], neg[0]
-                basis[a] = {(i, j): 1, (conj(j), conj(i)): -1}
-            elif len(pos) == 2:
-                i, j = pos
-                basis[a] = {(i, conj(j)): 1, (j, conj(i)): -1}
-            else:
-                i = pos[0]
-                basis[a] = {(i, k): 1, (k, conj(i)): -1}
-        return basis, n
-    raise ValueError(f"unsupported series {series!r}")
+    for a in system.positives:
+        pos = [idx for idx, x in enumerate(a) if x > 0]
+        neg = [idx for idx, x in enumerate(a) if x < 0]
+        if neg:
+            i, j = pos[0], neg[0]
+            basis[a] = {(i, j): 1, (conj(j), conj(i)): -1}
+        elif len(pos) == 2:
+            i, j = pos
+            basis[a] = {(i, conj(j)): 1, (j, conj(i)): -1}
+        else:
+            i = pos[0]
+            basis[a] = {(i, k): 1, (k, conj(i)): -1}
+    return basis, n
 
 
 def realize_split_nilradical(series: str, rank: int) -> NilpotentAlgebra:
@@ -168,44 +166,50 @@ def realize_split_nilradical(series: str, rank: int) -> NilpotentAlgebra:
     return alg
 
 
+def _index_weights(series: str, rank: int) -> List[Vector]:
+    """Weight of each matrix index under the series' diagonal Cartan element:
+    e_i at index i of gl(rank + 1) for A; else e_i at i < rank, then -e_i in
+    order for C and mirrored for B and D, with 0 at the middle index of B."""
+    if series == "A":
+        return [tuple(int(i == j) for j in range(rank + 1)) for i in range(rank + 1)]
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    negs = [vscale(-1, e) for e in units]
+    if series == "C":
+        return units + negs
+    return units + [(0,) * rank] * (series == "B") + negs[::-1]
+
+
 def _validate_algebra(alg: NilpotentAlgebra) -> None:
     """Check the grading and closure invariants exactly."""
-    for i in range(alg.rank):
-        t = [Q(1) if j == i else Q(0) for j in range(alg.rank)]
-        h = alg.cartan(t)
-        for a, x in alg.basis.items():
-            val = alg.root_value(a, t)
-            for r, c in x:
-                if h.get((r, r), 0) - h.get((c, c), 0) != val:
-                    raise AssertionError(f"grading fails at {a}")
+    w = _index_weights(alg.series, alg.rank)
+    for a, x in alg.basis.items():
+        for r, c in x:
+            if vsub(w[r], w[c]) != a:
+                raise AssertionError(f"grading fails at {a}")
     roots = set(alg.system.positives)
-    items = list(alg.basis.items())
-    for i, (a, x) in enumerate(items):
-        for b, y in items[i:]:
-            z = sparse_commutator(x, y)
-            coeffs = decompose(alg, z)
-            s = vadd(a, b)
-            if s in roots:
-                if coeffs is None or not set(coeffs) <= {s}:
-                    raise AssertionError(f"bracket [{a},{b}] escapes")
-            elif z:
-                raise AssertionError(f"bracket [{a},{b}] should vanish")
+    for (a, b), coeffs in alg.brackets.items():
+        s = vadd(a, b)
+        if s in roots:
+            if coeffs is None or not coeffs.keys() <= {s}:
+                raise AssertionError(f"bracket [{a},{b}] escapes")
+        elif coeffs != {}:
+            raise AssertionError(f"bracket [{a},{b}] should vanish")
 
 
 def check_layers(alg: NilpotentAlgebra) -> None:
     """Check that each layer of alg is two-step with bracket into z_r:
     [v_r, v_r] lies in z_r and z_r is central in l_r."""
+    table = alg.brackets
     for layer in alg.layers:
         r, beta, members = layer.r, layer.beta, layer.members
         if len(members) % 2:
             raise AssertionError(f"v_{r} has odd dimension")
         for a in members:
-            x = alg.basis[a]
             for b in members:
-                coeffs = decompose(alg, sparse_commutator(x, alg.basis[b]))
-                if coeffs is None or not set(coeffs) <= {beta}:
+                coeffs = table[(a, b)]
+                if coeffs is None or not coeffs.keys() <= {beta}:
                     raise AssertionError(f"[v_{r}, v_{r}] escapes z_{r} at ({a},{b})")
-            if sparse_commutator(alg.basis[beta], x):
+            if table[(beta, a)] != {}:
                 raise AssertionError(f"z_{r} must be central in l_{r}")
 
 
@@ -226,24 +230,6 @@ def decompose(alg: NilpotentAlgebra, entries: Entries) -> Optional[Dict[Vector, 
         if counts[a] != len(alg.basis[a]):
             return None
     return coeffs
-
-
-def bracket_support_table(alg: NilpotentAlgebra) -> Dict[Tuple[Vector, Vector], Optional[frozenset]]:
-    """Root support of [x_a, x_b] for every unordered basis pair, or None.
-
-    None marks a bracket escaping the basis span (cannot happen for a valid
-    realization but can for corrupted fixtures).
-    """
-    roots = sorted(alg.basis, reverse=True)
-    table: Dict[Tuple[Vector, Vector], Optional[frozenset]] = {}
-    for i, a in enumerate(roots):
-        for b in roots[i:]:
-            ent = sparse_commutator(alg.basis[a], alg.basis[b])
-            coeffs = decompose(alg, ent)
-            supp = None if coeffs is None else frozenset(coeffs)
-            table[(a, b)] = supp
-            table[(b, a)] = supp
-    return table
 
 
 @dataclass(frozen=True)
@@ -268,11 +254,11 @@ def verify_setup_axioms(alg: NilpotentAlgebra) -> AxiomReport:
     rows: List[dict] = []
     layers = alg.layers
     m = len(layers)
-    table = bracket_support_table(alg)
+    table = alg.brackets
 
     def supp_ok(a: Vector, b: Vector, allowed: frozenset) -> bool:
-        supp = table[(a, b)]
-        return supp is not None and supp <= allowed
+        coeffs = table[(a, b)]
+        return coeffs is not None and coeffs.keys() <= allowed
 
     def layer_roots(layer: Layer) -> List[Vector]:
         return [layer.beta, *layer.members]

@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 from math import factorial, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .nilalg import Layer, NilpotentAlgebra, decompose, sparse_commutator
+from .nilalg import Layer, NilpotentAlgebra
 
 SkewMatrix = Tuple[Tuple[Q, ...], ...]
 
@@ -186,13 +186,13 @@ def pfaffian_expansion(mat: Sequence[Sequence[Q]]) -> Q:
 def b_lambda_matrix(alg: NilpotentAlgebra, layer: Layer, lambda_r: Q) -> SkewMatrix:
     """Skew matrix of (x, y) -> lambda([x, y]) on the ordered symplectic basis."""
     lambda_r = Q(lambda_r)
-    v = [alg.basis[a] for a in layer.members]
+    table, v = alg.brackets, layer.members
     n = len(v)
     rows: List[List[Q]] = [[Q(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            coeffs = decompose(alg, sparse_commutator(v[i], v[j]))
-            if coeffs is None or not set(coeffs) <= {layer.beta}:
+            coeffs = table[(v[i], v[j])]
+            if coeffs is None or not coeffs.keys() <= {layer.beta}:
                 raise AssertionError(f"[v_{layer.r}, v_{layer.r}] escapes z_{layer.r}")
             val = lambda_r * coeffs.get(layer.beta, Q(0))
             rows[i][j] = val

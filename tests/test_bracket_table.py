@@ -1,0 +1,61 @@
+"""The bracket table of a split model against dense integer matrices, and
+the number of commutators one model costs."""
+
+import numpy as np
+import pytest
+
+import stepsq.nilalg as nilalg
+from stepsq.nilalg import realize_split_nilradical, verify_setup_axioms
+from stepsq.plancherel import plancherel_density
+from stepsq.rootsys import vadd
+
+SYSTEMS = ([("A", r) for r in range(1, 9)]
+           + [(s, r) for s in "BC" for r in range(2, 9)]
+           + [("D", r) for r in range(3, 9)])
+
+
+def dense(alg, entries):
+    m = np.zeros((alg.size, alg.size), dtype=np.int64)
+    for (i, j), v in entries.items():
+        m[i, j] = v
+    return m
+
+
+@pytest.mark.parametrize("series,rank", SYSTEMS)
+def test_table_matches_dense_commutators(series, rank):
+    alg = realize_split_nilradical(series, rank)
+    roots = list(alg.basis)
+    mats = np.stack([dense(alg, alg.basis[a]) for a in roots])
+    flat = mats.reshape(len(roots), -1).T  # column g is the matrix of roots[g]
+    comm = (np.einsum("aij,bjk->abik", mats, mats)
+            - np.einsum("bij,ajk->abik", mats, mats))
+    rhs = comm.reshape(len(roots) ** 2, -1).T
+    coeffs = np.rint(np.linalg.lstsq(flat, rhs, rcond=None)[0]).astype(np.int64)
+    in_span = (flat @ coeffs == rhs).all(axis=0)
+    positives = set(alg.system.positives)
+    assert len(alg.brackets) == len(roots) ** 2
+    for ia, a in enumerate(roots):
+        for ib, b in enumerate(roots):
+            k = ia * len(roots) + ib
+            assert in_span[k], (a, b)
+            expected = {roots[g]: int(c) for g, c in enumerate(coeffs[:, k]) if c}
+            got = alg.brackets[(a, b)]
+            assert got == expected, (a, b)
+            s = vadd(a, b)
+            assert set(got) == ({s} if s in positives else set()), (a, b)
+
+
+def test_one_commutator_per_unordered_pair(monkeypatch):
+    calls = []
+    real = nilalg.sparse_commutator
+
+    def counted(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(nilalg, "sparse_commutator", counted)
+    alg = realize_split_nilradical("C", 4)
+    assert verify_setup_axioms(alg).passed
+    plancherel_density(alg, alg.layers, {layer.r: 1 for layer in alg.layers})
+    n = len(alg.system.positives)
+    assert len(calls) == n * (n + 1) // 2

@@ -11,6 +11,7 @@ import pytest
 import stepsq
 from stepsq.nilalg import (
     NilpotentAlgebra,
+    _validate_algebra,
     check_layers,
     corrupted_fixture,
     decompose,
@@ -59,15 +60,38 @@ def test_bracket_examples():
     assert sparse_commutator(x, x) == {}
 
 
+def cartan_element(series, t):
+    """Diagonal Cartan element with split parameters t, as a sparse map, and
+    the root value alpha -> alpha(h), by the series' diagonal convention."""
+    if series == "A":
+        diag = t + [Q(0)]
+    elif series == "C":
+        diag = t + [-x for x in t]
+    else:
+        diag = t + [Q(0)] * (series == "B") + [-x for x in reversed(t)]
+    h = {(r, r): x for r, x in enumerate(diag) if x != 0}
+    tt = t + [Q(0)] if series == "A" else t
+    return h, lambda alpha: sum(c * x for c, x in zip(alpha, tt))
+
+
 def test_grading_random_cartan():
     rng = random.Random(3)
     for series, rank in (("A", 3), ("B", 3), ("C", 3), ("D", 4)):
         alg = realize_split_nilradical(series, rank)
         t = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rank)]
-        h = alg.cartan(t)
+        h, root_value = cartan_element(series, t)
         for a, x in alg.basis.items():
-            val = alg.root_value(a, t)
-            assert sparse_commutator(h, x) == combine((val, x))
+            assert sparse_commutator(h, x) == combine((root_value(a), x))
+
+
+def test_grading_rejects_a_misplaced_root_space():
+    # E_21 is disjoint from every other root space of A3, but it carries
+    # the weight e_2 - e_1, not e_1 - e_2
+    alg = realize_split_nilradical("A", 3)
+    basis = {**alg.basis, (1, -1, 0, 0): {(1, 0): 1}}
+    bad = NilpotentAlgebra("A", 3, alg.system, basis, alg.size, alg.layers)
+    with pytest.raises(AssertionError, match="grading fails at"):
+        _validate_algebra(bad)
 
 
 def test_jacobi_random_triples():
@@ -171,6 +195,22 @@ def test_shape_errors():
 
 
 OPTIMIZED_CHECKS = {
+    "grading fails at": (
+        "from stepsq.nilalg import NilpotentAlgebra, _validate_algebra, "
+        "realize_split_nilradical\n"
+        "alg = realize_split_nilradical('A', 3)\n"
+        "basis = {**alg.basis, (1, -1, 0, 0): {(1, 0): 1}}\n"
+        "_validate_algebra(NilpotentAlgebra('A', 3, alg.system, basis, "
+        "alg.size, alg.layers))"),
+    # in B2, flipping a sign of x_{e1+e2} makes [x_{e1-e2}, x_{e1+e2}] a
+    # nonzero multiple of E_{1,5}, of weight 2e_1, which is not a root
+    "should vanish": (
+        "from stepsq.nilalg import NilpotentAlgebra, _validate_algebra, "
+        "realize_split_nilradical\n"
+        "alg = realize_split_nilradical('B', 2)\n"
+        "basis = {**alg.basis, (1, 1): {(0, 3): 1, (1, 4): 1}}\n"
+        "_validate_algebra(NilpotentAlgebra('B', 2, alg.system, basis, "
+        "alg.size, alg.layers))"),
     "escapes z_2": (
         "from stepsq.nilalg import check_layers, corrupted_fixture\n"
         "check_layers(corrupted_fixture())"),
