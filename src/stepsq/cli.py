@@ -544,8 +544,9 @@ def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
     if cmd == "pfaffian":
         if args.count < 0:
             raise ValueError(f"--count must be nonnegative, got {args.count}")
-        if args.max_size < 1:
-            raise ValueError(f"--max-size must be at least 1, "
+        # the first-row expansion oracle is exponential in the size
+        if not 1 <= args.max_size <= 20:
+            raise ValueError(f"--max-size must be in [1, 20], "
                              f"got {args.max_size}")
         return pipeline_pfaffian(args.count, args.max_size, args.seed)
     if cmd == "orthogonality":

@@ -2,9 +2,13 @@
 
 A harness is a nilpotent matrix group cut from a split model of ``nilalg``,
 which it keeps in ``model``: its layers, a polarization of each symplectic
-part, and numeric exp/log coordinate maps.  Each coordinate is keyed by the
-root whose root space it spans; the basis order is, layer by layer, beta_r,
-the a-roots, then the b-roots.  Harnesses: HEIS1-3 (the top layer of A_{d+1}:
+part, and exp/log coordinate maps by terminating power series in floats.
+Each coordinate is keyed by the root whose root space it spans; the basis
+order is, layer by layer, beta_r, the a-roots, then the b-roots.  The
+root-space matrices are the model's sparse ``basis``: ``Harness.lie`` turns a
+basis-order vector into its Lie-algebra matrix and ``read_coords`` reads one
+back.  A ``GroupElement`` holds its coordinates as one float vector in the
+basis order.  Harnesses: HEIS1-3 (the top layer of A_{d+1}:
 beta = e_1 - e_{d+2}, a_i = e_1 - e_{1+i}, b_i = e_{1+i} - e_{d+2}) and the
 whole split model of any ``<series><rank>`` name, such as A1, A3, C2, B2 or
 C3.  ``leading_subgroup`` cuts the first k layers from a harness and shares
@@ -30,7 +34,7 @@ HARNESS_NAMES = ("HEIS1", "HEIS2", "HEIS3", "A3", "C2", "B2", "C3", "A1")
 
 
 def expm_nilpotent(M: np.ndarray) -> np.ndarray:
-    """Exact-series exponential of a nilpotent matrix."""
+    """Exponential of a nilpotent matrix by its terminating power series."""
     n = M.shape[0]
     out = np.eye(n)
     term = np.eye(n)
@@ -43,7 +47,7 @@ def expm_nilpotent(M: np.ndarray) -> np.ndarray:
 
 
 def logm_unipotent(M: np.ndarray) -> np.ndarray:
-    """Exact-series logarithm of a unipotent matrix."""
+    """Logarithm of a unipotent matrix by its terminating power series."""
     n = M.shape[0]
     N = M - np.eye(n)
     out = np.zeros_like(N)
@@ -63,9 +67,6 @@ class LayerDesc:
 
     r: int
     d: int
-    z: np.ndarray
-    a: Tuple[np.ndarray, ...]
-    b: Tuple[np.ndarray, ...]
     C: np.ndarray  # [a_i, b_j] = C[i, j] * z
     keys: Tuple[Vector, ...]
 
@@ -109,18 +110,12 @@ class Harness:
         return tuple(key for layer in self.layers for key in layer.keys)
 
     @property
-    def matrices(self) -> Tuple[np.ndarray, ...]:
-        """The matrix of every coordinate, in basis order."""
-        return tuple(mat for layer in self.layers
-                     for mat in (layer.z, *layer.a, *layer.b))
-
-    @property
     def starts(self) -> Tuple[int, ...]:
         """Basis position of each layer's central coordinate."""
         return tuple(itertools.accumulate(
             (1 + 2 * layer.d for layer in self.layers[:-1]), initial=0))
 
-    def part(self, coords: np.ndarray, k: int) -> "LayerCoords":
+    def part(self, coords: np.ndarray, k: int) -> Tuple[float, np.ndarray, np.ndarray]:
         """Layer k's (centre, a-part, b-part) of a basis-order vector."""
         s, d = self.starts[k], self.layers[k].d
         return coords[s], coords[s + 1:s + 1 + d], coords[s + 1 + d:s + 1 + 2 * d]
@@ -136,20 +131,24 @@ class Harness:
     @cached_property
     def _supports(self) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray,
                                  np.ndarray, np.ndarray]:
-        """Every basis matrix's nonzero entries at once: their positions,
-        their values, the coordinate each belongs to, and the mask of the
-        entries no support covers."""
-        mats = self.matrices
-        pos = [np.nonzero(mat) for mat in mats]
-        rows = np.concatenate([r for r, _ in pos])
-        cols = np.concatenate([c for _, c in pos])
-        owner = np.repeat(np.arange(len(mats)), [len(r) for r, _ in pos])
-        vals = np.concatenate([mat[r, c] for mat, (r, c) in zip(mats, pos)])
+        """Every basis matrix's entries at once, read from the model's sparse
+        root spaces: their positions, their values, the coordinate each
+        belongs to, and the mask of the entries no support covers."""
+        rows, cols, vals, owner = (np.array(column) for column in zip(*(
+            (i, j, float(v), n) for n, key in enumerate(self.keys)
+            for (i, j), v in self.model.basis[key].items())))
         uncovered = np.ones((self.size, self.size), dtype=bool)
         uncovered[rows, cols] = False
         return (rows, cols), vals, owner, uncovered
 
-    def read_coords(self, w: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+    def lie(self, coords: np.ndarray) -> np.ndarray:
+        """The Lie-algebra matrix sum_i coords[i] X_i of a basis-order vector."""
+        pos, vals, owner, _ = self._supports
+        w = np.zeros((self.size, self.size))
+        w[pos] = vals * coords[owner]
+        return w
+
+    def read_coords(self, w: np.ndarray) -> np.ndarray:
         """Coefficients of a Lie-algebra element in basis order, read off
         the disjoint supports; AssertionError outside the harness algebra."""
         pos, vals, owner, uncovered = self._supports
@@ -158,35 +157,36 @@ class Harness:
         # each ratio equals its coordinate and w vanishes off the supports
         if not np.allclose(np.concatenate([ratios, off]),
                            np.concatenate([coords[owner], np.zeros(off.shape)]),
-                           atol=atol):
+                           atol=1e-9):
             raise AssertionError("element outside the harness algebra")
         return coords
 
 
-LayerCoords = Tuple[float, np.ndarray, np.ndarray]  # (zeta, p, q)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """Layered product coordinates g = prod_r exp(zeta z) exp(p.a) exp(q.b)."""
+    """Layered product coordinates g = prod_r exp(zeta z) exp(p.a) exp(q.b),
+    held as one float vector in the harness basis order."""
 
     harness: Harness
-    coords: Tuple[LayerCoords, ...]
+    coords: np.ndarray
 
     def to_matrix(self) -> np.ndarray:
-        M = np.eye(self.harness.size)
-        for layer, (zeta, p, q) in zip(self.harness.layers, self.coords):
-            M = M @ expm_nilpotent(zeta * layer.z)
-            if layer.d:
-                M = M @ expm_nilpotent(sum(x * mat for x, mat in zip(p, layer.a)))
-                M = M @ expm_nilpotent(sum(x * mat for x, mat in zip(q, layer.b)))
+        """The product of one exponential per centre, a- and b-slice."""
+        h = self.harness
+        cuts = [s + off for s, layer in zip(h.starts, h.layers)
+                for off in (0, 1, 1 + layer.d)] + [h.dim]
+        M = np.eye(h.size)
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo < hi:
+                piece = np.zeros(h.dim)
+                piece[lo:hi] = self.coords[lo:hi]
+                M = M @ expm_nilpotent(h.lie(piece))
         return M
 
 
 def identity(h: Harness) -> GroupElement:
     """The identity element."""
-    return GroupElement(h, tuple(
-        (0.0, np.zeros(layer.d), np.zeros(layer.d)) for layer in h.layers))
+    return GroupElement(h, np.zeros(h.dim))
 
 
 def leading_subgroup(h: Harness, k: int) -> Harness:
@@ -199,39 +199,35 @@ def leading_subgroup(h: Harness, k: int) -> Harness:
 def embed_leading(h: Harness, g: GroupElement) -> GroupElement:
     """Extend an element of a leading-layer subgroup of h by identity
     coordinates on the remaining layers."""
-    extra = tuple((0.0, np.zeros(layer.d), np.zeros(layer.d))
-                  for layer in h.layers[len(g.coords):])
-    return GroupElement(h, g.coords + extra)
+    if g.harness.keys != h.keys[:len(g.harness.keys)]:
+        raise ValueError(f"{g.harness.name} is not a leading-layer subgroup "
+                         f"of {h.name}")
+    return GroupElement(h, np.concatenate([g.coords, np.zeros(h.dim - len(g.coords))]))
 
 
 def element(h: Harness, coords: Sequence[Tuple[float, Sequence[float], Sequence[float]]]) -> GroupElement:
     """Build an element from per-layer (zeta, p, q) coordinate data."""
-    out = []
-    for layer, (zeta, p, q) in zip(h.layers, coords):
-        p = np.asarray(p, dtype=float).reshape(layer.d)
-        q = np.asarray(q, dtype=float).reshape(layer.d)
-        out.append((float(zeta), p, q))
-    if len(out) != h.m:
+    if len(coords) != h.m:
         raise ValueError("coordinate data must cover every layer")
-    return GroupElement(h, tuple(out))
+    return GroupElement(h, np.concatenate([
+        np.concatenate([[float(zeta)], np.asarray(p, dtype=float).reshape(layer.d),
+                        np.asarray(q, dtype=float).reshape(layer.d)])
+        for layer, (zeta, p, q) in zip(h.layers, coords)]))
 
 
 def from_matrix(h: Harness, M: np.ndarray) -> GroupElement:
     """Invert the layered exponential coordinates by peeling layers."""
     M = np.array(M, dtype=float)
-    out: List[LayerCoords] = []
-    for k, layer in enumerate(h.layers):
-        zeta_w, p, q = h.part(h.read_coords(logm_unipotent(M)), k)
-        w1 = zeta_w * layer.z
-        if layer.d:
-            w1 = w1 + sum(x * mat for x, mat in zip(p, layer.a))
-            w1 = w1 + sum(x * mat for x, mat in zip(q, layer.b))
-        zeta = zeta_w - (0.5 * p @ layer.C @ q if layer.d else 0.0)
-        out.append((float(zeta), p, q))
-        M = expm_nilpotent(-w1) @ M
+    coords = np.zeros(h.dim)
+    for k, (s, layer) in enumerate(zip(h.starts, h.layers)):
+        span, w = slice(s, s + 1 + 2 * layer.d), np.zeros(h.dim)
+        w[span] = coords[span] = h.read_coords(logm_unipotent(M))[span]
+        _, p, q = h.part(w, k)
+        coords[s] -= 0.5 * p @ layer.C @ q
+        M = expm_nilpotent(-h.lie(w)) @ M
     if not np.allclose(M, np.eye(h.size), atol=1e-8):
         raise AssertionError("peeling left a residual")
-    return GroupElement(h, tuple(out))
+    return GroupElement(h, coords)
 
 
 def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -248,12 +244,7 @@ def inverse(g: GroupElement) -> GroupElement:
 
 def random_element(h: Harness, rng: np.random.Generator, scale: float = 1.0) -> GroupElement:
     """Random element with coordinates uniform in [-scale, scale]."""
-    coords = []
-    for layer in h.layers:
-        coords.append((float(rng.uniform(-scale, scale)),
-                       rng.uniform(-scale, scale, layer.d),
-                       rng.uniform(-scale, scale, layer.d)))
-    return GroupElement(h, tuple(coords))
+    return GroupElement(h, rng.uniform(-scale, scale, h.dim))
 
 
 def _heisenberg_harness(d: int) -> Harness:
@@ -266,18 +257,7 @@ def _heisenberg_harness(d: int) -> Harness:
              + [(1 + i, n) for i in range(1, d + 1)])
     keys = tuple(tuple((k == i) - (k == j) for k in range(1, n + 1))
                  for i, j in pairs)
-    mats = [_dense(alg, key) for key in keys]
-    layer = LayerDesc(1, d, mats[0], tuple(mats[1:d + 1]), tuple(mats[d + 1:]),
-                      np.eye(d), keys)
-    return Harness(f"HEIS{d}", (layer,), alg)
-
-
-def _dense(alg: NilpotentAlgebra, root: Vector) -> np.ndarray:
-    """Float matrix of the sparse root-space map of root."""
-    M = np.zeros((alg.size, alg.size))
-    for (i, j), v in alg.basis[root].items():
-        M[i, j] = v
-    return M
+    return Harness(f"HEIS{d}", (LayerDesc(1, d, np.eye(d), keys),), alg)
 
 
 def _algebra_harness(alg: NilpotentAlgebra, name: str) -> Harness:
@@ -300,10 +280,8 @@ def _algebra_harness(alg: NilpotentAlgebra, name: str) -> Harness:
             alg, replace(layer, members=keys[1:]), Q(1))[:d]]
         if determinant(C) == 0:
             raise AssertionError("polarization pairing must be nondegenerate")
-        mats = [_dense(alg, key) for key in keys]
-        descs.append(LayerDesc(layer.r, d, mats[0], tuple(mats[1:d + 1]),
-                               tuple(mats[d + 1:]),
-                               np.array(C, dtype=float).reshape(d, d), keys))
+        descs.append(LayerDesc(layer.r, d, np.array(C, dtype=float).reshape(d, d),
+                               keys))
     return Harness(name, tuple(descs), alg)
 
 
@@ -339,13 +317,13 @@ def adjoint_action_on_top(h: Harness, g_mat: np.ndarray) -> Tuple[np.ndarray, np
     Raises AssertionError unless the image stays inside the top layer and
     the b-block preserves Lebesgue measure.
     """
-    top = h.top
+    d, b0 = h.top.d, h.starts[-1] + 1 + h.top.d
     g_inv = np.linalg.inv(g_mat)
-    zvec = np.zeros(top.d)
-    A = np.zeros((top.d, top.d))
-    B = np.zeros((top.d, top.d))
-    for j in range(top.d):
-        coords = h.read_coords(g_inv @ top.b[j] @ g_mat)
+    zvec = np.zeros(d)
+    A = np.zeros((d, d))
+    B = np.zeros((d, d))
+    for j in range(d):
+        coords = h.read_coords(g_inv @ h.lie(np.eye(h.dim)[b0 + j]) @ g_mat)
         coords[np.abs(coords) < 1e-12] = 0.0
         if coords[:h.starts[-1]].any():
             raise AssertionError("adjoint image must stay in the top layer")

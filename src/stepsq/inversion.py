@@ -94,7 +94,7 @@ class TestFunction:
         gm = g.to_matrix()
         gi = np.linalg.inv(gm)
         # Ad(g) in the coordinate basis
-        ad = np.array([h.read_coords(gm @ mat @ gi) for mat in h.matrices]).T
+        ad = np.array([h.read_coords(gm @ h.lie(e) @ gi) for e in np.eye(h.dim)]).T
         if not abs(abs(np.linalg.det(ad)) - 1.0) < 1e-9:
             raise AssertionError("conjugation must preserve Lebesgue measure")
         terms = []
@@ -180,10 +180,9 @@ def _slice_quadratic(f: TestFunction, x: GroupElement) -> List[Tuple[np.ndarray,
     x_mat = x.to_matrix()
 
     def xi(s: np.ndarray) -> np.ndarray:
-        w = np.zeros((h.size, h.size))
-        for r, layer in enumerate(h.layers):
-            w = w + s[r] * layer.z
-        return h.read_coords(logm_unipotent(expm_nilpotent(w) @ x_mat))
+        centre = np.zeros(h.dim)
+        centre[list(h.starts)] = s
+        return h.read_coords(logm_unipotent(expm_nilpotent(h.lie(centre)) @ x_mat))
 
     b = xi(np.zeros(m))
     A = np.zeros((h.dim, m))
@@ -334,7 +333,6 @@ def restrict_test_function(f_big: TestFunction, small: Harness) -> TestFunction:
 
 def limit_inversion_check(f_big: TestFunction, f_small: TestFunction,
                           x_small: GroupElement, tolerance: float = 1e-3,
-                          probe: Sequence[float] = (-1.5, -0.5, 0.0, 0.5, 1.5),
                           ) -> LimitInversionReport:
     """Verify both stages of a restriction chain reconstruct f at x.
 
@@ -343,10 +341,11 @@ def limit_inversion_check(f_big: TestFunction, f_small: TestFunction,
     flagged instead of silently inverted.
     """
     big, small = f_big.harness, f_small.harness
+    probe = np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
     gap = 0.0
     for vals in np.ndindex(*([len(probe)] * small.m)):
-        coords_small = tuple((probe[v], np.zeros(layer.d), np.zeros(layer.d))
-                             for v, layer in zip(vals, small.layers))
+        coords_small = np.zeros(small.dim)
+        coords_small[list(small.starts)] = probe[list(vals)]
         g_small = GroupElement(small, coords_small)
         gap = max(gap, abs(f_small.value(g_small)
                            - f_big.value(embed_leading(big, g_small))))

@@ -80,28 +80,32 @@ class RepInstance:
         return out.modulate(freq, 2j * np.pi * lam * zeta)
 
     def _apply_earlier(self, layer_index: int, zeta: float, state: State) -> State:
-        layer = self.harness.layers[layer_index]
+        h = self.harness
+        layer = h.layers[layer_index]
         if layer.d != 0:
             raise AssertionError("earlier layers of the supported harnesses are lines")
         if not isinstance(state, GaussianState):
             raise ValueError("grid states need a single-layer harness")
         lam = self.lam
-        L = expm_nilpotent(zeta * layer.z)
-        zvec, A, B = adjoint_action_on_top(self.harness, L)
+        piece = np.zeros(h.dim)
+        piece[h.starts[layer_index]] = zeta
+        zvec, A, B = adjoint_action_on_top(h, expm_nilpotent(h.lie(piece)))
         out = state.substitute(B)
-        out = out.quadratic_phase(-np.pi * lam * (A.T @ self.harness.top.C @ B),
+        out = out.quadratic_phase(-np.pi * lam * (A.T @ h.top.C @ B),
                                   2.0 * np.pi * lam * zvec, 0.0)
         lam_r = self.gamma_dict.get(layer.r, 0.0)
         return out.modulate(np.zeros(self.D), 2j * np.pi * lam_r * zeta)
 
     def apply(self, g: GroupElement, state: State) -> State:
         """pi(g) applied to a Gaussian or grid state vector."""
-        if len(g.coords) != self.harness.m:
-            raise ValueError("element/representation mismatch")
+        h = self.harness
+        if g.harness.keys != h.keys:
+            raise ValueError(f"an element of {g.harness.name} does not act "
+                             f"in a representation of {h.name}")
         out = state
-        for idx in range(self.harness.m - 1, -1, -1):
-            zeta, p, q = g.coords[idx]
-            if idx == self.harness.m - 1:
+        for idx in range(h.m - 1, -1, -1):
+            zeta, p, q = h.part(g.coords, idx)
+            if idx == h.m - 1:
                 out = self._apply_top(zeta, p, q, out)
             else:
                 out = self._apply_earlier(idx, zeta, out)
@@ -160,14 +164,13 @@ def validation_grid(rep: RepInstance) -> Grid:
 
 
 def check_invariants(rep: RepInstance, rng: np.random.Generator,
-                     trials: int = 5, scale: float = _CHECK_SCALE,
-                     grid: Optional[Grid] = None) -> Dict[str, float]:
+                     trials: int = 5, grid: Optional[Grid] = None) -> Dict[str, float]:
     """Max unitarity and homomorphism deviations over random samples,
     on grid states when a grid is given."""
     uni = hom = 0.0
     for _ in range(trials):
-        g1 = random_element(rep.harness, rng, scale)
-        g2 = random_element(rep.harness, rng, scale)
+        g1 = random_element(rep.harness, rng, _CHECK_SCALE)
+        g2 = random_element(rep.harness, rng, _CHECK_SCALE)
         v = rep.random_state(rng, grid)
         nv = math.sqrt(v.norm_sq())
         pv = rep.apply(g1, v)
@@ -372,7 +375,6 @@ class RestrictionReport:
 def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
                              u: State, v: State, x: State,
                              y: Optional[State] = None,
-                             zeta_probe: Sequence[float] = (0.5, 1.0, 2.0),
                              ) -> Tuple[RestrictionReport, float]:
     """Compare the big-group coefficient of u (x) x, v (x) y with the small one.
 
@@ -421,10 +423,10 @@ def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
 
     # diagnostic: drift of the identity along the small central directions
     dev = 0.0
-    for zeta in zeta_probe:
+    for zeta in (0.5, 1.0, 2.0):
         for sgn in (1.0, -1.0):
-            coords = tuple((sgn * float(zeta), np.zeros(layer.d), np.zeros(layer.d))
-                           for layer in hs.layers)
+            coords = np.zeros(hs.dim)
+            coords[list(hs.starts)] = sgn * zeta
             g = GroupElement(hs, coords)
             dev = max(dev, abs(f_big(g) - inner_xy * f_small(g)))
 

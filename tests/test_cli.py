@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -115,6 +114,7 @@ def test_grid_lambda_beyond_the_grid_cap_exits_2(tmp_path, capsys):
     ["limit-check", "--zeta", "nan"],
     ["pfaffian", "--count", "-1"],
     ["pfaffian", "--max-size", "0"],
+    ["pfaffian", "--max-size", "21"],
 ])
 def test_bad_numeric_inputs_exit_2(tmp_path, capsys, argv):
     out = str(tmp_path / "r.json")
@@ -325,28 +325,21 @@ def test_timing_flag_populates_field(tmp_path):
     assert isinstance(read(out)["timing_s"], float)
 
 
-def _rescaled_top(h):
-    """The same group with its top pairing doubled and its top centre halved,
-    so that [a_i, b_j] = C[i, j] z still holds."""
-    top = replace(h.top, z=h.top.z / 2, C=2 * h.top.C)
-    return replace(h, layers=h.layers[:-1] + (top,))
-
-
-@pytest.mark.parametrize("builder,argv", [
-    ("_heisenberg_harness", ["--harness", "HEIS1", "--lambda", "2"]),
-    ("_algebra_harness", ["--harness", "A3", "--lambda", "1", "--lambda", "3/2"]),
+@pytest.mark.parametrize("argv", [
+    ["--harness", "HEIS1", "--lambda", "2"],
+    ["--harness", "A3", "--lambda", "1", "--lambda", "3/2"],
 ], ids=["HEIS1", "A3"])
-def test_density_abs_comes_from_the_exact_layer(tmp_path, monkeypatch,
-                                                builder, argv):
-    # the harness stays a valid group with a valid representation, but its
-    # pairing no longer matches the model; the prediction must notice
-    real = getattr(harness, builder)
-    monkeypatch.setattr(harness, builder, lambda *a: _rescaled_top(real(*a)))
+def test_density_abs_comes_from_the_exact_layer(tmp_path, monkeypatch, argv):
+    # the float |Pf| of the harness pairings is doubled; the density row
+    # must notice, while the coefficient norm reads neither it nor the pairing
+    real = harness.Harness.pf_abs
+    monkeypatch.setattr(harness.Harness, "pf_abs",
+                        lambda self, gamma: 2 * real(self, gamma))
     out = str(tmp_path / "o.json")
     assert run(["orthogonality", *argv, "--out", out]) == 1
     rows = {row["name"]: row for row in read(out)["rows"]}
     assert rows["density_abs"]["pass"] is False
-    assert rows["normalized_ratio"]["pass"] is True
+    assert rows["coefficient_norm"]["pass"] is True
 
 
 def test_missing_report_directory_exits_2_before_computing(tmp_path, capsys,

@@ -10,6 +10,7 @@ from stepsq.harness import (
     adjoint_action_on_top,
     build_harness,
     element,
+    embed_leading,
     exact_density,
     expm_nilpotent,
     from_matrix,
@@ -40,9 +41,8 @@ def test_coordinate_round_trip(name):
     for _ in range(10):
         g = random_element(h, rng, 2.0)
         back = from_matrix(h, g.to_matrix())
-        for (z1, p1, q1), (z2, p2, q2) in zip(g.coords, back.coords):
-            assert abs(z1 - z2) < 1e-9
-            assert np.allclose(p1, p2) and np.allclose(q1, q2)
+        assert back.coords.shape == (h.dim,)
+        assert np.allclose(back.coords, g.coords, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", HARNESS_NAMES)
@@ -66,7 +66,7 @@ def test_heisenberg_central_commutator():
     ga = element(h, [(0.0, p, np.zeros(2))])
     gb = element(h, [(0.0, np.zeros(2), q)])
     comm = multiply(multiply(ga, gb), multiply(inverse(ga), inverse(gb)))
-    zeta, pp, qq = comm.coords[0]
+    zeta, pp, qq = h.part(comm.coords, 0)
     assert abs(zeta - p @ q) < 1e-12
     assert np.allclose(pp, 0) and np.allclose(qq, 0)
 
@@ -90,8 +90,11 @@ def test_pairing_matrices():
 def test_a_side_is_lexicographically_greater():
     h = build_harness("A3")
     # a-directions sit strictly above the b-directions in the matrix model
-    a_positions = sorted(tuple(np.argwhere(m)[0]) for m in h.top.a)
-    b_positions = sorted(tuple(np.argwhere(m)[0]) for m in h.top.b)
+    d = h.top.d
+    a_positions = sorted(pos for key in h.top.keys[1:1 + d]
+                         for pos in h.model.basis[key])
+    b_positions = sorted(pos for key in h.top.keys[1 + d:]
+                         for pos in h.model.basis[key])
     assert a_positions == [(0, 1), (0, 2)]
     assert b_positions == [(1, 3), (2, 3)]
 
@@ -145,9 +148,9 @@ def test_read_coords_rejects_a_broken_support_or_an_entry_off_all():
     # B2's basis matrices each span two signed entries
     h = build_harness("B2")
     c = np.arange(1.0, h.dim + 1)
-    w = sum(x * mat for x, mat in zip(c, h.matrices))
+    w = h.lie(c)
     assert np.array_equal(h.read_coords(w), c)
-    rows, cols = np.nonzero(h.matrices[-1])
+    rows, cols = np.nonzero(h.lie(np.eye(h.dim)[-1]))
     skewed = w.copy()
     skewed[rows[0], cols[0]] *= 1.5  # the two ratios of one support disagree
     off = w.copy()
@@ -175,14 +178,12 @@ def test_matrices_are_the_model_root_spaces(name):
     h = build_harness(name)
     assert (h.series, h.rank) == MODELS[name]
     alg = realize_split_nilradical(h.series, h.rank)
-    assert len(h.keys) == len(set(h.keys)) == len(h.matrices) == h.dim
-    for key, mat in zip(h.keys, h.matrices):
+    assert len(h.keys) == len(set(h.keys)) == h.dim
+    for key, e in zip(h.keys, np.eye(h.dim)):
         dense = np.zeros((alg.size, alg.size))
         for (i, j), v in alg.basis[key].items():
             dense[i, j] = v
-        assert np.array_equal(mat, dense), (name, key)
-    for layer in h.layers:
-        assert np.array_equal(layer.z, h.matrices[h.keys.index(layer.keys[0])])
+        assert np.array_equal(h.lie(e), dense), (name, key)
 
 
 def test_heisenberg_keys_in_heisenberg_order():
@@ -207,9 +208,42 @@ def test_orbit_density_matches_the_exact_layer(name):
 def test_read_coords_in_basis_order():
     h = build_harness("C2")
     c = np.arange(1.0, h.dim + 1)
-    w = sum(x * mat for x, mat in zip(c, h.matrices))
-    assert np.array_equal(h.read_coords(w), c)
+    assert np.array_equal(h.read_coords(h.lie(c)), c)
     # C2: a line layer, then beta_2 with one a- and one b-root
     assert h.starts == (0, 1)
     zeta, p, q = h.part(c, 1)
     assert (zeta, list(p), list(q)) == (2.0, [3.0], [4.0])
+
+
+@pytest.mark.parametrize("name", HARNESS_NAMES)
+def test_random_element_draws_the_per_layer_stream(name):
+    # one draw of h.dim values gives the numbers of per-layer draws of
+    # 1, d and d values from the same seed: the stream of every numeric report
+    h = build_harness(name)
+    for seed in (0, 7):
+        g = random_element(h, np.random.default_rng(seed), 1.5)
+        rng = np.random.default_rng(seed)
+        per_layer = np.concatenate([np.concatenate(
+            [[rng.uniform(-1.5, 1.5)], rng.uniform(-1.5, 1.5, layer.d),
+             rng.uniform(-1.5, 1.5, layer.d)]) for layer in h.layers])
+        assert g.coords.shape == (h.dim,)
+        assert np.array_equal(g.coords, per_layer)
+
+
+def test_element_coords_are_one_basis_order_vector():
+    h = build_harness("C2")
+    g = element(h, [(0.5, [], []), (1.0, [2.0], [3.0])])
+    assert np.array_equal(g.coords, [0.5, 1.0, 2.0, 3.0])
+    assert np.array_equal(identity(h).coords, np.zeros(h.dim))
+    with pytest.raises(ValueError):
+        element(h, [(0.5, [], [])])
+
+
+def test_embed_leading_pads_its_own_subgroup_and_rejects_others():
+    big = build_harness("A3")
+    g = element(leading_subgroup(big, 1), [(0.6, [], [])])
+    assert np.array_equal(embed_leading(big, g).coords,
+                          [0.6, 0.0, 0.0, 0.0, 0.0, 0.0])
+    foreign = element(leading_subgroup(build_harness("C2"), 1), [(0.6, [], [])])
+    with pytest.raises(ValueError, match="not a leading-layer subgroup"):
+        embed_leading(big, foreign)

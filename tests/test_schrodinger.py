@@ -129,6 +129,15 @@ def test_stepwise_restricted_to_top_layer_matches_layer_rep():
     assert abs(np.exp(a.k - b.k) - 1.0) < 1e-12
 
 
+def test_apply_rejects_an_element_of_another_harness():
+    # B2 and C2 have the same layer shapes; C2's elements must not act on B2
+    rep = stepwise_rep("B2", {1: 2.0, 2: 0.5})
+    g = element(build_harness("C2"), [(0.3, [], []), (0.2, [0.1], [0.4])])
+    v = GaussianState.packet(1, [0.0], [0.0])
+    with pytest.raises(ValueError, match="does not act"):
+        rep.apply(g, v)
+
+
 # ---------- coefficients ----------
 
 def test_coefficient_at_identity_and_bound():
