@@ -82,7 +82,8 @@ def make_row(name: str, predicted, measured, tolerance: float,
     """One report row comparing a prediction against a measurement.
 
     Exact rationals are rendered as "p/q" strings; tolerance 0 requires
-    exact equality of the rendered values.
+    exact equality of the rendered values.  ``rel_err`` is None when the
+    prediction is 0, where no relative error is defined.
     """
     def render(x):
         if isinstance(x, Q):
@@ -103,7 +104,7 @@ def make_row(name: str, predicted, measured, tolerance: float,
     pn, mn = numeric(predicted), numeric(measured)
     if pn is not None and mn is not None:
         abs_err = abs(pn - mn)
-        rel_err = abs_err / max(abs(pn), 1e-300)
+        rel_err = abs_err / abs(pn) if pn else None
         ok = (predicted == measured) if tolerance == 0 else (abs_err <= tolerance)
     else:
         abs_err = rel_err = None
@@ -222,22 +223,37 @@ def pipeline_axioms(series: str, rank: int,
     return {"series": series, "rank": rank, "corrupted": corrupted}, rows
 
 
-def _random_skew(rng: np.random.Generator, n: int) -> List[List[Q]]:
+def _random_skew(rng: np.random.Generator, n: int, low: np.ndarray,
+                 high: np.ndarray, table: List[Tuple[Q, Q]]) -> List[List[Q]]:
+    """Skew matrix of size n whose (i, j) entry, i < j, is p/q with p
+    uniform in [-9, 9] and q in [1, 9], in row order.
+
+    One bounded draw over the alternating bounds low = [-9, 1, ...] and
+    high = [10, 10, ...] takes the same stream as a scalar draw of p and
+    then of q for each entry, so the matrices do not depend on how the
+    draws are batched.  ``table[9 * (p + 9) + q - 1]`` is (p/q, -p/q).
+    """
+    k = n * (n - 1)
+    draws = rng.integers(low[:k], high[:k])
+    pairs = iter((9 * draws[0::2] + draws[1::2] + 80).tolist())
     m = [[Q(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = Q(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
-            m[i][j], m[j][i] = v, -v
+            m[i][j], m[j][i] = table[next(pairs)]
     return m
 
 
 def pipeline_pfaffian(count: int, max_size: int,
                       seed: int) -> Tuple[dict, List[dict]]:
     rng = np.random.default_rng(seed)
+    k = max_size * (max_size - 1)
+    low, high = np.tile([-9, 1], k // 2), np.full(k, 10)
+    table = [(v, -v) for p in range(-9, 10) for q in range(1, 10)
+             for v in (Q(p, q),)]
     ok = 0
     for _ in range(count):
         n = int(rng.integers(1, max_size + 1))
-        m = _random_skew(rng, n)
+        m = _random_skew(rng, n, low, high, table)
         pf = pfaffian(m)  # raises unless Pf^2 = det for even n
         if n % 2 == 0:
             ok += pf == pfaffian_expansion(m)

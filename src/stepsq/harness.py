@@ -232,8 +232,9 @@ def from_matrix(h: Harness, M: np.ndarray) -> GroupElement:
 
 def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group multiplication via the matrix model."""
-    if g1.harness is not g2.harness:
-        raise ValueError("the factors belong to different harnesses")
+    if g1.harness.keys != g2.harness.keys:
+        raise ValueError(f"an element of {g1.harness.name} and one of "
+                         f"{g2.harness.name} do not multiply")
     return from_matrix(g1.harness, g1.to_matrix() @ g2.to_matrix())
 
 

@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import stepsq
@@ -280,6 +282,22 @@ def test_module_entry_point(tmp_path):
     assert doc["command"] == "roots" and doc["passed"] is True
 
 
+def test_package_entry_point(tmp_path):
+    out = tmp_path / "r.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepsq", "roots", "--series", "A", "--n", "3",
+         "--out", str(out)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = read(out)
+    assert doc["command"] == "roots" and doc["inputs"]["rank"] == 3
+    proc = subprocess.run([sys.executable, "-m", "stepsq"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+
+
 def test_cli_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
     proc = subprocess.run(
@@ -297,6 +315,24 @@ def test_make_row_exact_and_tolerant():
     assert not row["pass"]
     row = make_row("x", ["1/1"], ["1/1"], 0, "p")
     assert row["pass"] and row["abs_err"] is None
+    row = make_row("x", 0.0, 3e-16, 1e-6, "p")
+    assert row["pass"] and row["abs_err"] == 3e-16 and row["rel_err"] is None
+
+
+def test_all_report_has_no_huge_numbers(tmp_path):
+    # a relative error against a zero prediction used to divide by 1e-300
+    out = str(tmp_path / "all.json")
+    assert run(["all", "--seed", "7", "--out", out]) == 0
+
+    def numbers(x):
+        if isinstance(x, dict):
+            x = list(x.values())
+        if isinstance(x, list):
+            return [y for v in x for y in numbers(v)]
+        return [x] if isinstance(x, (int, float)) and not isinstance(x, bool) else []
+
+    found = numbers(read(out))
+    assert found and max(abs(x) for x in found) <= 1e30
 
 
 def test_failing_row_exits_1(tmp_path, monkeypatch):
@@ -376,3 +412,40 @@ def test_pfaffian_row_catches_a_sign_error(tmp_path, monkeypatch):
     row = read(out)["rows"][0]
     assert row["name"] == "pf_matches_expansion" and row["pass"] is False
     assert 0 < row["measured"] < row["predicted"] == 20
+
+
+def _scalar_skew(rng, n):
+    """The per-entry builder: a scalar draw of p, then of q, per entry."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+            m[i][j], m[j][i] = v, -v
+    return m
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 10, 20])
+@pytest.mark.parametrize("seed", [1, 7, 20240801])
+def test_pfaffian_inputs_keep_the_scalar_draw_order(monkeypatch, seed,
+                                                    max_size):
+    # the report only counts matches, so compare the matrices themselves
+    drawn, real = [], cli._random_skew
+
+    def record(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "_random_skew", record)
+    cli.pipeline_pfaffian(40, max_size, seed)
+    rng = np.random.default_rng(seed)
+    for m in drawn:
+        n = int(rng.integers(1, max_size + 1))
+        assert m == _scalar_skew(rng, n)
+    assert len(drawn) == 40
+
+
+def test_pfaffian_at_the_largest_size(tmp_path):
+    out = str(tmp_path / "p.json")
+    assert run(["pfaffian", "--max-size", "20", "--count", "50",
+                "--out", out]) == 0
+    assert read(out)["rows"][0]["measured"] == 50

@@ -247,3 +247,16 @@ def test_embed_leading_pads_its_own_subgroup_and_rejects_others():
     foreign = element(leading_subgroup(build_harness("C2"), 1), [(0.6, [], [])])
     with pytest.raises(ValueError, match="not a leading-layer subgroup"):
         embed_leading(big, foreign)
+
+
+def test_multiply_compares_factors_by_root_keys():
+    rng = np.random.default_rng(5)
+    g1 = random_element(build_harness("A3"), rng)
+    g2 = random_element(build_harness("A3"), rng)
+    assert g1.harness is not g2.harness
+    assert np.allclose(multiply(g1, g2).to_matrix(),
+                       g1.to_matrix() @ g2.to_matrix())
+    with pytest.raises(ValueError, match="do not multiply"):
+        multiply(g1, random_element(build_harness("C2"), rng))
+    with pytest.raises(ValueError, match="do not multiply"):
+        multiply(g1, random_element(leading_subgroup(g1.harness, 1), rng))
