@@ -1,19 +1,22 @@
 """Desk-scale matrix harness groups with layered exponential coordinates.
 
 A harness is a nilpotent matrix group cut from a split model of ``nilalg``,
-which it keeps in ``model``: its layers, a polarization of each symplectic
-part, and exp/log coordinate maps by terminating power series in floats.
-Each coordinate is keyed by the root whose root space it spans; the basis
-order is, layer by layer, beta_r, the a-roots, then the b-roots.  The
-root-space matrices are the model's sparse ``basis``: ``Harness.lie`` turns a
-basis-order vector into its Lie-algebra matrix and ``read_coords`` reads one
-back.  A ``GroupElement`` holds its coordinates as one float vector in the
-basis order.  Harnesses: HEIS1-3 (the top layer of A_{d+1}:
-beta = e_1 - e_{d+2}, a_i = e_1 - e_{1+i}, b_i = e_{1+i} - e_{d+2}) and the
-whole split model of any ``<series><rank>`` name, such as A1, A3, C2, B2 or
-C3.  ``leading_subgroup`` cuts the first k layers from a harness and shares
-its model.  ``exact_density`` takes |Pf| from the model layers the keys name;
-it predicts the ``orthogonality`` row density_abs.
+which it keeps in ``model``, with its layers and a polarization of each
+symplectic part.  It is the only module that turns coordinates into group
+matrices and back.  Each coordinate is keyed by the root whose root space it
+spans; the basis order is, layer by layer, beta_r, the a-roots, then the
+b-roots.  The root-space matrices are the model's sparse ``basis``:
+``Harness.lie`` turns a basis-order vector into its Lie-algebra matrix,
+``exp`` into its group matrix, and ``log`` reads a unipotent matrix back, by
+terminating power series in floats.  ``adjoint`` is Ad of an element on the
+basis, read from the model's bracket table, as is each layer's pairing C.
+A ``GroupElement`` holds its coordinates as one float vector in the basis
+order.  Harnesses: HEIS1-3 (the top layer of A_{d+1}: beta = e_1 - e_{d+2},
+a_i = e_1 - e_{1+i}, b_i = e_{1+i} - e_{d+2}) and the whole split model of
+any ``<series><rank>`` name, such as A1, A3, C2, B2 or C3.
+``leading_subgroup`` cuts the first k layers from a harness and shares its
+model.  ``exact_density`` takes |Pf| from the model layers the keys name; it
+predicts the ``orthogonality`` row density_abs.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction as Q
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from .nilalg import NilpotentAlgebra, realize_split_nilradical
-from .plancherel import b_lambda_matrix, determinant, plancherel_density
+from .plancherel import determinant, plancherel_density
 from .rootsys import SERIES, Vector, vsub
 
 HARNESS_NAMES = ("HEIS1", "HEIS2", "HEIS3", "A3", "C2", "B2", "C3", "A1")
@@ -43,20 +46,6 @@ def expm_nilpotent(M: np.ndarray) -> np.ndarray:
         if not term.any():
             break
         out = out + term
-    return out
-
-
-def logm_unipotent(M: np.ndarray) -> np.ndarray:
-    """Logarithm of a unipotent matrix by its terminating power series."""
-    n = M.shape[0]
-    N = M - np.eye(n)
-    out = np.zeros_like(N)
-    term = np.eye(n)
-    for k in range(1, n + 1):
-        term = term @ N
-        if not np.abs(term).max() > 0:
-            break
-        out = out + ((-1) ** (k + 1)) * term / k
     return out
 
 
@@ -148,18 +137,74 @@ class Harness:
         w[pos] = vals * coords[owner]
         return w
 
-    def read_coords(self, w: np.ndarray) -> np.ndarray:
-        """Coefficients of a Lie-algebra element in basis order, read off
-        the disjoint supports; AssertionError outside the harness algebra."""
+    def log(self, M: np.ndarray) -> np.ndarray:
+        """Basis-order coordinates of the logarithm of a unipotent matrix, by
+        its terminating power series, read off the disjoint supports;
+        AssertionError outside the harness group."""
+        N = M - np.eye(self.size)
+        w, term = np.zeros_like(N), np.eye(self.size)
+        for k in range(1, self.size + 1):
+            term = term @ N
+            if not np.abs(term).max() > 0:
+                break
+            w = w + ((-1) ** (k + 1)) * term / k
         pos, vals, owner, uncovered = self._supports
         ratios, off = w[pos] / vals, w[uncovered]
-        coords = np.bincount(owner, ratios.real) / np.bincount(owner)
+        coords = np.bincount(owner, ratios) / np.bincount(owner)
         # each ratio equals its coordinate and w vanishes off the supports
         if not np.allclose(np.concatenate([ratios, off]),
                            np.concatenate([coords[owner], np.zeros(off.shape)]),
                            atol=1e-9):
             raise AssertionError("element outside the harness algebra")
         return coords
+
+    def exp(self, coords: np.ndarray) -> np.ndarray:
+        """The group matrix exp(sum_i coords[i] X_i) of a basis-order vector."""
+        return expm_nilpotent(self.lie(coords))
+
+    @cached_property
+    def _structure(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The model's brackets among the harness coordinates as sparse
+        arrays (i, j, k, v) with [X_i, X_j] = v X_k; AssertionError for a
+        bracket that leaves the harness algebra."""
+        index = {key: n for n, key in enumerate(self.keys)}
+        table = np.array([
+            (i, j, index.get(c, -1), v)
+            for (i, a), (j, b) in itertools.product(enumerate(self.keys), repeat=2)
+            for c, v in (self.model.brackets[(a, b)] or {}).items()],
+            dtype=float).reshape(-1, 4)
+        if (table[:, 2] < 0).any():
+            raise AssertionError("bracket outside the harness algebra")
+        i, j, k = table[:, :3].T.astype(int)
+        return i, j, k, table[:, 3]
+
+    def _layered(self, coords: np.ndarray,
+                 factor: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+        """The product of the n x n matrices factor(Y) over the factors Y of
+        the layered product: one basis-order vector per centre, a- and
+        b-slice of coords, in product order."""
+        cuts = [s + off for s, layer in zip(self.starts, self.layers)
+                for off in (0, 1, 1 + layer.d)] + [self.dim]
+        out = np.eye(n)
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo < hi:
+                piece = np.zeros(self.dim)
+                piece[lo:hi] = coords[lo:hi]
+                out = out @ factor(piece)
+        return out
+
+    def adjoint(self, coords: np.ndarray) -> np.ndarray:
+        """Ad of the element with layered coordinates coords on the basis:
+        the product of exp(ad Y) over its factors Y, with column j of ad Y
+        the coordinates of [Y, X_j], read from the model's bracket table."""
+        i, j, k, v = self._structure
+
+        def exp_ad(piece: np.ndarray) -> np.ndarray:
+            ad = np.zeros((self.dim, self.dim))
+            ad[k, j] = piece[i] * v  # (k, j) fixes i: the roots are distinct
+            return expm_nilpotent(ad)
+
+        return self._layered(coords, exp_ad, self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,15 +218,7 @@ class GroupElement:
     def to_matrix(self) -> np.ndarray:
         """The product of one exponential per centre, a- and b-slice."""
         h = self.harness
-        cuts = [s + off for s, layer in zip(h.starts, h.layers)
-                for off in (0, 1, 1 + layer.d)] + [h.dim]
-        M = np.eye(h.size)
-        for lo, hi in zip(cuts, cuts[1:]):
-            if lo < hi:
-                piece = np.zeros(h.dim)
-                piece[lo:hi] = self.coords[lo:hi]
-                M = M @ expm_nilpotent(h.lie(piece))
-        return M
+        return h._layered(self.coords, h.exp, h.size)
 
 
 def identity(h: Harness) -> GroupElement:
@@ -221,10 +258,10 @@ def from_matrix(h: Harness, M: np.ndarray) -> GroupElement:
     coords = np.zeros(h.dim)
     for k, (s, layer) in enumerate(zip(h.starts, h.layers)):
         span, w = slice(s, s + 1 + 2 * layer.d), np.zeros(h.dim)
-        w[span] = coords[span] = h.read_coords(logm_unipotent(M))[span]
+        w[span] = coords[span] = h.log(M)[span]
         _, p, q = h.part(w, k)
         coords[s] -= 0.5 * p @ layer.C @ q
-        M = expm_nilpotent(-h.lie(w)) @ M
+        M = h.exp(-w) @ M
     if not np.allclose(M, np.eye(h.size), atol=1e-8):
         raise AssertionError("peeling left a residual")
     return GroupElement(h, coords)
@@ -248,6 +285,18 @@ def random_element(h: Harness, rng: np.random.Generator, scale: float = 1.0) -> 
     return GroupElement(h, rng.uniform(-scale, scale, h.dim))
 
 
+def _layer_desc(alg: NilpotentAlgebra, r: int, keys: Tuple[Vector, ...]) -> LayerDesc:
+    """Layer r with coordinates keyed (beta, a-roots, b-roots); its pairing
+    C[i, j] is the beta-coefficient of [a_i, b_j] in the model's bracket
+    table, checked nondegenerate exactly."""
+    d = len(keys) // 2
+    C = [[(alg.brackets[(a, b)] or {}).get(keys[0], 0) for b in keys[1 + d:]]
+         for a in keys[1:1 + d]]
+    if determinant(C) == 0:
+        raise AssertionError("polarization pairing must be nondegenerate")
+    return LayerDesc(r, d, np.array(C, dtype=float).reshape(d, d), keys)
+
+
 def _heisenberg_harness(d: int) -> Harness:
     """Generalized Heisenberg group of dimension 2d + 1: the top layer of
     A_{d+1}, with its roots in Heisenberg order."""
@@ -258,31 +307,21 @@ def _heisenberg_harness(d: int) -> Harness:
              + [(1 + i, n) for i in range(1, d + 1)])
     keys = tuple(tuple((k == i) - (k == j) for k in range(1, n + 1))
                  for i, j in pairs)
-    return Harness(f"HEIS{d}", (LayerDesc(1, d, np.eye(d), keys),), alg)
+    return Harness(f"HEIS{d}", (_layer_desc(alg, 1, keys),), alg)
 
 
 def _algebra_harness(alg: NilpotentAlgebra, name: str) -> Harness:
     """Layered harness of the whole split model: each symplectic root
     alpha pairs with beta_r - alpha, the greater one being the a-root."""
-    descs: List[LayerDesc] = []
+    descs = []
     for layer in alg.layers:
-        a_roots: List[Vector] = []
-        b_roots: List[Vector] = []
-        for alpha in sorted(layer.members, reverse=True):
-            partner = vsub(layer.beta, alpha)
-            if partner == alpha or partner not in layer.members:
-                raise AssertionError("split harness layers pair distinct roots")
-            if alpha > partner:
-                a_roots.append(alpha)
-                b_roots.append(partner)
-        d, keys = layer.d_r, (layer.beta, *a_roots, *b_roots)
-        # [a_i, b_j] = C[i, j] z: the a-b block of the bracket form at beta
-        C = [row[d:] for row in b_lambda_matrix(
-            alg, replace(layer, members=keys[1:]), Q(1))[:d]]
-        if determinant(C) == 0:
-            raise AssertionError("polarization pairing must be nondegenerate")
-        descs.append(LayerDesc(layer.r, d, np.array(C, dtype=float).reshape(d, d),
-                               keys))
+        pairs = [(alpha, vsub(layer.beta, alpha))
+                 for alpha in sorted(layer.members, reverse=True)]
+        if any(b == a or b not in layer.members for a, b in pairs):
+            raise AssertionError("split harness layers pair distinct roots")
+        kept = [(a, b) for a, b in pairs if a > b]
+        descs.append(_layer_desc(alg, layer.r, (
+            layer.beta, *(a for a, _ in kept), *(b for _, b in kept))))
     return Harness(name, tuple(descs), alg)
 
 
@@ -309,26 +348,3 @@ def exact_density(h: Harness, gamma: Dict[int, Q]) -> Q:
            for layer, exact in zip(h.layers, layers)):
         raise AssertionError(f"{h.name}: a layer is not a layer of its model")
     return abs(plancherel_density(h.model, layers, gamma).product)
-
-
-def adjoint_action_on_top(h: Harness, g_mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Linear data of Ad(g^-1) acting on the top-layer b-coordinates.
-
-    Returns (zvec, A, B) with Ad(g^-1)(y . b) = (zvec . y) z + (A y) . a + (B y) . b.
-    Raises AssertionError unless the image stays inside the top layer and
-    the b-block preserves Lebesgue measure.
-    """
-    d, b0 = h.top.d, h.starts[-1] + 1 + h.top.d
-    g_inv = np.linalg.inv(g_mat)
-    zvec = np.zeros(d)
-    A = np.zeros((d, d))
-    B = np.zeros((d, d))
-    for j in range(d):
-        coords = h.read_coords(g_inv @ h.lie(np.eye(h.dim)[b0 + j]) @ g_mat)
-        coords[np.abs(coords) < 1e-12] = 0.0
-        if coords[:h.starts[-1]].any():
-            raise AssertionError("adjoint image must stay in the top layer")
-        zvec[j], A[:, j], B[:, j] = h.part(coords, -1)
-    if not abs(abs(np.linalg.det(B)) - 1.0) < 1e-9:
-        raise AssertionError("the b-block of the adjoint action must preserve measure")
-    return zvec, A, B

@@ -1,15 +1,16 @@
 """Distribution characters via orbit integrals and Fourier inversion.
 
 A test function lives on a harness group through its lift to the Lie algebra,
-a finite sum of Gaussians.  The character of the representation attached to
-a regular functional has two independent paths.  ``orbit_integral(f, orb)``
-integrates the Euclidean Fourier transform of the lift, in closed form per
-Gaussian term, over the affine dual slice lam + v*, the span of the
-symplectic dual coordinates through lam.  That slice is the Kirillov orbit
-only on one-layer groups; with two or more layers the coadjoint orbit curves
-out of it.  ``character_of_translate`` reduces the character of a right
-translate to the centre slice.  Inversion integrates the characters of right
-translates against the density over the functional parameters.
+a finite sum of Gaussians; the lift, the centre slice and conjugation read
+the group law of the harness (``Harness.log``, ``Harness.exp`` and
+``Harness.adjoint``).  ``orbit_integral(f, orb)`` integrates the Euclidean
+Fourier transform of the lift, in closed form per Gaussian term, over the
+affine dual slice lam + v*, the span of the symplectic dual coordinates
+through lam.  That slice is the Kirillov orbit only on one-layer groups;
+with two or more layers the coadjoint orbit curves out of it.
+``character_of_translate`` reduces the character of a right translate to the
+centre slice, the same flat slice.  Inversion integrates the characters of
+right translates against the density over the functional parameters.
 
 That integral over lam in R^m, one parameter per layer, uses one rule for
 every depth m.  Each term of the integrand is a Gaussian in lam; whitening it
@@ -28,14 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .harness import (
-    GroupElement,
-    Harness,
-    build_harness,
-    embed_leading,
-    expm_nilpotent,
-    logm_unipotent,
-)
+from .harness import GroupElement, Harness, build_harness, embed_leading
 from .plancherel import plancherel_constant
 from .states import GaussianState, gaussian_integral, gaussian_integral_parts
 
@@ -72,7 +66,7 @@ class TestFunction:
 
     def lift_coords(self, g: GroupElement) -> np.ndarray:
         """Algebra coordinates of log g in the harness basis order."""
-        return self.harness.read_coords(logm_unipotent(g.to_matrix()))
+        return self.harness.log(g.to_matrix())
 
     def value(self, g: GroupElement) -> complex:
         xi = self.lift_coords(g)
@@ -90,17 +84,11 @@ class TestFunction:
 
     def conjugate_by(self, g: GroupElement) -> "TestFunction":
         """The function h -> f(g h g^-1)."""
-        h = self.harness
-        gm = g.to_matrix()
-        gi = np.linalg.inv(gm)
-        # Ad(g) in the coordinate basis
-        ad = np.array([h.read_coords(gm @ h.lie(e) @ gi) for e in np.eye(h.dim)]).T
+        ad = self.harness.adjoint(g.coords)
         if not abs(abs(np.linalg.det(ad)) - 1.0) < 1e-9:
             raise AssertionError("conjugation must preserve Lebesgue measure")
-        terms = []
-        for t in self.terms:
-            terms.append(GaussianState(ad.T @ t.M @ ad, ad.T @ t.ell, t.k))
-        return TestFunction(h, tuple(terms))
+        return TestFunction(self.harness, tuple(
+            GaussianState(ad.T @ t.M @ ad, ad.T @ t.ell, t.k) for t in self.terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +170,7 @@ def _slice_quadratic(f: TestFunction, x: GroupElement) -> List[Tuple[np.ndarray,
     def xi(s: np.ndarray) -> np.ndarray:
         centre = np.zeros(h.dim)
         centre[list(h.starts)] = s
-        return h.read_coords(logm_unipotent(expm_nilpotent(h.lie(centre)) @ x_mat))
+        return h.log(h.exp(centre) @ x_mat)
 
     b = xi(np.zeros(m))
     A = np.zeros((h.dim, m))

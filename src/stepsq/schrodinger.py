@@ -5,7 +5,8 @@ acts on functions of the top layer's b-coordinates, held either as Gaussian
 states or as product states sampled axis by axis on a grid (single-layer
 harnesses only, where the action is a translation and a modulation, both
 axis by axis): the state passed in picks the closed or grid path.  Earlier
-layers act by the adjoint point transformation.  Also: coefficient functions
+layers act by the point transformation of the top-layer b-coordinates that
+``Harness.adjoint`` gives.  Also: coefficient functions
 with their orthogonality, restriction to a leading-layer subgroup with
 renormalization, and decay reports.
 """
@@ -21,10 +22,8 @@ import numpy as np
 from .harness import (
     GroupElement,
     Harness,
-    adjoint_action_on_top,
     build_harness,
     embed_leading,
-    expm_nilpotent,
     identity,
     multiply,
     random_element,
@@ -87,9 +86,13 @@ class RepInstance:
         if not isinstance(state, GaussianState):
             raise ValueError("grid states need a single-layer harness")
         lam = self.lam
+        # Ad(exp(-zeta z_r))(y . b) = (zvec . y) z + (A y) . a + (B y) . b
         piece = np.zeros(h.dim)
-        piece[h.starts[layer_index]] = zeta
-        zvec, A, B = adjoint_action_on_top(h, expm_nilpotent(h.lie(piece)))
+        piece[h.starts[layer_index]] = -zeta
+        cols = h.adjoint(piece)[:, h.dim - self.D:]  # the top b-roots come last
+        if cols[:h.starts[-1]].any():
+            raise AssertionError("adjoint image must stay in the top layer")
+        zvec, A, B = h.part(cols, -1)
         out = state.substitute(B)
         out = out.quadratic_phase(-np.pi * lam * (A.T @ h.top.C @ B),
                                   2.0 * np.pi * lam * zvec, 0.0)
@@ -251,10 +254,9 @@ class NormReport:
     predicted: float
     rel_error: float
     path: str
-    tail_bound: float
 
 
-def _closed_norm_sq(rep: RepInstance, u: GaussianState, v: GaussianState) -> Tuple[float, float]:
+def _closed_norm_sq(rep: RepInstance, u: GaussianState, v: GaussianState) -> float:
     """Exact integral of |<u, pi(0,p,q)v>|^2 over (p, q).
 
     The exponent of the coefficient is exactly quadratic in (p, q) and the
@@ -293,11 +295,11 @@ def _closed_norm_sq(rep: RepInstance, u: GaussianState, v: GaussianState) -> Tup
     # |f|^2 = |pre0|^2 exp(2 Re(x^T Qm x + lv.x + c))
     val = abs(pre0) ** 2 * gaussian_integral(-2.0 * Qm.real, 2.0 * lv.real,
                                              2.0 * c.real)
-    return float(np.real(val)), 0.0
+    return float(np.real(val))
 
 
 def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState,
-                  q_stride: int, q_span: float) -> Tuple[float, float]:
+                  q_stride: int, q_span: float) -> float:
     """Quadrature of the coefficient norm on product grid states (single layer).
 
     By discrete Parseval the p-sum on the frequency grid at a grid shift s is
@@ -324,12 +326,7 @@ def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState,
         float(np.sum(np.fft.ifft(np.conj(np.fft.fft(np.abs(fu) ** 2))
                                  * np.fft.fft(np.abs(fv) ** 2)).real[idx]))
         for fu, fv in zip(u.factors, v.factors)) * n ** D * h ** (2 * D)
-    hq = q_stride * h
-    total *= dp ** D * hq ** D
-    # outermost p-frequency magnitude (per axis) for the tail report
-    p_edge = 1.0 / (2.0 * h * abs(lam))
-    tail = 2.0 * D * math.erfc(math.sqrt(math.pi) * abs(lam) * p_edge)
-    return total, tail
+    return total * (dp ** D * (q_stride * h) ** D)
 
 
 def coefficient_norm_sq(rep: RepInstance, u: State, v: State,
@@ -341,22 +338,21 @@ def coefficient_norm_sq(rep: RepInstance, u: State, v: State,
     their relative error.  The state type picks the path: Gaussian states
     take the closed path, exact up to roundoff; grid states take the
     quadrature over grid shifts, one 1-D cyclic correlation of |u|^2 and
-    |v|^2 per axis, which reports an explicit tail bound for the frequency
-    truncation.
+    |v|^2 per axis.
     """
     if rep.D < 1:
         raise ValueError("the coefficient norm needs a symplectic layer")
     predicted = u.norm_sq() * v.norm_sq() / rep.pf_abs
     if isinstance(u, GaussianState):
-        value, tail = _closed_norm_sq(rep, u, v)
+        value = _closed_norm_sq(rep, u, v)
         path = "closed"
     else:
         if q_stride is None:
             q_stride = max(1, int(round(0.55 / u.grid.h)))
-        value, tail = _grid_norm_sq(rep, u, v, q_stride, q_span)
+        value = _grid_norm_sq(rep, u, v, q_stride, q_span)
         path = "grid"
     rel = abs(value - predicted) / predicted
-    return NormReport(value, predicted, rel, path, tail)
+    return NormReport(value, predicted, rel, path)
 
 
 @dataclass(frozen=True)

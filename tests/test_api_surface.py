@@ -2,7 +2,8 @@
 
 A public top-level function or class in ``src/stepsq``, or a public method
 of such a class, must be referenced (as a name or an attribute) somewhere in
-``src/stepsq`` or ``demos/``.  A name that only tests reach is either given
+``src/stepsq`` or ``demos/``; an attribute of an imported module, such as
+``np.exp``, does not count.  A name that only tests reach is either given
 a pipeline, a caller or a demo, or deleted; the few kept on purpose are
 listed in ``ALLOWED`` with the reason.
 """
@@ -46,13 +47,23 @@ def _sources():
 
 
 def _referenced(trees):
+    """Every name and attribute used, except attributes on a chain rooted at
+    a module bound by ``import x [as y]``: ``np.add.at`` or ``np.exp``
+    reaches no method of the package."""
     names = set()
     for tree in trees.values():
+        modules = {alias.asname or alias.name.split(".")[0]
+                   for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id in modules):
+                    names.add(node.attr)
     return names
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from stepsq.harness import (
     HARNESS_NAMES,
-    adjoint_action_on_top,
+    Harness,
+    LayerDesc,
+    _layer_desc,
     build_harness,
     element,
     embed_leading,
@@ -17,7 +19,6 @@ from stepsq.harness import (
     identity,
     inverse,
     leading_subgroup,
-    logm_unipotent,
     multiply,
     random_element,
 )
@@ -27,11 +28,13 @@ from stepsq.nilalg import realize_split_nilradical
 
 def test_exp_log_inverse_pair():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        w = np.triu(rng.normal(size=(4, 4)), 1)
-        M = expm_nilpotent(w)
-        assert np.allclose(logm_unipotent(M), w)
-        assert np.allclose(M @ expm_nilpotent(-w), np.eye(4))
+    for h in (build_harness("A3"), build_harness("B2")):
+        for _ in range(10):
+            c = rng.normal(size=h.dim)
+            M = h.exp(c)
+            assert np.allclose(M, expm_nilpotent(h.lie(c)))
+            assert np.allclose(h.log(M), c)
+            assert np.allclose(M @ h.exp(-c), np.eye(h.size))
 
 
 @pytest.mark.parametrize("name", HARNESS_NAMES)
@@ -115,49 +118,111 @@ def test_a1_is_leading_subgroup_of_a3():
             leading_subgroup(big, k)
 
 
+def _top_b_columns(h, coords):
+    """(zvec, A, B) of Ad(g) on the top-layer b-coordinates, checked to stay
+    exactly in the top layer."""
+    b0 = h.starts[-1] + 1 + h.top.d
+    cols = h.adjoint(coords)[:, b0:]
+    assert not cols[:h.starts[-1]].any()
+    return h.part(cols, -1)
+
+
 @pytest.mark.parametrize("name", ["A3", "C2", "B2"])
 def test_adjoint_action_stays_in_top_layer(name):
     h = build_harness(name)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        g = random_element(h, rng)
-        zvec, A, B = adjoint_action_on_top(h, g.to_matrix())
+        zvec, A, B = _top_b_columns(h, random_element(h, rng).coords)
         assert abs(abs(np.linalg.det(B)) - 1.0) < 1e-9
-    # the earlier (line) layer alone
+    # the earlier (line) layer alone, as in Ad(g^-1) for g = exp(zeta z_1)
     zeta = 0.9
-    l1 = element(h, [(zeta, [], []), (0.0, np.zeros(h.top.d), np.zeros(h.top.d))])
-    zvec, A, B = adjoint_action_on_top(h, l1.to_matrix())
+    l1 = element(h, [(-zeta, [], []), (0.0, np.zeros(h.top.d), np.zeros(h.top.d))])
+    zvec, A, B = _top_b_columns(h, l1.coords)
     if name == "A3":
         # the top center is central in the whole group only for A-type here
         assert not np.allclose(B, np.eye(h.top.d))  # conjugation acts
-        assert np.allclose(A, 0) and np.allclose(zvec, 0)
+        assert not A.any() and not zvec.any()
     else:
         # C2/B2: conjugation pushes b into the a-direction
         assert not np.allclose(A, 0)
 
 
-def test_read_coords_rejects_outside_elements():
+def _read_back(h, w):
+    """Basis-order coordinates of a Lie-algebra matrix by least squares on
+    the basis matrices, with a zero residual."""
+    basis = np.array([h.lie(e).ravel() for e in np.eye(h.dim)]).T
+    coords = np.linalg.lstsq(basis, w.ravel(), rcond=None)[0]
+    assert np.allclose(basis @ coords, w.ravel(), rtol=0, atol=1e-12)
+    return coords
+
+
+@pytest.mark.parametrize("name", HARNESS_NAMES + ("A5", "C4", "B3", "D4"))
+def test_adjoint_matches_matrix_conjugation(name):
+    # column j of Ad(g) is the read-back of g X_j g^-1 in the matrix model
+    h = build_harness(name)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        g = random_element(h, rng)
+        gm = g.to_matrix()
+        gi = np.linalg.inv(gm)
+        conj = np.array([_read_back(h, gm @ h.lie(e) @ gi)
+                         for e in np.eye(h.dim)]).T
+        assert np.allclose(h.adjoint(g.coords), conj, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", HARNESS_NAMES)
+def test_adjoint_is_a_homomorphism(name):
+    h = build_harness(name)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        g1, g2 = random_element(h, rng), random_element(h, rng)
+        assert np.allclose(h.adjoint(multiply(g1, g2).coords),
+                           h.adjoint(g1.coords) @ h.adjoint(g2.coords),
+                           rtol=0, atol=1e-12)
+
+
+def test_pairing_and_adjoint_read_the_bracket_table():
+    # HEIS1 is cut from A2: z = e1 - e3, a = e1 - e2, b = e2 - e3
+    alg = realize_split_nilradical("A", 2)
+    z, a, b = (1, 0, -1), (1, -1, 0), (0, 1, -1)
+    assert _layer_desc(alg, 1, (z, a, b)).C.tolist() == [[1.0]]
+    assert _layer_desc(alg, 1, (z, b, a)).C.tolist() == [[-1.0]]
+    with pytest.raises(AssertionError, match="nondegenerate"):
+        _layer_desc(alg, 1, (z, a, a))  # [a, a] = 0
+    # the simple roots of A3 span no subalgebra: [x_{e1-e2}, x_{e2-e3}] = x_{e1-e3}
+    simple = ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1))
+    bad = Harness("bad", (LayerDesc(1, 1, np.eye(1), simple),),
+                  realize_split_nilradical("A", 3))
+    with pytest.raises(AssertionError, match="bracket outside the harness"):
+        bad.adjoint(np.zeros(3))
+
+
+def test_log_rejects_outside_elements():
     h = build_harness("HEIS1")
-    w = np.zeros((3, 3))
-    w[1, 1] = 1.0  # diagonal: not in the nilpotent algebra
-    with pytest.raises(AssertionError):
-        h.read_coords(w)
+    M = np.eye(3)
+    M[1, 1] = 2.0  # diagonal: not in the unipotent group
+    with pytest.raises(AssertionError, match="outside the harness algebra"):
+        h.log(M)
 
 
-def test_read_coords_rejects_a_broken_support_or_an_entry_off_all():
+def test_log_rejects_a_broken_support_or_an_entry_off_all():
     # B2's basis matrices each span two signed entries
     h = build_harness("B2")
     c = np.arange(1.0, h.dim + 1)
     w = h.lie(c)
-    assert np.array_equal(h.read_coords(w), c)
+    assert np.allclose(h.log(expm_nilpotent(w)), c, rtol=0, atol=1e-12)
     rows, cols = np.nonzero(h.lie(np.eye(h.dim)[-1]))
     skewed = w.copy()
     skewed[rows[0], cols[0]] *= 1.5  # the two ratios of one support disagree
-    off = w.copy()
-    off[h.size - 1, 0] = 0.3  # below the diagonal: no support covers it
-    for bad in (skewed, off):
+    covered = sum(np.abs(h.lie(e)) for e in np.eye(h.dim)) > 0
+    above = w.copy()
+    above[tuple(np.argwhere(np.triu(~covered, 1))[0])] = 0.3  # no support covers it
+    below = w.copy()
+    below[h.size - 1, 0] = 0.3  # below the diagonal: no support covers it
+    # the first two are nilpotent, so log returns them
+    for M in (expm_nilpotent(skewed), expm_nilpotent(above), np.eye(h.size) + below):
         with pytest.raises(AssertionError, match="outside the harness algebra"):
-            h.read_coords(bad)
+            h.log(M)
 
 
 def test_unknown_harness():
@@ -205,10 +270,10 @@ def test_orbit_density_matches_the_exact_layer(name):
     assert abs(measured - float(exact)) <= 1e-12 * float(exact)
 
 
-def test_read_coords_in_basis_order():
+def test_log_reads_coordinates_in_basis_order():
     h = build_harness("C2")
     c = np.arange(1.0, h.dim + 1)
-    assert np.array_equal(h.read_coords(h.lie(c)), c)
+    assert np.allclose(h.log(h.exp(c)), c, rtol=0, atol=1e-12)
     # C2: a line layer, then beta_2 with one a- and one b-root
     assert h.starts == (0, 1)
     zeta, p, q = h.part(c, 1)
