@@ -32,30 +32,19 @@ class CascadeDecomposition:
         return len(self.beta)
 
 
-def _dominates(ca: Tuple[int, ...], cb: Tuple[int, ...]) -> bool:
-    """Partial order on integer simple coordinates: every coefficient gap >= 0."""
-    return all(x >= y for x, y in zip(ca, cb))
-
-
 def kostant_cascade(system: RootSystem) -> Tuple[Vector, ...]:
     """Greedy sequence beta'_1, beta'_2, ... of maximal, mutually strongly
     orthogonal positive roots, in construction order.
 
-    Among the strongly-orthogonal candidates the maximal elements of the
-    partial order on the integer simple coordinates ``system.coords`` are
-    found; ties are broken by the lexicographically greatest root.  Reading
-    ``system.coords`` raises AssertionError if a positive root is not an
-    integer combination of the simple roots.
+    Each step takes the lexicographically greatest candidate.  Every simple
+    root is lexicographically positive (``rootsys._check_invariants``), so a
+    root above another in the root order is lexicographically greater, and
+    the greatest candidate is a maximal one.
     """
-    coords = system.coords
     chosen: List[Vector] = []
     candidates = list(system.positives)
     while candidates:
-        maxima = [
-            a for a in candidates
-            if not any(b != a and _dominates(coords[b], coords[a]) for b in candidates)
-        ]
-        pick = max(maxima)
+        pick = max(candidates)
         chosen.append(pick)
         candidates = [a for a in candidates if strongly_orthogonal(system, a, pick)]
     for i, a in enumerate(chosen):

@@ -178,6 +178,27 @@ class Harness:
         i, j, k = table[:, :3].T.astype(int)
         return i, j, k, table[:, 3]
 
+    @cached_property
+    def centre_slice_affine(self) -> bool:
+        """Whether s -> log(exp(sum_r s_r z_r) x) is affine in s for every x,
+        read from the bracket table.
+
+        Let J be the ideal generated by [z, n]; being spanned by basis
+        vectors, it is a set of basis positions.  Every Baker-Campbell-
+        Hausdorff term of degree >= 2 in s lies in [z, J] + [J, J], so the
+        slice is affine when no bracket has its second index in J and its
+        first in J or among the centres."""
+        i, j, k, _ = self._structure
+        triples = list(zip(i.tolist(), j.tolist(), k.tolist()))
+        centres = set(self.starts)
+        ideal = {c for a, _, c in triples if a in centres}
+        grown = ideal
+        while grown:
+            grown = {c for _, b, c in triples if b in grown} - ideal
+            ideal |= grown
+        return not any(b in ideal and (a in ideal or a in centres)
+                       for a, b, _ in triples)
+
     def _layered(self, coords: np.ndarray,
                  factor: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
         """The product of the n x n matrices factor(Y) over the factors Y of

@@ -1,17 +1,18 @@
 """Classical restricted root systems with exact integer coordinates.
 
 Roots are tuples of ints in the orthonormal ambient basis e1..eN, in which
-every classical root is integral; so are the simple coordinates of every
-positive root (``RootSystem.coords``).  Fractions appear only where division
-happens: in the general simple-coordinate solve and in Cartan entries.
-Simple roots carry the center-out (type A) or multiple-bond-end-first
-(types B, C, D) index scheme used throughout the package.
+every classical root is integral.  Python's tuple order is the lexicographic
+order of the ambient coordinates; every simple root is lexicographically
+positive, so a root above another in the root order is also lexicographically
+greater.  Fractions appear only where division happens: in the general
+simple-coordinate solve and in Cartan entries.  Simple roots carry the
+center-out (type A) or multiple-bond-end-first (types B, C, D) index scheme
+used throughout the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -80,37 +81,6 @@ class RootSystem:
     def simple_indices(self) -> List[int]:
         """Sorted indices of the simple-root enumeration."""
         return sorted(self.simple_enumeration)
-
-    @cached_property
-    def coords(self) -> Dict[Vector, Tuple[int, ...]]:
-        """Integer simple coordinates of every positive root, in
-        simple_indices() order.
-
-        Starting from the simple roots as unit vectors, a simple root is
-        added to a known root whenever the sum is a positive root, so every
-        root reached is a nonnegative integer combination of the simple
-        roots.  Raises AssertionError if some positive root is never reached.
-        """
-        simples = [self.simple_enumeration[i] for i in self.simple_indices()]
-        positives = set(self.positives)
-        units = [tuple(int(j == k) for j in range(len(simples)))
-                 for k in range(len(simples))]
-        found = {s: u for s, u in zip(simples, units) if s in positives}
-        frontier = list(found)
-        while frontier:
-            reached = []
-            for a in frontier:
-                for s, u in zip(simples, units):
-                    b = vadd(a, s)
-                    if b in positives and b not in found:
-                        found[b] = vadd(found[a], u)
-                        reached.append(b)
-            frontier = reached
-        for a in self.positives:
-            if a not in found:
-                raise AssertionError(f"positive root {a} is not integral: no "
-                                     "chain of simple-root additions reaches it")
-        return found
 
 
 def _positive_roots(series: str, rank: int) -> List[Vector]:
@@ -185,17 +155,32 @@ def build_root_system(series: str, rank: int) -> RootSystem:
 
 def _check_invariants(system: RootSystem) -> None:
     """Raise AssertionError where a structural invariant of a generated
-    system fails; the checks survive ``python -O``."""
+    system fails; the checks survive ``python -O``.
+
+    Every simple root is a lexicographically positive positive root, and
+    every other positive root a has a simple root s with a - s positive.
+    Since a - s is lexicographically smaller than a, induction on that order
+    makes every positive root a nonnegative integer combination of the
+    simple roots.
+    """
     pos = set(system.positives)
     neg = {vneg(a) for a in pos}
     if not (pos.isdisjoint(neg) and pos | neg == set(system.roots)):
         raise AssertionError("positives do not split the roots")
     simples = list(system.simple_enumeration.values())
+    zero = (0,) * system.dim
+    for s in simples:
+        if not (s > zero and s in pos):
+            raise AssertionError(f"simple root {s} is not a lexicographically "
+                                 "positive positive root")
     for i, a in enumerate(simples):
         for b in simples[i + 1:]:
             if inner(a, b) > 0:
                 raise AssertionError(f"simple roots {a}, {b} form an acute angle")
-    system.coords  # raises unless every positive is an integer combination
+    for a in system.positives:
+        if a not in simples and not any(vsub(a, s) in pos for s in simples):
+            raise AssertionError(f"positive root {a} is not integral: no "
+                                 "simple root leads down from it")
 
 
 def simple_coordinates_all(targets: Sequence[Vector],

@@ -36,6 +36,8 @@ State = Union[GaussianState, GridState]
 _GRID_PACKET = (0.5, (1.0, 1.3))
 # coordinate range of the random elements check_invariants draws
 _CHECK_SCALE = 0.8
+# target q-step and half-span of the grid norm's shift lattice
+_Q_LATTICE = (0.55, 3.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,8 +300,7 @@ def _closed_norm_sq(rep: RepInstance, u: GaussianState, v: GaussianState) -> flo
     return float(np.real(val))
 
 
-def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState,
-                  q_stride: int, q_span: float) -> float:
+def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState) -> float:
     """Quadrature of the coefficient norm on product grid states (single layer).
 
     By discrete Parseval the p-sum on the frequency grid at a grid shift s is
@@ -307,7 +308,8 @@ def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState,
     and |v|^2.  For product states it is the product of the D per-axis
     correlations, so the sum over the shift box (shifts k*q_stride mod n,
     |k| <= steps, wrapped ones counted per k) is the product of D per-axis
-    sums, each read off one 1-D FFT correlation.
+    sums, each read off one 1-D FFT correlation.  The lattice step q_stride
+    and the box half-span come from ``_Q_LATTICE``.
     """
     grid = u.grid
     if v.grid != grid:
@@ -320,6 +322,8 @@ def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState,
     h = grid.h
     n = grid.points
     dp = 1.0 / (n * h * abs(lam))
+    q_step, q_span = _Q_LATTICE
+    q_stride = max(1, round(q_step / h))
     steps = int(q_span / (q_stride * h))
     idx = (np.arange(-steps, steps + 1) * q_stride) % n
     total = math.prod(
@@ -329,9 +333,7 @@ def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState,
     return total * (dp ** D * (q_stride * h) ** D)
 
 
-def coefficient_norm_sq(rep: RepInstance, u: State, v: State,
-                        q_stride: Optional[int] = None,
-                        q_span: float = 3.5) -> NormReport:
+def coefficient_norm_sq(rep: RepInstance, u: State, v: State) -> NormReport:
     """Integral of |<u, pi(.)v>|^2 over the non-central coordinates.
 
     Reports the measured value, the predicted norm_u^2 norm_v^2 / |Pf|, and
@@ -347,9 +349,7 @@ def coefficient_norm_sq(rep: RepInstance, u: State, v: State,
         value = _closed_norm_sq(rep, u, v)
         path = "closed"
     else:
-        if q_stride is None:
-            q_stride = max(1, int(round(0.55 / u.grid.h)))
-        value = _grid_norm_sq(rep, u, v, q_stride, q_span)
+        value = _grid_norm_sq(rep, u, v)
         path = "grid"
     rel = abs(value - predicted) / predicted
     return NormReport(value, predicted, rel, path)

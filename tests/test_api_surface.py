@@ -1,11 +1,15 @@
-"""Every public name of the package is reached by the package or a demo.
+"""Every public name of the package is reached by the package or a demo,
+and the package states its invariants as raised errors.
 
-A public top-level function or class in ``src/stepsq``, or a public method
-of such a class, must be referenced (as a name or an attribute) somewhere in
-``src/stepsq`` or ``demos/``; an attribute of an imported module, such as
-``np.exp``, does not count.  A name that only tests reach is either given
-a pipeline, a caller or a demo, or deleted; the few kept on purpose are
-listed in ``ALLOWED`` with the reason.
+A public top-level function or class in ``src/stepsq`` must be referenced
+(as a name or an attribute) somewhere in ``src/stepsq`` or ``demos/``; a
+public method of such a class must be reached as an attribute
+(``obj.name``), so a local variable of the same name does not count.  An
+attribute of an imported module, such as ``np.exp``, does not count either.
+A name that only tests reach is either given a pipeline, a caller or a demo,
+or deleted; the few kept on purpose are listed in ``ALLOWED`` with the
+reason.  The package has no ``assert`` statement, since ``python -O`` strips
+them.
 """
 
 import ast
@@ -47,10 +51,11 @@ def _sources():
 
 
 def _referenced(trees):
-    """Every name and attribute used, except attributes on a chain rooted at
-    a module bound by ``import x [as y]``: ``np.add.at`` or ``np.exp``
-    reaches no method of the package."""
-    names = set()
+    """(names, attributes): every name and attribute used, and the
+    attributes alone, except attributes on a chain rooted at a module bound
+    by ``import x [as y]``: ``np.add.at`` or ``np.exp`` reaches no method of
+    the package."""
+    names, attributes = set(), set()
     for tree in trees.values():
         modules = {alias.asname or alias.name.split(".")[0]
                    for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -63,8 +68,14 @@ def _referenced(trees):
                 while isinstance(root, ast.Attribute):
                     root = root.value
                 if not (isinstance(root, ast.Name) and root.id in modules):
-                    names.add(node.attr)
-    return names
+                    attributes.add(node.attr)
+    return names | attributes, attributes
+
+
+def _reached(qual, name, referenced):
+    """A method counts only as an attribute, any other name either way."""
+    names, attributes = referenced
+    return name in (attributes if qual.count(".") == 2 else names)
 
 
 def _public_api(trees):
@@ -91,7 +102,8 @@ def test_every_public_name_is_reached():
     trees = _sources()
     referenced = _referenced(trees)
     unreached = sorted(qual for qual, name in _public_api(trees)
-                       if name not in referenced and qual not in ALLOWED)
+                       if not _reached(qual, name, referenced)
+                       and qual not in ALLOWED)
     assert unreached == [], ("public names that no module or demo reaches: "
                              f"{unreached}; use them or delete them")
 
@@ -101,5 +113,12 @@ def test_the_allowlist_holds_only_unreached_names():
     referenced = _referenced(trees)
     api = dict(_public_api(trees))
     stale = sorted(qual for qual in ALLOWED
-                   if qual not in api or api[qual] in referenced)
+                   if qual not in api or _reached(qual, api[qual], referenced))
     assert stale == [], f"allowlist entries that are gone or now reached: {stale}"
+
+
+def test_the_package_has_no_assert_statement():
+    found = sorted(f"{path.name}:{node.lineno}"
+                   for path, tree in _sources().items() if path.parent == SRC
+                   for node in ast.walk(tree) if isinstance(node, ast.Assert))
+    assert found == [], f"assert statements that python -O strips: {found}"

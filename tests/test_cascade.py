@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from stepsq import rootsys
 from stepsq.cascade import (
     CascadeDecomposition,
     cascade_decomposition,
@@ -14,7 +15,7 @@ from stepsq.cascade import (
     reverse_cascade,
     sigma_r,
 )
-from stepsq.rootsys import (RootSystem, build_root_system, vadd, vscale,
+from stepsq.rootsys import (RootSystem, build_root_system, vadd, vneg, vscale,
                             strongly_orthogonal)
 
 
@@ -177,13 +178,34 @@ def test_layer_lemmas_exhaustive(series, rank):
 
 
 def test_cascade_rejects_non_integral_simple_coordinates():
-    # doubled simple roots give half-integral coordinates, which the
-    # integer dominance order cannot compare
+    # the base check behind the lexicographic cascade: with doubled simple
+    # roots the coordinates are half-integral, with a negated one they are
+    # negative, and with one removed some positive root is out of reach
     s = build_root_system("A", 3)
-    doubled = {i: vscale(2, a) for i, a in s.simple_enumeration.items()}
-    bad = RootSystem(s.series, s.rank, s.roots, s.positives, doubled)
-    with pytest.raises(AssertionError, match="not integral"):
-        kostant_cascade(bad)
+    simple = s.simple_enumeration
+
+    def system(enumeration):
+        return RootSystem(s.series, s.rank, s.roots, s.positives, enumeration)
+
+    rootsys._check_invariants(system(simple))
+    doubled = {i: vscale(2, a) for i, a in simple.items()}
+    negated = {i: vneg(a) if i == 0 else a for i, a in simple.items()}
+    removed = {i: a for i, a in simple.items() if i != 0}
+    for enumeration, match in ((doubled, "lexicographically positive"),
+                               (negated, "lexicographically positive"),
+                               (removed, "not integral")):
+        with pytest.raises(AssertionError, match=match):
+            rootsys._check_invariants(system(enumeration))
+    # swapping two coordinates keeps a valid base whose root order the
+    # lexicographic order no longer follows: (-1, 1, 0, 0) is simple
+    def swap(a):
+        return (a[1], a[0]) + a[2:]
+
+    swapped = RootSystem(s.series, s.rank, frozenset(map(swap, s.roots)),
+                         tuple(map(swap, s.positives)),
+                         {i: swap(a) for i, a in simple.items()})
+    with pytest.raises(AssertionError, match="lexicographically positive"):
+        rootsys._check_invariants(swapped)
 
 
 # beyond the rank 13 / 12 oracle range, both parities where the closed form

@@ -198,6 +198,51 @@ def test_inversion_three_layers():
         assert res.rel_error < 1e-6
 
 
+SLICE_HARNESSES = (["HEIS1", "HEIS2", "HEIS3"] + [f"A{r}" for r in range(1, 8)]
+                   + [f"{s}{r}" for s in "CB" for r in range(2, 6)]
+                   + ["D4", "D5", "D6"])
+
+
+def _slice_is_affine_by_probes(h, x):
+    """The finite-difference degree probe of the slice map
+    s -> log(exp(sum_r s_r z_r) x): its values at -e_r and at e_r + e_s
+    against the affine map through its values at 0 and at e_r."""
+    x_mat = x.to_matrix()
+
+    def xi(s):
+        centre = np.zeros(h.dim)
+        centre[list(h.starts)] = s
+        return h.log(h.exp(centre) @ x_mat)
+
+    e = np.eye(h.m)
+    b = xi(np.zeros(h.m))
+    A = np.stack([xi(e_r) - b for e_r in e], axis=1)
+    for r in range(h.m):
+        if not np.allclose(xi(-e[r]), b - A[:, r], atol=1e-9):
+            return False
+        for s in range(r + 1, h.m):
+            if not np.allclose(xi(e[r] + e[s]), b + A[:, r] + A[:, s],
+                               atol=1e-9):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", SLICE_HARNESSES)
+def test_centre_slice_affine_matches_the_degree_probe(name):
+    h = build_harness(name)
+    x = random_element(h, np.random.default_rng(11))
+    assert h.centre_slice_affine == _slice_is_affine_by_probes(h, x)
+
+
+@pytest.mark.parametrize("name", ["B3", "B4", "D4", "D5"])
+def test_inversion_rejects_a_curved_centre_slice(name):
+    h = build_harness(name)
+    assert not h.centre_slice_affine
+    x = random_element(h, np.random.default_rng(12), 0.8)
+    with pytest.raises(AssertionError, match="must be affine"):
+        fourier_inversion(TestFunction.standard(h), x)
+
+
 def test_limit_inversion_two_stage_agreement():
     big = build_harness("A3")
     small = leading_subgroup(big, 1)

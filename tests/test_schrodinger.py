@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stepsq import schrodinger
 from stepsq.harness import (build_harness, element, identity, inverse,
                             leading_subgroup, multiply, random_element)
 from stepsq.schrodinger import (
@@ -258,7 +259,8 @@ def _per_shift_norm_sq(rep, u, v, q_stride, q_span):
 @pytest.mark.parametrize("d,points", [(1, 256), (2, 64), (3, 24)])
 def test_grid_norm_matches_per_shift_quadrature(d, points):
     grid = Grid(d, points, 3.3)
-    q_stride, q_span = max(1, int(round(0.55 / grid.h))), 3.5
+    q_step, q_span = schrodinger._Q_LATTICE
+    q_stride = max(1, round(q_step / grid.h))
     steps = int(q_span / (q_stride * grid.h))
     residues = (np.arange(-steps, steps + 1) * q_stride) % points
     # the 24-point grid wraps: the extreme shifts +-12 share one residue
@@ -268,7 +270,7 @@ def test_grid_norm_matches_per_shift_quadrature(d, points):
         rep = stepwise_rep(f"HEIS{d}", {1: lam})
         u, v = rep.random_state(rng, grid), rep.random_state(rng, grid)
         assert np.abs(dense(u) - dense(v)).max() > 1e-3
-        value = coefficient_norm_sq(rep, u, v, q_stride, q_span).value
+        value = coefficient_norm_sq(rep, u, v).value
         oracle = _per_shift_norm_sq(rep, u, v, q_stride, q_span)
         assert abs(value - oracle) <= 1e-12 * oracle, (d, lam, value, oracle)
 
