@@ -40,10 +40,10 @@ from .schrodinger import (coefficient_norm_sq, restrict_and_renormalize,
 from .states import GaussianState, Grid, GridState
 
 DEFAULT_SEED = 20240801
-
-SUBCOMMANDS = ("roots", "cascade", "layers", "axioms", "pfaffian",
-               "orthogonality", "restriction", "inversion", "limit-check",
-               "all")
+# largest --n of roots, cascade, layers and axioms: their cost grows fast
+# with the rank (axioms B24 takes seconds); 32 still covers the C32 and D32
+# cascades
+MAX_RANK = 32
 
 #: Published shape of every emitted report; validated on emit.
 REPORT_SCHEMA = {
@@ -64,12 +64,19 @@ def rat_str(x: Q) -> str:
 
 
 def parse_rat(s: str) -> Q:
-    """Parse a "p/q" (or plain integer) string into an exact rational."""
+    """Parse a "p/q" (or plain integer) string into an exact rational;
+    ValueError for one whose float conversion overflows."""
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
-        return Q(int(num), int(den))
-    return Q(int(s))
+        x = Q(int(num), int(den))
+    else:
+        x = Q(int(s))
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError(f"{s!r} is too large for a float") from None
+    return x
 
 
 def vec_strs(v: Sequence[Q]) -> list:
@@ -551,6 +558,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
     cmd = args.command
+    if cmd in ("roots", "cascade", "layers", "axioms") and args.n > MAX_RANK:
+        raise ValueError(f"--n must be at most {MAX_RANK}, got {args.n}")
     if cmd in ("roots", "cascade", "layers"):
         fn = {"roots": pipeline_roots, "cascade": pipeline_cascade,
               "layers": pipeline_layers}[cmd]
@@ -621,7 +630,8 @@ def run(argv: Sequence[str]) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 overrides = json.load(fh)
             _apply_config(commands[args.command], args, overrides)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # json.load raises RecursionError on a file nested too deep
             print(f"stepsq: bad config file: {exc}", file=sys.stderr)
             return 2
     path = _report_path(args)

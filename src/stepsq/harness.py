@@ -1,22 +1,25 @@
 """Desk-scale matrix harness groups with layered exponential coordinates.
 
 A harness is a nilpotent matrix group cut from a split model of ``nilalg``,
-which it keeps in ``model``, with its layers and a polarization of each
-symplectic part.  It is the only module that turns coordinates into group
-matrices and back.  Each coordinate is keyed by the root whose root space it
-spans; the basis order is, layer by layer, beta_r, the a-roots, then the
-b-roots.  The root-space matrices are the model's sparse ``basis``:
-``Harness.lie`` turns a basis-order vector into its Lie-algebra matrix,
-``exp`` into its group matrix, and ``log`` reads a unipotent matrix back, by
-terminating power series in floats.  ``adjoint`` is Ad of an element on the
-basis, read from the model's bracket table, as is each layer's pairing C.
-A ``GroupElement`` holds its coordinates as one float vector in the basis
-order.  Harnesses: HEIS1-3 (the top layer of A_{d+1}: beta = e_1 - e_{d+2},
-a_i = e_1 - e_{1+i}, b_i = e_{1+i} - e_{d+2}) and the whole split model of
-any ``<series><rank>`` name, such as A1, A3, C2, B2 or C3.
-``leading_subgroup`` cuts the first k layers from a harness and shares its
-model.  ``exact_density`` takes |Pf| from the model layers the keys name; it
-predicts the ``orthogonality`` row density_abs.
+which it keeps in ``model``, by one rule: a sequence of the model's layers,
+renumbered r = 1, 2, ..., each polarized by pairing every symplectic root
+alpha with beta_r - alpha, the greater one being the a-root.  It is the only
+module that turns coordinates into group matrices and back.  Each coordinate
+is keyed by the root whose root space it spans; the basis order is, layer by
+layer, beta_r, the a-roots, then the b-roots.  The root-space matrices are
+the model's sparse ``basis``: ``Harness.lie`` turns a basis-order vector
+into its Lie-algebra matrix, ``exp`` into its group matrix, and ``log``
+reads a unipotent matrix back, by terminating power series in floats.
+``adjoint`` is Ad of an element on the basis, read from the model's bracket
+table, as is each layer's pairing C.  A ``GroupElement`` holds its
+coordinates as one float vector in the basis order.  ``Harness.positions``
+decides how two harnesses meet: by model, then by root key.  Harnesses:
+HEIS1-3 (the top layer of A_{d+1}: beta = e_1 - e_{d+2}, a_i = e_1 -
+e_{d+2-i}, b_i = e_{d+2-i} - e_{d+2}) and the whole split model of any
+``<series><rank>`` name, such as A1, A3, C2, B2 or C3.  ``leading_subgroup``
+cuts the first k layers and shares the model.  ``exact_density`` takes |Pf|
+from the harness layers, which are model layers; it predicts the
+``orthogonality`` row density_abs.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction as Q
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .nilalg import NilpotentAlgebra, realize_split_nilradical
+from .nilalg import Layer, NilpotentAlgebra, realize_split_nilradical
 from .plancherel import determinant, plancherel_density
 from .rootsys import SERIES, Vector, vsub
 
@@ -50,14 +53,16 @@ def expm_nilpotent(M: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LayerDesc:
-    """One layer: central direction, polarized symplectic basis, pairing,
-    and the root of each of its coordinates (beta, the a-roots, the b-roots)."""
+class LayerDesc(Layer):
+    """A model layer as cut into a harness: the root of each of its
+    coordinates (beta, the a-roots, the b-roots) and the pairing."""
 
-    r: int
-    d: int
-    C: np.ndarray  # [a_i, b_j] = C[i, j] * z
     keys: Tuple[Vector, ...]
+    C: np.ndarray  # [a_i, b_j] = C[i, j] * z
+
+    @cached_property
+    def d(self) -> int:
+        return self.d_r
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,21 +93,43 @@ class Harness:
     def top(self) -> LayerDesc:
         return self.layers[-1]
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Dimension of the Lie algebra spanned by the harness layers."""
         return sum(1 + 2 * layer.d for layer in self.layers)
 
-    @property
+    @cached_property
     def keys(self) -> Tuple[Vector, ...]:
         """The root of every coordinate, in basis order."""
         return tuple(key for layer in self.layers for key in layer.keys)
 
-    @property
+    @cached_property
     def starts(self) -> Tuple[int, ...]:
         """Basis position of each layer's central coordinate."""
         return tuple(itertools.accumulate(
             (1 + 2 * layer.d for layer in self.layers[:-1]), initial=0))
+
+    def centres(self, values: Sequence[float]) -> np.ndarray:
+        """The basis-order vector with the given values on the layer
+        centres, in layer order, and zeros elsewhere."""
+        out = np.zeros(self.dim)
+        out[list(self.starts)] = values
+        return out
+
+    def positions(self, sub: Harness) -> Optional[List[int]]:
+        """Where sub's coordinates sit in self's basis order, by root key;
+        None unless sub is cut from self's split model (keys alone do not
+        name it: A1 and B2[:1] share theirs) and self has every key of sub.
+        They are 0, 1, ... exactly for self's group and its leading-layer
+        subgroups."""
+        if (sub.series, sub.rank) != (self.series, self.rank):
+            return None
+        if sub.keys == self.keys[:sub.dim]:
+            return list(range(sub.dim))
+        index = {key: n for n, key in enumerate(self.keys)}
+        if not index.keys() >= set(sub.keys):
+            return None
+        return [index[key] for key in sub.keys]
 
     def part(self, coords: np.ndarray, k: int) -> Tuple[float, np.ndarray, np.ndarray]:
         """Layer k's (centre, a-part, b-part) of a basis-order vector."""
@@ -257,7 +284,7 @@ def leading_subgroup(h: Harness, k: int) -> Harness:
 def embed_leading(h: Harness, g: GroupElement) -> GroupElement:
     """Extend an element of a leading-layer subgroup of h by identity
     coordinates on the remaining layers."""
-    if g.harness.keys != h.keys[:len(g.harness.keys)]:
+    if h.positions(g.harness) != list(range(g.harness.dim)):
         raise ValueError(f"{g.harness.name} is not a leading-layer subgroup "
                          f"of {h.name}")
     return GroupElement(h, np.concatenate([g.coords, np.zeros(h.dim - len(g.coords))]))
@@ -290,7 +317,7 @@ def from_matrix(h: Harness, M: np.ndarray) -> GroupElement:
 
 def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group multiplication via the matrix model."""
-    if g1.harness.keys != g2.harness.keys:
+    if g1.harness.positions(g2.harness) != list(range(g1.harness.dim)):
         raise ValueError(f"an element of {g1.harness.name} and one of "
                          f"{g2.harness.name} do not multiply")
     return from_matrix(g1.harness, g1.to_matrix() @ g2.to_matrix())
@@ -306,43 +333,26 @@ def random_element(h: Harness, rng: np.random.Generator, scale: float = 1.0) -> 
     return GroupElement(h, rng.uniform(-scale, scale, h.dim))
 
 
-def _layer_desc(alg: NilpotentAlgebra, r: int, keys: Tuple[Vector, ...]) -> LayerDesc:
-    """Layer r with coordinates keyed (beta, a-roots, b-roots); its pairing
-    C[i, j] is the beta-coefficient of [a_i, b_j] in the model's bracket
-    table, checked nondegenerate exactly."""
-    d = len(keys) // 2
-    C = [[(alg.brackets[(a, b)] or {}).get(keys[0], 0) for b in keys[1 + d:]]
-         for a in keys[1:1 + d]]
-    if determinant(C) == 0:
-        raise AssertionError("polarization pairing must be nondegenerate")
-    return LayerDesc(r, d, np.array(C, dtype=float).reshape(d, d), keys)
-
-
-def _heisenberg_harness(d: int) -> Harness:
-    """Generalized Heisenberg group of dimension 2d + 1: the top layer of
-    A_{d+1}, with its roots in Heisenberg order."""
-    alg = realize_split_nilradical("A", d + 1)
-    n = d + 2
-    # E_ij spans the root space of e_i - e_j (1-based): z, then the a's and b's
-    pairs = ([(1, n)] + [(1, 1 + i) for i in range(1, d + 1)]
-             + [(1 + i, n) for i in range(1, d + 1)])
-    keys = tuple(tuple((k == i) - (k == j) for k in range(1, n + 1))
-                 for i, j in pairs)
-    return Harness(f"HEIS{d}", (_layer_desc(alg, 1, keys),), alg)
-
-
-def _algebra_harness(alg: NilpotentAlgebra, name: str) -> Harness:
-    """Layered harness of the whole split model: each symplectic root
-    alpha pairs with beta_r - alpha, the greater one being the a-root."""
+def _cut(name: str, alg: NilpotentAlgebra, layers: Sequence[Layer]) -> Harness:
+    """The harness of the given layers of alg, renumbered r = 1, 2, ... in
+    order.  Each symplectic root alpha pairs with beta_r - alpha, the greater
+    one being the a-root; the pairing C[i, j] is the beta-coefficient of
+    [a_i, b_j] in the model's bracket table, checked nondegenerate exactly."""
     descs = []
-    for layer in alg.layers:
+    for r, layer in enumerate(layers, start=1):
         pairs = [(alpha, vsub(layer.beta, alpha))
                  for alpha in sorted(layer.members, reverse=True)]
         if any(b == a or b not in layer.members for a, b in pairs):
             raise AssertionError("split harness layers pair distinct roots")
         kept = [(a, b) for a, b in pairs if a > b]
-        descs.append(_layer_desc(alg, layer.r, (
-            layer.beta, *(a for a, _ in kept), *(b for _, b in kept))))
+        C = [[(alg.brackets[(a, b)] or {}).get(layer.beta, 0) for _, b in kept]
+             for a, _ in kept]
+        if determinant(C) == 0:
+            raise AssertionError("polarization pairing must be nondegenerate")
+        descs.append(LayerDesc(
+            r, layer.beta, layer.members,
+            (layer.beta, *(a for a, _ in kept), *(b for _, b in kept)),
+            np.array(C, dtype=float).reshape(len(kept), len(kept))))
     return Harness(name, tuple(descs), alg)
 
 
@@ -352,20 +362,17 @@ def build_harness(name: str) -> Harness:
         d = int(name[4:])
         if d < 1 or d > 3:
             raise ValueError("HEIS harnesses support d = 1, 2, 3")
-        return _heisenberg_harness(d)
+        alg = realize_split_nilradical("A", d + 1)
+        return _cut(name, alg, alg.layers[-1:])
     series, rank = name[:1], name[1:]
     if series not in SERIES or not rank.isdigit():
         raise ValueError(f"unknown harness {name!r}; expected HEIS1-3 or "
                          "<series><rank> such as A3 or C2")
-    return _algebra_harness(realize_split_nilradical(series, int(rank)), name)
+    alg = realize_split_nilradical(series, int(rank))
+    return _cut(name, alg, alg.layers)
 
 
 def exact_density(h: Harness, gamma: Dict[int, Q]) -> Q:
     """|Pf| of gamma (keyed by harness layer) from ``plancherel_density`` on
-    the layers of h's model named by h's keys, not from the float pairing C."""
-    model = {layer.beta: layer for layer in h.model.layers}
-    layers = [replace(model[layer.keys[0]], r=layer.r) for layer in h.layers]
-    if any(set(layer.keys[1:]) != set(exact.members)
-           for layer, exact in zip(h.layers, layers)):
-        raise AssertionError(f"{h.name}: a layer is not a layer of its model")
-    return abs(plancherel_density(h.model, layers, gamma).product)
+    h's layers, which are layers of h's model, not from the float pairing C."""
+    return abs(plancherel_density(h.model, h.layers, gamma).product)

@@ -47,10 +47,6 @@ class TestFunction:
     harness: Harness
     terms: Tuple[GaussianState, ...]
 
-    @property
-    def dim(self) -> int:
-        return self.harness.dim
-
     @staticmethod
     def standard(harness: Harness) -> "TestFunction":
         """exp(-pi |xi|^2) on the algebra coordinates."""
@@ -140,8 +136,7 @@ def orbit_integral(f: TestFunction, orb: OrbitDescriptor) -> complex:
     """
     orb.check_regular()
     h = orb.harness
-    lam_full = np.zeros(h.dim)
-    lam_full[list(h.starts)] = [orb.lam_dict[layer.r] for layer in h.layers]
+    lam_full = h.centres([orb.lam_dict[layer.r] for layer in h.layers])
     # columns spanning the symplectic dual coordinates inside the full dual
     V = np.eye(h.dim)[:, [i for i in range(h.dim) if i not in h.starts]]
     total = 0.0 + 0.0j
@@ -172,9 +167,7 @@ def _slice_quadratic(f: TestFunction, x: GroupElement) -> List[Tuple[np.ndarray,
     x_mat = x.to_matrix()
 
     def xi(s: np.ndarray) -> np.ndarray:
-        centre = np.zeros(h.dim)
-        centre[list(h.starts)] = s
-        return h.log(h.exp(centre) @ x_mat)
+        return h.log(h.exp(h.centres(s)) @ x_mat)
 
     b = xi(np.zeros(m))
     A = np.stack([xi(e) - b for e in np.eye(m)], axis=1)
@@ -298,11 +291,9 @@ def restrict_test_function(f_big: TestFunction, small: Harness) -> TestFunction:
     """Restriction of the lift to a harness cut from the same split model:
     one index map by root key."""
     big = f_big.harness
-    position = {key: i for i, key in enumerate(big.keys)}
-    if ((small.series, small.rank) != (big.series, big.rank)
-            or not all(key in position for key in small.keys)):
+    idx = big.positions(small)
+    if idx is None:
         raise ValueError(f"{small.name} is not cut from the model of {big.name}")
-    idx = [position[key] for key in small.keys]
     terms = []
     for t in f_big.terms:
         terms.append(GaussianState(t.M[np.ix_(idx, idx)], t.ell[idx], t.k))
@@ -322,9 +313,7 @@ def limit_inversion_check(f_big: TestFunction, f_small: TestFunction,
     probe = np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
     gap = 0.0
     for vals in np.ndindex(*([len(probe)] * small.m)):
-        coords_small = np.zeros(small.dim)
-        coords_small[list(small.starts)] = probe[list(vals)]
-        g_small = GroupElement(small, coords_small)
+        g_small = GroupElement(small, small.centres(probe[list(vals)]))
         gap = max(gap, abs(f_small.value(g_small)
                            - f_big.value(embed_leading(big, g_small))))
     coherent = gap < 1e-9

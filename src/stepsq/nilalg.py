@@ -58,11 +58,6 @@ class Layer:
         """Half the symplectic dimension."""
         return len(self.members) // 2
 
-    @property
-    def dim(self) -> int:
-        """Layer dimension."""
-        return 1 + len(self.members)
-
 
 @dataclass(frozen=True)
 class NilpotentAlgebra:

@@ -89,8 +89,7 @@ class RepInstance:
             raise ValueError("grid states need a single-layer harness")
         lam = self.lam
         # Ad(exp(-zeta z_r))(y . b) = (zvec . y) z + (A y) . a + (B y) . b
-        piece = np.zeros(h.dim)
-        piece[h.starts[layer_index]] = -zeta
+        piece = h.centres([-zeta if k == layer_index else 0.0 for k in range(h.m)])
         cols = h.adjoint(piece)[:, h.dim - self.D:]  # the top b-roots come last
         if cols[:h.starts[-1]].any():
             raise AssertionError("adjoint image must stay in the top layer")
@@ -104,7 +103,7 @@ class RepInstance:
     def apply(self, g: GroupElement, state: State) -> State:
         """pi(g) applied to a Gaussian or grid state vector."""
         h = self.harness
-        if g.harness.keys != h.keys:
+        if h.positions(g.harness) != list(range(h.dim)):
             raise ValueError(f"an element of {g.harness.name} does not act "
                              f"in a representation of {h.name}")
         out = state
@@ -388,8 +387,7 @@ def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
     if y is None:
         y = x
     hb, hs = rep_big.harness, rep_small.harness
-    if ((hs.series, hs.rank) != (hb.series, hb.rank) or hs.m >= hb.m
-            or hs.keys != hb.keys[:len(hs.keys)]):
+    if hs.m >= hb.m or hb.positions(hs) != list(range(hs.dim)):
         raise ValueError("the small harness must be a leading-layer subgroup")
     gb, gs = rep_big.gamma_dict, rep_small.gamma_dict
     if any(gb[layer.r] != gs[layer.r] for layer in hs.layers):
@@ -421,9 +419,7 @@ def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
     dev = 0.0
     for zeta in (0.5, 1.0, 2.0):
         for sgn in (1.0, -1.0):
-            coords = np.zeros(hs.dim)
-            coords[list(hs.starts)] = sgn * zeta
-            g = GroupElement(hs, coords)
+            g = GroupElement(hs, hs.centres(np.full(hs.m, sgn * zeta)))
             dev = max(dev, abs(f_big(g) - inner_xy * f_small(g)))
 
     report = RestrictionReport(

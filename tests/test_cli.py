@@ -14,6 +14,7 @@ import stepsq
 import stepsq.cascade as cascade
 import stepsq.cli as cli
 import stepsq.harness as harness
+import stepsq.nilalg as nilalg
 import stepsq.rootsys as rootsys
 from stepsq.cli import ReportDocument, make_row, run
 
@@ -449,3 +450,53 @@ def test_pfaffian_at_the_largest_size(tmp_path):
     assert run(["pfaffian", "--max-size", "20", "--count", "50",
                 "--out", out]) == 0
     assert read(out)["rows"][0]["measured"] == 50
+
+
+HUGE = "1" + "0" * 400  # an integer no float holds
+
+
+@pytest.mark.parametrize("argv", [
+    ["orthogonality", "--harness", "HEIS1", "--lambda", HUGE],
+    ["restriction", "--lambda1", HUGE],
+    ["restriction", "--lambda2", f"{HUGE}/3"],
+], ids=["lambda", "lambda1", "lambda2"])
+def test_rationals_too_large_for_a_float_exit_2(tmp_path, capsys, argv):
+    out = str(tmp_path / "r.json")
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert argv[-1] in err  # the message names the value
+    assert not os.path.exists(out)
+
+
+def test_config_nested_too_deep_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000)
+    out = str(tmp_path / "r.json")
+    assert run(["roots", "--series", "A", "--n", "2", "--config", str(cfg),
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "bad config file" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("cmd", ["roots", "cascade", "layers", "axioms"])
+def test_rank_above_32_exits_2_before_building(tmp_path, capsys, monkeypatch,
+                                               cmd):
+    def refuse(*args):
+        raise AssertionError("built a root system for a rank above the cap")
+
+    for module in (cli, nilalg):
+        monkeypatch.setattr(module, "build_root_system", refuse)
+    out = str(tmp_path / "r.json")
+    assert run([cmd, "--series", "D", "--n", "33", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--n" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("cmd,series", [("roots", "D"), ("cascade", "C")])
+def test_rank_32_runs(tmp_path, cmd, series):
+    out = str(tmp_path / "r.json")
+    assert run([cmd, "--series", series, "--n", "32", "--out", out]) == 0
+    assert read(out)["inputs"]["rank"] == 32

@@ -7,9 +7,7 @@ import pytest
 
 from stepsq.harness import (
     HARNESS_NAMES,
-    Harness,
-    LayerDesc,
-    _layer_desc,
+    _cut,
     build_harness,
     element,
     embed_leading,
@@ -22,8 +20,10 @@ from stepsq.harness import (
     multiply,
     random_element,
 )
-from stepsq.inversion import orbit
-from stepsq.nilalg import realize_split_nilradical
+from stepsq.inversion import TestFunction, orbit, restrict_test_function
+from stepsq.nilalg import Layer, realize_split_nilradical
+from stepsq.schrodinger import restrict_and_renormalize, stepwise_rep
+from stepsq.states import GaussianState
 
 
 def test_exp_log_inverse_pair():
@@ -182,19 +182,30 @@ def test_adjoint_is_a_homomorphism(name):
 
 
 def test_pairing_and_adjoint_read_the_bracket_table():
-    # HEIS1 is cut from A2: z = e1 - e3, a = e1 - e2, b = e2 - e3
+    # HEIS1 is cut from A2: z = e1 - e3, a = e1 - e2, b = e2 - e3, and
+    # [x_a, x_b] = +x_z; C2's top layer has [x_a, x_b] = -2 x_z
     alg = realize_split_nilradical("A", 2)
     z, a, b = (1, 0, -1), (1, -1, 0), (0, 1, -1)
-    assert _layer_desc(alg, 1, (z, a, b)).C.tolist() == [[1.0]]
-    assert _layer_desc(alg, 1, (z, b, a)).C.tolist() == [[-1.0]]
+    heis = _cut("HEIS1", alg, alg.layers[-1:])
+    assert heis.keys == (z, a, b) and alg.brackets[(a, b)] == {z: 1}
+    assert heis.top.C.tolist() == [[1.0]]
+    c2 = build_harness("C2")
+    z, a, b = c2.top.keys
+    assert c2.model.brackets[(a, b)] == {z: -2}
+    assert c2.top.C.tolist() == [[-2.0]]
+    # e1 - e2 and e3 - e4 sum to no root of A3, so their bracket has no
+    # coefficient on their sum
+    a3 = realize_split_nilradical("A", 3)
+    flat = Layer(1, (1, -1, 1, -1), ((1, -1, 0, 0), (0, 0, 1, -1)))
+    assert a3.brackets[flat.members] == {}
     with pytest.raises(AssertionError, match="nondegenerate"):
-        _layer_desc(alg, 1, (z, a, a))  # [a, a] = 0
-    # the simple roots of A3 span no subalgebra: [x_{e1-e2}, x_{e2-e3}] = x_{e1-e3}
-    simple = ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1))
-    bad = Harness("bad", (LayerDesc(1, 1, np.eye(1), simple),),
-                  realize_split_nilradical("A", 3))
+        _cut("flat", a3, [flat])
+    # the simple lines e1 - e2 and e2 - e3 of A3 span no subalgebra:
+    # [x_{e1-e2}, x_{e2-e3}] = x_{e1-e3}
+    lines = [Layer(1, (1, -1, 0, 0), ()), Layer(2, (0, 1, -1, 0), ())]
+    bad = _cut("bad", a3, lines)
     with pytest.raises(AssertionError, match="bracket outside the harness"):
-        bad.adjoint(np.zeros(3))
+        bad.adjoint(np.zeros(2))
 
 
 def test_log_rejects_outside_elements():
@@ -251,11 +262,21 @@ def test_matrices_are_the_model_root_spaces(name):
         assert np.array_equal(h.lie(e), dense), (name, key)
 
 
-def test_heisenberg_keys_in_heisenberg_order():
-    h = build_harness("HEIS2")
-    e = np.eye(4, dtype=int)
-    assert h.keys == tuple(tuple(int(x) for x in e[i] - e[j]) for i, j in
-                           [(0, 3), (0, 1), (0, 2), (1, 3), (2, 3)])
+def test_heisenberg_keys_in_model_order():
+    # HEIS_d is A_{d+1}'s top layer, cut by the rule of every harness:
+    # beta = e_1 - e_{d+2}, a_i = e_1 - e_{d+2-i}, b_i = e_{d+2-i} - e_{d+2}
+    for d in (1, 2, 3):
+        h = build_harness(f"HEIS{d}")
+        n = d + 2
+        e = np.eye(n, dtype=int)
+        pairs = ([(0, n - 1)] + [(0, n - 1 - i) for i in range(1, d + 1)]
+                 + [(n - 1 - i, n - 1) for i in range(1, d + 1)])
+        assert h.keys == tuple(tuple(int(x) for x in e[i] - e[j])
+                               for i, j in pairs)
+        top = realize_split_nilradical("A", d + 1).layers[-1]
+        assert h.keys[0] == top.beta and set(h.keys[1:]) == set(top.members)
+        assert h.top.r == 1 and np.array_equal(h.top.C, np.eye(d))
+    assert build_harness("HEIS2").keys == build_harness("A3").keys[1:]
 
 
 @pytest.mark.parametrize("name", HARNESS_NAMES + ("A5", "C4"))
@@ -325,3 +346,32 @@ def test_multiply_compares_factors_by_root_keys():
         multiply(g1, random_element(build_harness("C2"), rng))
     with pytest.raises(ValueError, match="do not multiply"):
         multiply(g1, random_element(leading_subgroup(g1.harness, 1), rng))
+
+
+@pytest.mark.parametrize("big,other", [("D4", "B4"), ("B2", "A1")])
+def test_equal_keys_of_another_model_are_rejected(big, other):
+    # D4[:1] and B4[:1], and B2[:1] and A1, have equal root keys but are
+    # cut from different split models, so no site may take one for the other
+    h = build_harness(big)
+    own = leading_subgroup(h, 1)
+    foreign = leading_subgroup(build_harness(other), 1)
+    assert foreign.keys == own.keys and foreign.series != own.series
+    rng = np.random.default_rng(8)
+    g = random_element(foreign, rng)
+    multiply(random_element(own, rng), random_element(own, rng))
+    with pytest.raises(ValueError, match="do not multiply"):
+        multiply(random_element(own, rng), g)
+    scalar = GaussianState(np.zeros((0, 0)), np.zeros(0), 0.0)
+    with pytest.raises(ValueError, match="does not act"):
+        stepwise_rep(own, {1: 1.0}).apply(g, scalar)
+    embed_leading(h, random_element(own, rng))
+    with pytest.raises(ValueError, match="not a leading-layer subgroup"):
+        embed_leading(h, g)
+    rep_big = stepwise_rep(h, {layer.r: 1.0 + layer.r for layer in h.layers})
+    with pytest.raises(ValueError, match="leading-layer subgroup"):
+        restrict_and_renormalize(rep_big, stepwise_rep(foreign, {1: 2.0}),
+                                 scalar, scalar, GaussianState.ground(h.top.d))
+    f = TestFunction.standard(h)
+    restrict_test_function(f, own)
+    with pytest.raises(ValueError, match="not cut from the model"):
+        restrict_test_function(f, foreign)

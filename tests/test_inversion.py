@@ -1,6 +1,7 @@
 """Orbit integrals, Fourier inversion, and the two-stage limit check."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,9 +326,14 @@ def test_test_function_values_on_group():
 
 
 def test_restriction_is_an_index_map_by_root_key():
-    # HEIS2 is the top layer of A3 with its roots in another order; the
-    # restricted function must agree with the big one on the same matrices
-    big, small = build_harness("A3"), build_harness("HEIS2")
+    # HEIS2 is the top layer of A3; with its two a-roots and its two b-roots
+    # swapped (the pairing stays C = I) its keys are a permutation of A3's
+    # top keys, and the restricted function must agree with the big one on
+    # the same matrices
+    big, heis = build_harness("A3"), build_harness("HEIS2")
+    z, a1, a2, b1, b2 = heis.keys
+    small = replace(heis, name="HEIS2-swapped", layers=(
+        replace(heis.top, keys=(z, a2, a1, b2, b1)),))
     assert small.keys != big.keys[1:] and set(small.keys) == set(big.keys[1:])
     f_big = TestFunction.gaussian(big, np.linspace(-0.4, 0.5, big.dim),
                                   np.linspace(0.3, -0.2, big.dim), 0.9)

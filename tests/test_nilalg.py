@@ -112,11 +112,11 @@ def test_jacobi_random_triples():
 
 def test_layer_dims():
     layers = realize_split_nilradical("A", 3).layers
-    assert layers[0].dim == 1 and layers[0].d_r == 0
-    assert layers[1].dim == 5 and layers[1].d_r == 2
+    assert 1 + 2 * layers[0].d_r == 1 + len(layers[0].members) == 1
+    assert 1 + 2 * layers[1].d_r == 1 + len(layers[1].members) == 5
     for series in ("C", "B"):
         layers = realize_split_nilradical(series, 2).layers
-        assert layers[1].dim == 3 and layers[1].d_r == 1
+        assert 1 + 2 * layers[1].d_r == 1 + len(layers[1].members) == 3
 
 
 def test_decompose_roundtrip():
