@@ -22,7 +22,6 @@ class CascadeDecomposition:
     """Reversed cascade beta_1..beta_m and the layer partition of positives."""
 
     system: RootSystem
-    beta_prime: Tuple[Vector, ...]
     beta: Tuple[Vector, ...]
     layers: Dict[int, Tuple[Vector, ...]]
 
@@ -92,7 +91,7 @@ def layer_partition(system: RootSystem,
         }
         if expected != characterized:
             raise AssertionError(f"layer characterization failed at r={r}")
-    return CascadeDecomposition(system, reverse_cascade(beta), beta, layers)
+    return CascadeDecomposition(system, beta, layers)
 
 
 def cascade_decomposition(system: RootSystem) -> CascadeDecomposition:

@@ -608,14 +608,23 @@ def _report_path(args: argparse.Namespace) -> str:
     return os.path.join(directory, f"{args.command}.json")
 
 
+def _stage(exc: BaseException) -> str:
+    """The innermost ``<module>.<function>`` of the package in exc's traceback."""
+    import traceback  # only a broken invariant pays for the import
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = [frame.f_code for frame, _ in traceback.walk_tb(exc.__traceback__)
+            if os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == here][-1]
+    return f"{os.path.basename(code.co_filename)[:-3]}.{code.co_name}"
+
+
 def run(argv: Sequence[str]) -> int:
     """Execute one subcommand; returns the process exit code.
 
-    0: all checks passed; 1: a check failed, an invariant broke (the
-    report then holds one failing "invariant" row naming it) or a tolerance
-    was unreachable; 2: configuration error (unknown subcommand, malformed
-    flags, rationals or config values, a report directory that does not
-    exist (checked before computing) or a report that cannot be written).
+    0: all checks passed; 1: a check failed, an invariant broke (a failing
+    "invariant" row names it and its stage) or a tolerance was unreachable;
+    2: configuration error (unknown subcommand, malformed flags, rationals
+    or config values, a report directory that does not exist (checked
+    before computing) or a report that cannot be written).
     """
     parser, commands = _build_parser()
     try:
@@ -647,9 +656,10 @@ def run(argv: Sequence[str]) -> int:
         print(f"stepsq: configuration error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
-        # a broken invariant is a failed check: a report row names it
-        print(f"stepsq: invariant failed: {exc}", file=sys.stderr)
-        inputs, rows = {}, [make_row("invariant", True, False, 0, str(exc))]
+        # a broken invariant is a failed check: a row names it and its stage
+        message = f"{_stage(exc)}: {exc}"
+        print(f"stepsq: invariant failed: {message}", file=sys.stderr)
+        inputs, rows = {}, [make_row("invariant", True, False, 0, message)]
     timing = round(time.perf_counter() - start, 3) if args.timing else None
     doc = ReportDocument(args.command, {**inputs, "seed": args.seed},
                          tuple(rows), timing)

@@ -60,10 +60,6 @@ class LayerDesc(Layer):
     keys: Tuple[Vector, ...]
     C: np.ndarray  # [a_i, b_j] = C[i, j] * z
 
-    @cached_property
-    def d(self) -> int:
-        return self.d_r
-
 
 @dataclass(frozen=True, eq=False)
 class Harness:
@@ -96,7 +92,7 @@ class Harness:
     @cached_property
     def dim(self) -> int:
         """Dimension of the Lie algebra spanned by the harness layers."""
-        return sum(1 + 2 * layer.d for layer in self.layers)
+        return sum(1 + 2 * layer.d_r for layer in self.layers)
 
     @cached_property
     def keys(self) -> Tuple[Vector, ...]:
@@ -107,7 +103,7 @@ class Harness:
     def starts(self) -> Tuple[int, ...]:
         """Basis position of each layer's central coordinate."""
         return tuple(itertools.accumulate(
-            (1 + 2 * layer.d for layer in self.layers[:-1]), initial=0))
+            (1 + 2 * layer.d_r for layer in self.layers[:-1]), initial=0))
 
     def centres(self, values: Sequence[float]) -> np.ndarray:
         """The basis-order vector with the given values on the layer
@@ -133,15 +129,15 @@ class Harness:
 
     def part(self, coords: np.ndarray, k: int) -> Tuple[float, np.ndarray, np.ndarray]:
         """Layer k's (centre, a-part, b-part) of a basis-order vector."""
-        s, d = self.starts[k], self.layers[k].d
+        s, d = self.starts[k], self.layers[k].d_r
         return coords[s], coords[s + 1:s + 1 + d], coords[s + 1 + d:s + 1 + 2 * d]
 
     def pf_abs(self, gamma: Dict[int, float]) -> float:
         """|Pf| of gamma from the float pairings: prod |gamma_r|^d_r |det C_r|."""
         out = 1.0
         for layer in self.layers:
-            if layer.d:
-                out *= abs(gamma[layer.r]) ** layer.d * abs(np.linalg.det(layer.C))
+            if layer.d_r:
+                out *= abs(gamma[layer.r]) ** layer.d_r * abs(np.linalg.det(layer.C))
         return out
 
     @cached_property
@@ -191,14 +187,15 @@ class Harness:
 
     @cached_property
     def _structure(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The model's brackets among the harness coordinates as sparse
-        arrays (i, j, k, v) with [X_i, X_j] = v X_k; AssertionError for a
-        bracket that leaves the harness algebra."""
+        """The model's table entries whose two roots are harness keys, as
+        sparse arrays (i, j, k, v) with [X_i, X_j] = v X_k; AssertionError
+        for a bracket that leaves the harness algebra."""
         index = {key: n for n, key in enumerate(self.keys)}
         table = np.array([
-            (i, j, index.get(c, -1), v)
-            for (i, a), (j, b) in itertools.product(enumerate(self.keys), repeat=2)
-            for c, v in (self.model.brackets[(a, b)] or {}).items()],
+            (index[a], index[b], index.get(c, -1), v)
+            for (a, b), coeffs in self.model.brackets.items()
+            if a in index and b in index
+            for c, v in coeffs.items()],
             dtype=float).reshape(-1, 4)
         if (table[:, 2] < 0).any():
             raise AssertionError("bracket outside the harness algebra")
@@ -232,7 +229,7 @@ class Harness:
         the layered product: one basis-order vector per centre, a- and
         b-slice of coords, in product order."""
         cuts = [s + off for s, layer in zip(self.starts, self.layers)
-                for off in (0, 1, 1 + layer.d)] + [self.dim]
+                for off in (0, 1, 1 + layer.d_r)] + [self.dim]
         out = np.eye(n)
         for lo, hi in zip(cuts, cuts[1:]):
             if lo < hi:
@@ -295,8 +292,8 @@ def element(h: Harness, coords: Sequence[Tuple[float, Sequence[float], Sequence[
     if len(coords) != h.m:
         raise ValueError("coordinate data must cover every layer")
     return GroupElement(h, np.concatenate([
-        np.concatenate([[float(zeta)], np.asarray(p, dtype=float).reshape(layer.d),
-                        np.asarray(q, dtype=float).reshape(layer.d)])
+        np.concatenate([[float(zeta)], np.asarray(p, dtype=float).reshape(layer.d_r),
+                        np.asarray(q, dtype=float).reshape(layer.d_r)])
         for layer, (zeta, p, q) in zip(h.layers, coords)]))
 
 
@@ -305,7 +302,7 @@ def from_matrix(h: Harness, M: np.ndarray) -> GroupElement:
     M = np.array(M, dtype=float)
     coords = np.zeros(h.dim)
     for k, (s, layer) in enumerate(zip(h.starts, h.layers)):
-        span, w = slice(s, s + 1 + 2 * layer.d), np.zeros(h.dim)
+        span, w = slice(s, s + 1 + 2 * layer.d_r), np.zeros(h.dim)
         w[span] = coords[span] = h.log(M)[span]
         _, p, q = h.part(w, k)
         coords[s] -= 0.5 * p @ layer.C @ q
@@ -345,7 +342,7 @@ def _cut(name: str, alg: NilpotentAlgebra, layers: Sequence[Layer]) -> Harness:
         if any(b == a or b not in layer.members for a, b in pairs):
             raise AssertionError("split harness layers pair distinct roots")
         kept = [(a, b) for a, b in pairs if a > b]
-        C = [[(alg.brackets[(a, b)] or {}).get(layer.beta, 0) for _, b in kept]
+        C = [[alg.brackets.get((a, b), {}).get(layer.beta, 0) for _, b in kept]
              for a, _ in kept]
         if determinant(C) == 0:
             raise AssertionError("polarization pairing must be nondegenerate")

@@ -100,7 +100,7 @@ class OrbitDescriptor:
 
     @property
     def d_list(self) -> Tuple[int, ...]:
-        return tuple(layer.d for layer in self.harness.layers)
+        return tuple(layer.d_r for layer in self.harness.layers)
 
     @property
     def c(self) -> int:

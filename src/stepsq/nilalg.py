@@ -11,10 +11,11 @@ model: it checks the grading and closure, cuts the layers l_r = z_r + v_r
 from the Kostant cascade, checks them, and returns the algebra with its
 layers in ``layers``.  Every consumer reads ``alg.layers``.
 
-Each model computes its brackets once, in ``alg.brackets``; every check,
-the setup axioms and the Pfaffian densities read that table.  The grading
-is checked in integers, from the weight of each matrix index under the
-series' diagonal Cartan element.
+Each model computes its nonzero brackets once, in ``alg.brackets`` (absent
+means zero); every check, the setup axioms and the Pfaffian densities read
+that table.  The grading is checked in integers, from the weight of each
+matrix index under the series' diagonal Cartan element; given it, building
+the table checks closure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .cascade import cascade_decomposition
-from .rootsys import RootSystem, Vector, build_root_system, vadd, vscale, vsub
+from .rootsys import RootSystem, Vector, build_root_system, vscale, vsub
 
 Entries = Dict[Tuple[int, int], int | Q]  # sparse matrix: position -> nonzero value
 
@@ -53,7 +54,7 @@ class Layer:
     beta: Vector
     members: Tuple[Vector, ...]
 
-    @property
+    @cached_property
     def d_r(self) -> int:
         """Half the symplectic dimension."""
         return len(self.members) // 2
@@ -87,18 +88,21 @@ class NilpotentAlgebra:
         object.__setattr__(self, "posmap", posmap)
 
     @cached_property
-    def brackets(self) -> Dict[Tuple[Vector, Vector], Optional[Dict[Vector, Q]]]:
-        """Basis coefficients of [x_a, x_b] for every ordered pair (a, b) of
-        basis roots, or None outside the span; one commutator per unordered
-        pair, with (b, a) the negation of (a, b)."""
-        table: Dict[Tuple[Vector, Vector], Optional[Dict[Vector, Q]]] = {}
+    def brackets(self) -> Dict[Tuple[Vector, Vector], Dict[Vector, Q]]:
+        """Basis coefficients of each nonzero [x_a, x_b] under (a, b) and,
+        negated, under (b, a); an absent pair brackets to zero.  One
+        commutator per unordered pair of distinct roots; one outside the span
+        raises AssertionError naming the pair."""
+        table: Dict[Tuple[Vector, Vector], Dict[Vector, Q]] = {}
         items = list(self.basis.items())
         for i, (a, x) in enumerate(items):
-            for b, y in items[i:]:
+            for b, y in items[i + 1:]:
                 coeffs = decompose(self, sparse_commutator(x, y))
-                table[(b, a)] = None if coeffs is None else {
-                    c: -v for c, v in coeffs.items()}
-                table[(a, b)] = coeffs
+                if coeffs is None:
+                    raise AssertionError(f"bracket [{a},{b}] leaves the span")
+                if coeffs:
+                    table[(a, b)] = coeffs
+                    table[(b, a)] = {c: -v for c, v in coeffs.items()}
         return table
 
 
@@ -175,20 +179,17 @@ def _index_weights(series: str, rank: int) -> List[Vector]:
 
 
 def _validate_algebra(alg: NilpotentAlgebra) -> None:
-    """Check the grading and closure invariants exactly."""
+    """Check the grading exactly, then build the bracket table.  Once every
+    entry of x_a sits at a position of weight a, every entry of [x_a, x_b]
+    sits at weight a + b, so a bracket inside the span is a multiple of
+    x_{a+b}; if a + b is not a positive root, the bracket is zero or outside
+    the span, where the build raises.  So the build checks closure."""
     w = _index_weights(alg.series, alg.rank)
     for a, x in alg.basis.items():
         for r, c in x:
             if vsub(w[r], w[c]) != a:
                 raise AssertionError(f"grading fails at {a}")
-    roots = set(alg.system.positives)
-    for (a, b), coeffs in alg.brackets.items():
-        s = vadd(a, b)
-        if s in roots:
-            if coeffs is None or not coeffs.keys() <= {s}:
-                raise AssertionError(f"bracket [{a},{b}] escapes")
-        elif coeffs != {}:
-            raise AssertionError(f"bracket [{a},{b}] should vanish")
+    alg.brackets  # raises on a bracket outside the span
 
 
 def check_layers(alg: NilpotentAlgebra) -> None:
@@ -201,10 +202,9 @@ def check_layers(alg: NilpotentAlgebra) -> None:
             raise AssertionError(f"v_{r} has odd dimension")
         for a in members:
             for b in members:
-                coeffs = table[(a, b)]
-                if coeffs is None or not coeffs.keys() <= {beta}:
+                if not table.get((a, b), {}).keys() <= {beta}:
                     raise AssertionError(f"[v_{r}, v_{r}] escapes z_{r} at ({a},{b})")
-            if table[(beta, a)] != {}:
+            if (beta, a) in table:
                 raise AssertionError(f"z_{r} must be central in l_{r}")
 
 
@@ -252,8 +252,7 @@ def verify_setup_axioms(alg: NilpotentAlgebra) -> AxiomReport:
     table = alg.brackets
 
     def supp_ok(a: Vector, b: Vector, allowed: frozenset) -> bool:
-        coeffs = table[(a, b)]
-        return coeffs is not None and coeffs.keys() <= allowed
+        return table.get((a, b), {}).keys() <= allowed
 
     def layer_roots(layer: Layer) -> List[Vector]:
         return [layer.beta, *layer.members]

@@ -191,8 +191,8 @@ def b_lambda_matrix(alg: NilpotentAlgebra, layer: Layer, lambda_r: Q) -> SkewMat
     rows: List[List[Q]] = [[Q(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            coeffs = table[(v[i], v[j])]
-            if coeffs is None or not coeffs.keys() <= {layer.beta}:
+            coeffs = table.get((v[i], v[j]), {})
+            if not coeffs.keys() <= {layer.beta}:
                 raise AssertionError(f"[v_{layer.r}, v_{layer.r}] escapes z_{layer.r}")
             val = lambda_r * coeffs.get(layer.beta, Q(0))
             rows[i][j] = val

@@ -56,7 +56,7 @@ class RepInstance:
 
     @property
     def D(self) -> int:
-        return self.harness.top.d
+        return self.harness.top.d_r
 
     @property
     def gamma_dict(self) -> Dict[int, float]:
@@ -76,14 +76,14 @@ class RepInstance:
                    state: State) -> State:
         lam = self.lam
         top = self.harness.top
-        out = state.translate(np.asarray(q, dtype=float)) if top.d else state
-        freq = -lam * top.C.T @ np.asarray(p, dtype=float) if top.d else np.zeros(0)
+        out = state.translate(np.asarray(q, dtype=float)) if top.d_r else state
+        freq = -lam * top.C.T @ np.asarray(p, dtype=float) if top.d_r else np.zeros(0)
         return out.modulate(freq, 2j * np.pi * lam * zeta)
 
     def _apply_earlier(self, layer_index: int, zeta: float, state: State) -> State:
         h = self.harness
         layer = h.layers[layer_index]
-        if layer.d != 0:
+        if layer.d_r != 0:
             raise AssertionError("earlier layers of the supported harnesses are lines")
         if not isinstance(state, GaussianState):
             raise ValueError("grid states need a single-layer harness")
@@ -207,14 +207,14 @@ def stepwise_rep(harness: Union[Harness, str],
     """
     h = build_harness(harness) if isinstance(harness, str) else harness
     for layer in h.layers[:-1]:
-        if layer.d != 0:
+        if layer.d_r != 0:
             raise ValueError("unsupported harness shape: only the top layer may "
                              "carry a symplectic part")
     top = h.top
     gd = {int(r): float(v) for r, v in gamma.items()}
     if set(gd) != {layer.r for layer in h.layers}:
         raise ValueError("gamma must assign a coefficient to every layer")
-    if top.d and gd[top.r] == 0:
+    if top.d_r and gd[top.r] == 0:
         raise ValueError("the top-layer coefficient must be nonzero")
     rep = RepInstance(h, tuple(sorted(gd.items())))
     validate_rep(rep, 1e-8)
@@ -254,7 +254,6 @@ class NormReport:
     value: float
     predicted: float
     rel_error: float
-    path: str
 
 
 def _closed_norm_sq(rep: RepInstance, u: GaussianState, v: GaussianState) -> float:
@@ -344,14 +343,10 @@ def coefficient_norm_sq(rep: RepInstance, u: State, v: State) -> NormReport:
     if rep.D < 1:
         raise ValueError("the coefficient norm needs a symplectic layer")
     predicted = u.norm_sq() * v.norm_sq() / rep.pf_abs
-    if isinstance(u, GaussianState):
-        value = _closed_norm_sq(rep, u, v)
-        path = "closed"
-    else:
-        value = _grid_norm_sq(rep, u, v)
-        path = "grid"
+    path = _closed_norm_sq if isinstance(u, GaussianState) else _grid_norm_sq
+    value = path(rep, u, v)
     rel = abs(value - predicted) / predicted
-    return NormReport(value, predicted, rel, path)
+    return NormReport(value, predicted, rel)
 
 
 @dataclass(frozen=True)
@@ -433,11 +428,9 @@ def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Weighted sup-norms and truncated L1 integrals over nested boxes."""
+    """Weighted sup-norms over nested boxes and the L1 Cauchy gap."""
 
     sups: Dict[int, Tuple[float, ...]]  # k -> per-box weighted sup
-    l1: Tuple[float, ...]
-    boxes: Tuple[float, ...]
     sup_stable: bool
     l1_cauchy_gap: float
     passed: bool
@@ -454,7 +447,6 @@ def schwartz_decay_report(field: Callable[[np.ndarray], np.ndarray], dim: int,
     the weighted sup of (1 + |x|^2)^k |f(x)| must stabilize across boxes, and
     the truncated L1 integrals must be Cauchy; growth flags a failure.
     """
-    boxes = tuple(boxes)
     sups: Dict[int, list] = {k: [] for k in range(k_max + 1)}
     l1 = []
     for R in boxes:
@@ -470,5 +462,5 @@ def schwartz_decay_report(field: Callable[[np.ndarray], np.ndarray], dim: int,
         sups[k][-1] <= sups[k][-2] * (1.0 + 1e-6) + sup_tol for k in range(k_max + 1))
     gap = abs(l1[-1] - l1[-2])
     passed = sup_stable and gap <= l1_tol
-    return DecayReport({k: tuple(v) for k, v in sups.items()}, tuple(l1),
-                       boxes, sup_stable, gap, passed)
+    return DecayReport({k: tuple(v) for k, v in sups.items()}, sup_stable,
+                       gap, passed)

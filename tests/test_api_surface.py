@@ -3,9 +3,10 @@ and the package states its invariants as raised errors.
 
 A public top-level function or class in ``src/stepsq`` must be referenced
 (as a name or an attribute) somewhere in ``src/stepsq`` or ``demos/``; a
-public method of such a class must be reached as an attribute
-(``obj.name``), so a local variable of the same name does not count.  An
-attribute of an imported module, such as ``np.exp``, does not count either.
+public method or annotated field of such a class must be reached as an
+attribute (``obj.name``), so a local variable of the same name does not
+count, nor does a field that is only ever set.  An attribute of an imported
+module, such as ``np.exp``, does not count either.
 A name that only tests reach is either given a pipeline, a caller or a demo,
 or deleted; the few kept on purpose are listed in ``ALLOWED`` with the
 reason.  The package has no ``assert`` statement, since ``python -O`` strips
@@ -27,6 +28,10 @@ ALLOWED = {
     "inversion.TestFunction.conjugate_by":
         "conjugation invariance of the character, kept for a characters "
         "pipeline",
+    "limits.FactorReport.pf_small":
+        "the small stage's Pfaffian, which test_limits checks beside factor",
+    "limits.FactorReport.pf_big":
+        "the big stage's Pfaffian, which test_limits checks against factor",
     "rootsys.simple_coordinates":
         "BENCHMARK.json traces it by name (per-layer metrics "
         "rootsys.simple_coordinates.calls and .self_s)",
@@ -41,6 +46,15 @@ ALLOWED = {
         "the Cauchy-Schwarz bound on the field",
     "schrodinger.schwartz_decay_report":
         "the rapid-decay check of acceptance test_09",
+    "schrodinger.DecayReport.sups":
+        "the weighted sups per box, which test_schrodinger bounds",
+    "schrodinger.DecayReport.sup_stable":
+        "half of the decay verdict, which acceptance test_09 reads",
+    "schrodinger.DecayReport.l1_cauchy_gap":
+        "the other half of the decay verdict, which acceptance test_09 reads",
+    "schrodinger.RestrictionReport.inner_xy":
+        "the inner product <x, y> that scales the small coefficient, which "
+        "test_schrodinger checks",
 }
 
 
@@ -80,7 +94,8 @@ def _reached(qual, name, referenced):
 
 def _public_api(trees):
     """(qualified name, bare name) of each public top-level function or
-    class of the package and each public method of such a class."""
+    class of the package and each public method or annotated field of such
+    a class."""
     out = []
     for path, tree in trees.items():
         if path.parent != SRC:
@@ -90,11 +105,18 @@ def _public_api(trees):
                     or node.name.startswith("_")):
                 continue
             out.append((f"{path.stem}.{node.name}", node.name))
-            if isinstance(node, ast.ClassDef):
-                out += [(f"{path.stem}.{node.name}.{sub.name}", sub.name)
-                        for sub in node.body
-                        if isinstance(sub, ast.FunctionDef)
-                        and not sub.name.startswith("_")]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    name = sub.name
+                elif (isinstance(sub, ast.AnnAssign)
+                      and isinstance(sub.target, ast.Name)):
+                    name = sub.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    out.append((f"{path.stem}.{node.name}.{name}", name))
     return out
 
 

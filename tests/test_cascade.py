@@ -122,7 +122,7 @@ def test_sigma_rejects_a_non_integral_cartan_integer():
     # for alpha = e1 +- e2, which is not an integer
     d = cascade_decomposition(build_root_system("C", 2))
     doubled = (d.beta[0], vscale(2, d.beta[1]))
-    bad = CascadeDecomposition(d.system, d.beta_prime, doubled, d.layers)
+    bad = CascadeDecomposition(d.system, doubled, d.layers)
     with pytest.raises(AssertionError, match="not integral"):
         sigma_r(bad, d.layers[2][0], 2)
 

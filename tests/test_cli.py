@@ -89,7 +89,22 @@ def test_broken_invariant_exits_1_with_a_report(tmp_path):
     assert doc["passed"] is False and doc["inputs"] == {"seed": cli.DEFAULT_SEED}
     [row] = doc["rows"]
     assert row["name"] == "invariant" and row["pass"] is False
+    assert row["provenance"].startswith("schrodinger.validate_rep: ")
     assert "grid homomorphism deviation" in row["provenance"]
+    assert "invariant failed: schrodinger.validate_rep: " in proc.stderr
+
+
+def test_invariant_row_names_the_stage(tmp_path, monkeypatch, capsys):
+    # a broken vadd makes sigma_r's pairing check raise inside the layers
+    # pipeline; the row and stderr name cascade.sigma_r, not cli
+    monkeypatch.setattr(cascade, "vadd", lambda a, b: a)
+    out = tmp_path / "l.json"
+    assert run(["layers", "--series", "A", "--n", "3", "--out", str(out)]) == 1
+    [row] = read(out)["rows"]
+    assert row["name"] == "invariant"
+    assert row["provenance"] == ("cascade.sigma_r: alpha + sigma(alpha) "
+                                 "must equal beta_r")
+    assert "invariant failed: cascade.sigma_r: " in capsys.readouterr().err
 
 
 def test_grid_orthogonality_at_lambda_3_passes(tmp_path):

@@ -194,46 +194,60 @@ def test_shape_errors():
         realize_split_nilradical("E", 6)
 
 
+# case -> (the message the case must raise, the code that raises it)
 OPTIMIZED_CHECKS = {
-    "grading fails at": (
+    "grading fails at": ("grading fails at", (
         "from stepsq.nilalg import NilpotentAlgebra, _validate_algebra, "
         "realize_split_nilradical\n"
         "alg = realize_split_nilradical('A', 3)\n"
         "basis = {**alg.basis, (1, -1, 0, 0): {(1, 0): 1}}\n"
         "_validate_algebra(NilpotentAlgebra('A', 3, alg.system, basis, "
-        "alg.size, alg.layers))"),
-    # in B2, flipping a sign of x_{e1+e2} makes [x_{e1-e2}, x_{e1+e2}] a
-    # nonzero multiple of E_{1,5}, of weight 2e_1, which is not a root
-    "should vanish": (
+        "alg.size, alg.layers))")),
+    # in B2, flipping a sign of x_{e1+e2} makes [x_{e1+e2}, x_{e1-e2}] a
+    # nonzero multiple of E_{1,5}, of weight 2e_1, which is not a root: the
+    # bracket should vanish, and the build finds it outside the span
+    "should vanish": ("bracket [(1, 1),(1, -1)] leaves the span", (
         "from stepsq.nilalg import NilpotentAlgebra, _validate_algebra, "
         "realize_split_nilradical\n"
         "alg = realize_split_nilradical('B', 2)\n"
         "basis = {**alg.basis, (1, 1): {(0, 3): 1, (1, 4): 1}}\n"
         "_validate_algebra(NilpotentAlgebra('B', 2, alg.system, basis, "
-        "alg.size, alg.layers))"),
-    "escapes z_2": (
+        "alg.size, alg.layers))")),
+    # in C2, flipping a sign of x_{e1-e2} takes [x_{e1-e2}, x_{2e2}] out of
+    # the span although e1 + e2 is a root
+    "escapes": ("bracket [(1, -1),(0, 2)] leaves the span", (
+        "from stepsq.nilalg import NilpotentAlgebra, _validate_algebra, "
+        "realize_split_nilradical\n"
+        "alg = realize_split_nilradical('C', 2)\n"
+        "basis = {**alg.basis, (1, -1): {(0, 1): 1, (3, 2): 1}}\n"
+        "_validate_algebra(NilpotentAlgebra('C', 2, alg.system, basis, "
+        "alg.size, alg.layers))")),
+    "escapes z_2": ("escapes z_2", (
         "from stepsq.nilalg import check_layers, corrupted_fixture\n"
-        "check_layers(corrupted_fixture())"),
+        "check_layers(corrupted_fixture())")),
     "layer characterization failed at r=1": (
-        "from stepsq.cascade import cascade_decomposition, layer_partition\n"
-        "from stepsq.rootsys import build_root_system\n"
-        "system = build_root_system('A', 3)\n"
-        "layer_partition(system, tuple(reversed("
-        "cascade_decomposition(system).beta)))"),
+        "layer characterization failed at r=1", (
+            "from stepsq.cascade import cascade_decomposition, layer_partition\n"
+            "from stepsq.rootsys import build_root_system\n"
+            "system = build_root_system('A', 3)\n"
+            "layer_partition(system, tuple(reversed("
+            "cascade_decomposition(system).beta)))")),
     "Pfaffian must square to the determinant": (
-        "import stepsq.plancherel as p\n"
-        "real = p._pf_eliminate\n"
-        "p._pf_eliminate = lambda m: real(m) + 1\n"
-        "p.pfaffian([[0, 1], [-1, 0]])"),
+        "Pfaffian must square to the determinant", (
+            "import stepsq.plancherel as p\n"
+            "real = p._pf_eliminate\n"
+            "p._pf_eliminate = lambda m: real(m) + 1\n"
+            "p.pfaffian([[0, 1], [-1, 0]])")),
 }
 
 
-@pytest.mark.parametrize("message", sorted(OPTIMIZED_CHECKS))
-def test_invariants_raise_under_python_O(message):
+@pytest.mark.parametrize("case", sorted(OPTIMIZED_CHECKS))
+def test_invariants_raise_under_python_O(case):
     # the invariant checks are raised errors, so -O must not strip them
+    message, code = OPTIMIZED_CHECKS[case]
     src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS[message]],
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "AssertionError: " in proc.stderr and message in proc.stderr
