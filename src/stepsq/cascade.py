@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .rootsys import (
     RootSystem,
@@ -19,11 +20,12 @@ from .rootsys import (
 
 @dataclass(frozen=True)
 class CascadeDecomposition:
-    """Reversed cascade beta_1..beta_m and the layer partition of positives."""
+    """Reversed cascade beta_1..beta_m and the layer partition of positives,
+    read-only like the system it describes."""
 
     system: RootSystem
     beta: Tuple[Vector, ...]
-    layers: Dict[int, Tuple[Vector, ...]]
+    layers: Mapping[int, Tuple[Vector, ...]]
 
     @property
     def m(self) -> int:
@@ -91,11 +93,19 @@ def layer_partition(system: RootSystem,
         }
         if expected != characterized:
             raise AssertionError(f"layer characterization failed at r={r}")
-    return CascadeDecomposition(system, beta, layers)
+    return CascadeDecomposition(system, beta, MappingProxyType(layers))
 
 
 def cascade_decomposition(system: RootSystem) -> CascadeDecomposition:
-    """Convenience: cascade, reverse, and partition in one call."""
+    """Cascade, reverse, and partition, once per system object: the
+    decomposition is kept on the system (``RootSystem.cascade``), so a
+    system shared by ``build_root_system`` is decomposed once per process,
+    and a system built by hand gets its own."""
+    return system.cascade
+
+
+def _decompose(system: RootSystem) -> CascadeDecomposition:
+    """The decomposition that ``RootSystem.cascade`` keeps, uncached."""
     return layer_partition(system, reverse_cascade(kostant_cascade(system)))
 
 
@@ -105,14 +115,14 @@ def sigma_r(decomp: CascadeDecomposition, alpha: Vector, r: int) -> Vector:
     The Cartan integer 2(alpha, beta_r)/(beta_r, beta_r) is computed by
     exact int division, so the image of an int root is an int root.
     """
-    if alpha not in set(decomp.layers.get(r, ())):
+    if alpha not in decomp.layers.get(r, ()):
         raise ValueError(f"{alpha} is not in layer {r}")
     b = decomp.beta[r - 1]
     cartan, rest = divmod(2 * inner(alpha, b), inner(b, b))
     if rest:
         raise AssertionError(f"the Cartan integer of {alpha} at {b} is not integral")
     image = vsub(vscale(cartan, b), alpha)
-    if image not in set(decomp.layers[r]):
+    if image not in decomp.layers[r]:
         raise AssertionError("sigma must preserve the layer")
     if vadd(alpha, image) != b:
         raise AssertionError("alpha + sigma(alpha) must equal beta_r")

@@ -320,11 +320,6 @@ def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
     return from_matrix(g1.harness, g1.to_matrix() @ g2.to_matrix())
 
 
-def inverse(g: GroupElement) -> GroupElement:
-    """Group inverse via the matrix model."""
-    return from_matrix(g.harness, np.linalg.inv(g.to_matrix()))
-
-
 def random_element(h: Harness, rng: np.random.Generator, scale: float = 1.0) -> GroupElement:
     """Random element with coordinates uniform in [-scale, scale]."""
     return GroupElement(h, rng.uniform(-scale, scale, h.dim))

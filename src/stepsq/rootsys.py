@@ -7,14 +7,23 @@ positive, so a root above another in the root order is also lexicographically
 greater.  Fractions appear only where division happens: in the general
 simple-coordinate solve and in Cartan entries.  Simple roots carry the
 center-out (type A) or multiple-bond-end-first (types B, C, D) index scheme
-used throughout the package.
+used throughout the package.  ``build_root_system`` builds each (series,
+rank) once per process and shares the immutable system, which keeps its
+Kostant cascade (``RootSystem.cascade``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from operator import add, mul, neg, sub
+from types import MappingProxyType
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
+
+if TYPE_CHECKING:
+    from .cascade import CascadeDecomposition
 
 Rational = Union[int, Q]
 Vector = Tuple[int, ...]
@@ -28,50 +37,60 @@ def inner(a: Sequence[Rational], b: Sequence[Rational]) -> Rational:
     """Exact inner product of two ambient vectors."""
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a: Vector, b: Vector) -> Vector:
     """Exact vector sum."""
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Vector, b: Vector) -> Vector:
     """Exact vector difference."""
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vneg(a: Vector) -> Vector:
     """Exact vector negation."""
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def vscale(c: Rational, a: Vector) -> Vector:
     """Exact scalar multiple."""
-    return tuple(c * x for x in a)
+    return tuple([c * x for x in a])
 
 
 def _e(i: int, dim: int) -> Vector:
     """Standard basis vector e_i (1-based) in Z^dim."""
-    return tuple(1 if j == i - 1 else 0 for j in range(dim))
+    return (0,) * (i - 1) + (1,) + (0,) * (dim - i)
 
 
 @dataclass(frozen=True)
 class RootSystem:
     """A classical root system of series "A", "B", "C" or "D".
 
-    simple_enumeration maps the signed index scheme to simple roots.
+    simple_enumeration maps the signed index scheme to simple roots.  A
+    system is immutable, so ``build_root_system`` can share one per
+    (series, rank); ``cascade`` keeps its Kostant cascade.
     """
 
     series: str
     rank: int
     roots: frozenset
     positives: Tuple[Vector, ...]
-    simple_enumeration: Dict[int, Vector]
+    simple_enumeration: Mapping[int, Vector]
+
+    @cached_property
+    def cascade(self) -> CascadeDecomposition:
+        """The reversed Kostant cascade and layer partition of this system,
+        computed on first use and kept; read it through
+        ``cascade.cascade_decomposition``."""
+        from .cascade import _decompose
+        return _decompose(self)
 
     @property
     def dim(self) -> int:
@@ -143,11 +162,28 @@ def _simple_enumeration(series: str, rank: int) -> Dict[int, Vector]:
     return simple
 
 
+_SYSTEMS: Dict[Tuple[str, int], RootSystem] = {}
+
+
 def build_root_system(series: str, rank: int) -> RootSystem:
-    """Build the standard root system of the given series and rank."""
-    simple = _simple_enumeration(series, rank)
+    """The standard root system of the given series and rank.
+
+    Each (series, rank) is built and checked once per process; every later
+    call returns the same immutable system, which carries its cascade.  A
+    build that raises is not kept.
+    """
+    key = (series, rank)
+    system = _SYSTEMS.get(key)
+    if system is None:
+        system = _SYSTEMS[key] = _build(series, rank)
+    return system
+
+
+def _build(series: str, rank: int) -> RootSystem:
+    """Build and check the standard root system, uncached."""
+    simple = MappingProxyType(_simple_enumeration(series, rank))
     pos_sorted = tuple(sorted(_positive_roots(series, rank), reverse=True))
-    roots = frozenset(pos_sorted) | frozenset(vneg(a) for a in pos_sorted)
+    roots = frozenset(pos_sorted) | frozenset(map(vneg, pos_sorted))
     system = RootSystem(series, rank, roots, pos_sorted, simple)
     _check_invariants(system)
     return system
@@ -251,5 +287,5 @@ def cartan_matrix(system: RootSystem) -> List[List[Q]]:
     """Cartan matrix 2(ai,aj)/(aj,aj) over the sorted simple indices."""
     idx = system.simple_indices()
     simples = [system.simple_enumeration[i] for i in idx]
-    return [[Q(2) * inner(a, b) / inner(b, b) for b in simples] for a in simples]
+    return [[Q(2 * inner(a, b), inner(b, b)) for b in simples] for a in simples]
 

@@ -21,7 +21,6 @@ SRC = ROOT / "src" / "stepsq"
 DEMOS = ROOT / "demos"
 
 ALLOWED = {
-    "harness.inverse": "the group inverse, kept with multiply and identity",
     "inversion.character_of_translate":
         "the centre-slice character path, kept for a characters pipeline "
         "beside orbit_integral",

@@ -8,8 +8,7 @@ import pytest
 
 from stepsq import inversion
 from stepsq.harness import (build_harness, element, from_matrix, identity,
-                            inverse, leading_subgroup, multiply,
-                            random_element)
+                            leading_subgroup, multiply, random_element)
 from stepsq.inversion import (
     TestFunction,
     character_of_translate,
@@ -308,10 +307,11 @@ def test_conjugate_by_matches_pointwise():
         h = build_harness(name)
         f = TestFunction.standard(h)
         g = random_element(h, rng)
+        g_inv = from_matrix(h, np.linalg.inv(g.to_matrix()))
         fg = f.conjugate_by(g)
         for _ in range(5):
             x = random_element(h, rng)
-            gxg = multiply(multiply(g, x), inverse(g))
+            gxg = multiply(multiply(g, x), g_inv)
             assert abs(fg.value(x) - f.value(gxg)) < 1e-10
 
 
