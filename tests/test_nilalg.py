@@ -148,6 +148,91 @@ def test_setup_axioms_pass(series, rank):
     assert report.passed, [r for r in report.rows if not r["ok"]]
 
 
+def all_pairs_axiom_rows(alg):
+    """The axiom rows from a table lookup for every pair of layer roots:
+    the oracle of the one walk over the table's entries."""
+    rows = []
+    layers = alg.layers
+    m = len(layers)
+    table = alg.brackets
+
+    def supp_ok(a, b, allowed):
+        return table.get((a, b), {}).keys() <= allowed
+
+    def layer_roots(layer):
+        return [layer.beta, *layer.members]
+
+    for r in range(m):
+        for s in range(r + 1, m):
+            ok = all(supp_ok(x, layers[s].beta, frozenset())
+                     for x in layer_roots(layers[r]))
+            rows.append({"axiom": "commute_with_later_centers",
+                         "r": r + 1, "s": s + 1, "ok": ok})
+            v_s = frozenset(layers[s].members)
+            ok2 = all(supp_ok(x, y, v_s)
+                      for x in layer_roots(layers[r])
+                      for y in layer_roots(layers[s]))
+            rows.append({"axiom": "bracket_into_later_symplectic_part",
+                         "r": r + 1, "s": s + 1, "ok": ok2})
+    all_roots = [a for layer in layers for a in layer_roots(layer)]
+    for r in range(m - 1):
+        tail = frozenset(a for layer in layers[r + 1:] for a in layer_roots(layer))
+        ok = all(supp_ok(x, y, tail) for x in all_roots for y in tail)
+        rows.append({"axiom": "tail_is_ideal", "r": r + 2, "s": m, "ok": ok})
+    return rows
+
+
+@pytest.mark.parametrize("model",
+                         [("A", r) for r in range(1, 12)]
+                         + [(s, r) for s in "BCD" for r in range(2, 9)]
+                         + ["corrupted"])
+def test_setup_axioms_match_all_pairs_oracle(model):
+    alg = (corrupted_fixture() if model == "corrupted"
+           else realize_split_nilradical(*model))
+    assert list(verify_setup_axioms(alg).rows) == all_pairs_axiom_rows(alg)
+
+
+def with_entry(alg, pair, coeffs):
+    """A copy of alg whose bracket table carries one more entry."""
+    copy = NilpotentAlgebra(alg.series, alg.rank, alg.system, alg.basis,
+                            alg.size, alg.layers)
+    copy.__dict__["brackets"] = {**alg.brackets, pair: coeffs}
+    return copy
+
+
+def failing_rows(alg):
+    rows = verify_setup_axioms(alg).rows
+    assert list(rows) == all_pairs_axiom_rows(alg)
+    return [(row["axiom"], row["r"], row["s"]) for row in rows if not row["ok"]]
+
+
+def test_commute_with_later_centers_negative_control():
+    # in A5, l_3 has a symplectic part; a member of l_2 that brackets with
+    # beta_3 into v_3 breaks (i) at (2, 3) and nothing else
+    alg = realize_split_nilradical("A", 5)
+    l2, l3 = alg.layers[1], alg.layers[2]
+    assert failing_rows(alg) == []
+    bad = with_entry(alg, (l2.members[0], l3.beta), {l3.members[0]: Q(1)})
+    assert failing_rows(bad) == [("commute_with_later_centers", 2, 3)]
+
+
+def test_bracket_into_later_symplectic_part_negative_control():
+    # beta_1 bracketing a member of v_3 into z_3 breaks (ii) at (1, 3) only
+    alg = realize_split_nilradical("A", 5)
+    l1, l3 = alg.layers[0], alg.layers[2]
+    bad = with_entry(alg, (l1.beta, l3.members[0]), {l3.beta: Q(1)})
+    assert failing_rows(bad) == [("bracket_into_later_symplectic_part", 1, 3)]
+
+
+def test_tail_is_ideal_negative_control():
+    # a bracket inside l_3 with a coefficient in l_1 leaves the tails
+    # l_2 + l_3 and l_3, and breaks no axiom between two layers
+    alg = realize_split_nilradical("A", 5)
+    l1, l3 = alg.layers[0], alg.layers[2]
+    bad = with_entry(alg, (l3.members[0], l3.members[1]), {l1.beta: Q(1)})
+    assert failing_rows(bad) == [("tail_is_ideal", 2, 3), ("tail_is_ideal", 3, 3)]
+
+
 def test_corrupted_negative_control():
     bad = corrupted_fixture()
     assert bad.layers == realize_split_nilradical("A", 3).layers
