@@ -10,17 +10,17 @@ from stepsq.rootsys import build_root_system
 
 def show(series: str, rank: int) -> None:
     system = build_root_system(series, rank)
-    decomp = cascade_decomposition(system)
+    layers = cascade_decomposition(system)
     table = closed_form_beta(series, rank)
     print(f"\n{series}{rank}: {len(system.positives)} positive roots, "
-          f"{decomp.m} layers")
-    for r, beta in enumerate(decomp.beta, start=1):
-        mark = "ok" if beta == table[r - 1] else "MISMATCH"
-        members = decomp.layers[r]
-        print(f"  beta_{r} = {tuple(map(str, beta))}  [{mark}] "
-              f"layer dim 2*{len(members) // 2}")
-        for a in members[: len(members) // 2]:
-            b = sigma_r(decomp, a, r)
+          f"{len(layers)} layers")
+    for layer, want in zip(layers, table):
+        r = layer.r
+        mark = "ok" if layer.beta == want else "MISMATCH"
+        print(f"  beta_{r} = {tuple(map(str, layer.beta))}  [{mark}] "
+              f"layer dim 2*{layer.d_r}")
+        for a in layer.members[: layer.d_r]:
+            b = sigma_r(layer, a)
             print(f"    pair {tuple(map(str, a))} + {tuple(map(str, b))}"
                   f" = beta_{r}")
 

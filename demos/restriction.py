@@ -36,9 +36,9 @@ print(f"central-direction deviation off the slice (reported, not hidden): "
 chain = propagate(build_root_system("A", 1), 2)
 g1, g3 = {1: Q(1)}, {1: Q(1), 2: Q(2)}
 g5 = {1: Q(1), 2: Q(2), 3: Q(3)}
-f01 = restriction_projection_factor(chain, g1, g3, stages=(0, 1)).factor
-f12 = restriction_projection_factor(chain, g3, g5, stages=(1, 2)).factor
-f02 = restriction_projection_factor(chain, g1, g5, stages=(0, 2)).factor
+f01 = restriction_projection_factor(chain, g1, g3, stages=(0, 1))
+f12 = restriction_projection_factor(chain, g3, g5, stages=(1, 2))
+f02 = restriction_projection_factor(chain, g1, g5, stages=(0, 2))
 print(f"\nexact squared factors along the 3-stage chain: "
       f"{f01} * {f12} = {f01 * f12} = {f02} (transitive)")
 print(f"square roots (exact on rational squares): {exact_sqrt(f01)}, "

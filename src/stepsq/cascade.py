@@ -1,10 +1,14 @@
-"""Kostant cascade, reversed enumeration, layer partition, and sigma involution."""
+"""Kostant cascade, its layers l_r = z_r + v_r, and the sigma involution.
+
+``Layer`` is the one layer type of the package: ``RootSystem.cascade`` keeps
+the checked layers of the reversed cascade, ``cascade_decomposition`` reads
+them, the split model shares them, and the harness extends them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .rootsys import (
     RootSystem,
@@ -19,18 +23,18 @@ from .rootsys import (
 
 
 @dataclass(frozen=True)
-class CascadeDecomposition:
-    """Reversed cascade beta_1..beta_m and the layer partition of positives,
-    read-only like the system it describes."""
+class Layer:
+    """Layer r of the reversed cascade: the central root beta_r (spanning
+    z_r) and the symplectic member roots (spanning v_r), greatest first."""
 
-    system: RootSystem
-    beta: Tuple[Vector, ...]
-    layers: Mapping[int, Tuple[Vector, ...]]
+    r: int
+    beta: Vector
+    members: Tuple[Vector, ...]
 
     @property
-    def m(self) -> int:
-        """Number of layers."""
-        return len(self.beta)
+    def d_r(self) -> int:
+        """Half the symplectic dimension."""
+        return len(self.members) // 2
 
 
 def kostant_cascade(system: RootSystem) -> Tuple[Vector, ...]:
@@ -55,14 +59,10 @@ def kostant_cascade(system: RootSystem) -> Tuple[Vector, ...]:
     return tuple(chosen)
 
 
-def reverse_cascade(beta_prime: Sequence[Vector]) -> Tuple[Vector, ...]:
-    """Reversed enumeration beta_r = beta_prime_{m-r+1}."""
-    return tuple(reversed(tuple(beta_prime)))
-
-
 def layer_partition(system: RootSystem,
-                    beta: Sequence[Vector]) -> CascadeDecomposition:
-    """Partition the positives into layers by the descending recursion.
+                    beta: Sequence[Vector]) -> Tuple[Layer, ...]:
+    """The layers of the reversed cascade beta = (beta_1, ..., beta_m), in
+    order r = 1..m, cut by the descending recursion.
 
     Layer r collects the unassigned positives alpha with beta_r - alpha a
     positive root.  The fill-out partition property and the orthogonality
@@ -93,36 +93,32 @@ def layer_partition(system: RootSystem,
         }
         if expected != characterized:
             raise AssertionError(f"layer characterization failed at r={r}")
-    return CascadeDecomposition(system, beta, MappingProxyType(layers))
+    return tuple(Layer(r, b, layers[r]) for r, b in enumerate(beta, start=1))
 
 
-def cascade_decomposition(system: RootSystem) -> CascadeDecomposition:
-    """Cascade, reverse, and partition, once per system object: the
-    decomposition is kept on the system (``RootSystem.cascade``), so a
-    system shared by ``build_root_system`` is decomposed once per process,
-    and a system built by hand gets its own."""
+def cascade_decomposition(system: RootSystem) -> Tuple[Layer, ...]:
+    """The layers l_1..l_m of the system, cut once per system object: they
+    are kept on the system (``RootSystem.cascade``), so a system shared by
+    ``build_root_system`` is decomposed once per process, and a system built
+    by hand gets its own."""
     return system.cascade
 
 
-def _decompose(system: RootSystem) -> CascadeDecomposition:
-    """The decomposition that ``RootSystem.cascade`` keeps, uncached."""
-    return layer_partition(system, reverse_cascade(kostant_cascade(system)))
-
-
-def sigma_r(decomp: CascadeDecomposition, alpha: Vector, r: int) -> Vector:
-    """Negated reflection -s_{beta_r}(alpha) pairing alpha with beta_r - alpha.
+def sigma_r(layer: Layer, alpha: Vector) -> Vector:
+    """Negated reflection -s_{beta_r}(alpha) pairing a member alpha of the
+    layer with beta_r - alpha.
 
     The Cartan integer 2(alpha, beta_r)/(beta_r, beta_r) is computed by
     exact int division, so the image of an int root is an int root.
     """
-    if alpha not in decomp.layers.get(r, ()):
-        raise ValueError(f"{alpha} is not in layer {r}")
-    b = decomp.beta[r - 1]
+    if alpha not in layer.members:
+        raise ValueError(f"{alpha} is not in layer {layer.r}")
+    b = layer.beta
     cartan, rest = divmod(2 * inner(alpha, b), inner(b, b))
     if rest:
         raise AssertionError(f"the Cartan integer of {alpha} at {b} is not integral")
     image = vsub(vscale(cartan, b), alpha)
-    if image not in decomp.layers[r]:
+    if image not in layer.members:
         raise AssertionError("sigma must preserve the layer")
     if vadd(alpha, image) != b:
         raise AssertionError("alpha + sigma(alpha) must equal beta_r")

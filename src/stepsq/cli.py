@@ -178,31 +178,29 @@ def pipeline_roots(series: str, rank: int) -> Tuple[dict, List[dict]]:
 
 
 def pipeline_cascade(series: str, rank: int) -> Tuple[dict, List[dict]]:
-    decomp = cascade_decomposition(build_root_system(series, rank))
+    layers = cascade_decomposition(build_root_system(series, rank))
     table = closed_form_beta(series, rank)
-    rows = [make_row("cascade_length", len(table), decomp.m, 0,
+    rows = [make_row("cascade_length", len(table), len(layers), 0,
                      "closed-form table length")]
-    for r, (want, got) in enumerate(zip(table, decomp.beta), start=1):
-        rows.append(make_row(f"beta_{r}", vec_strs(want), vec_strs(got), 0,
+    for want, layer in zip(table, layers):
+        rows.append(make_row(f"beta_{layer.r}", vec_strs(want),
+                             vec_strs(layer.beta), 0,
                              "closed-form cascade table"))
     return {"series": series, "rank": rank}, rows
 
 
 def pipeline_layers(series: str, rank: int) -> Tuple[dict, List[dict]]:
     system = build_root_system(series, rank)
-    decomp = cascade_decomposition(system)
-    covered = set(decomp.beta)
-    for members in decomp.layers.values():
-        covered |= set(members)
+    layers = cascade_decomposition(system)
+    covered = {a for layer in layers for a in (layer.beta, *layer.members)}
     rows = [make_row("partition_covers_positives", len(system.positives),
                      len(covered), 0, "fill-out partition")]
-    for r in range(1, decomp.m + 1):
-        members = decomp.layers[r]
+    for layer in layers:
+        r, members = layer.r, layer.members
         rows.append(make_row(f"layer_{r}_even_dimension", True,
                              len(members) % 2 == 0, 0,
                              "symplectic pairing"))
-        pairing = all(vadd(a, sigma_r(decomp, a, r)) == decomp.beta[r - 1]
-                      for a in members)
+        pairing = all(vadd(a, sigma_r(layer, a)) == layer.beta for a in members)
         rows.append(make_row(f"layer_{r}_pairing_sums_to_beta", True, pairing,
                              0, "exact involution pairing"))
     return {"series": series, "rank": rank}, rows
@@ -334,11 +332,11 @@ def pipeline_restriction(lam1: Q, lam2: Q, seed: int) -> Tuple[dict, List[dict]]
     # the same squared factor from the exact chain bookkeeping
     chain = propagate(build_root_system("A", 1), 1)
     fac = restriction_projection_factor(chain, {1: lam1}, {1: lam1, 2: lam2})
-    rows.append(make_row("squared_factor_exact", fac.factor,
+    rows.append(make_row("squared_factor_exact", fac,
                          Q(1) / lam2 ** 2, 0,
                          "exact density ratio between stages"))
     rows.append(make_row("factor_square_root_consistent",
-                         float(exact_sqrt(fac.factor)), factor, 1e-12,
+                         float(exact_sqrt(fac)), factor, 1e-12,
                          "exact density ratio between stages"))
     return {"lambda1": rat_str(lam1), "lambda2": rat_str(lam2),
             "seed": seed}, rows

@@ -32,7 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .nilalg import Layer, NilpotentAlgebra, realize_split_nilradical
+from .cascade import Layer
+from .nilalg import NilpotentAlgebra, realize_split_nilradical
 from .plancherel import determinant, plancherel_density
 from .rootsys import SERIES, Vector, vsub
 

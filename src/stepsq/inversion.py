@@ -65,7 +65,10 @@ class TestFunction:
         return self.harness.log(g.to_matrix())
 
     def value(self, g: GroupElement) -> complex:
-        xi = self.lift_coords(g)
+        return self.value_at(self.lift_coords(g))
+
+    def value_at(self, xi: np.ndarray) -> complex:
+        """f at the group element with algebra coordinates xi."""
         return complex(sum(t.evaluate(xi) for t in self.terms))
 
     def sup_norm_bound(self) -> float:
@@ -152,8 +155,10 @@ def orbit_integral(f: TestFunction, orb: OrbitDescriptor) -> complex:
     return complex(total / (orb.c * orb.pf_abs))
 
 
-def _slice_quadratic(f: TestFunction, x: GroupElement) -> List[Tuple[np.ndarray, np.ndarray, complex]]:
-    """Per-term quadratic data of s -> f1(BCH(s . z, log x)) on the center slice.
+def _slice_quadratic(f: TestFunction, x: GroupElement
+                     ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray, complex]]]:
+    """b = log x and the per-term quadratic data of s -> f1(BCH(s . z, log x))
+    on the center slice.
 
     The product of a central exponential with x has algebra coordinates
     xi(s) = b + A s when ``Harness.centre_slice_affine`` holds, which is
@@ -178,7 +183,7 @@ def _slice_quadratic(f: TestFunction, x: GroupElement) -> List[Tuple[np.ndarray,
         L0 = A.T @ (t.ell - 2.0 * t.M @ b)
         K = complex(-b @ t.M @ b + t.ell @ b + t.k)
         out.append((S, L0, K))
-    return out
+    return b, out
 
 
 def character_of_translate(f: TestFunction, x: GroupElement,
@@ -188,7 +193,7 @@ def character_of_translate(f: TestFunction, x: GroupElement,
     h = f.harness
     lam_vec = np.array([orb.lam_dict[layer.r] for layer in h.layers])
     total = 0.0 + 0.0j
-    for S, L0, K in _slice_quadratic(f, x):
+    for S, L0, K in _slice_quadratic(f, x)[1]:
         total += gaussian_integral(S, L0 - 2j * np.pi * lam_vec, K)
     return complex(total / (orb.c * orb.pf_abs))
 
@@ -234,8 +239,9 @@ def fourier_inversion(f: TestFunction, x: GroupElement,
     quad_error exceeds tolerance.
     """
     name, m = f.harness.name, f.harness.m
+    log_x, slices = _slice_quadratic(f, x)
     terms = []
-    for S, L0, K in _slice_quadratic(f, x):
+    for S, L0, K in slices:
         if np.any(S.imag):
             raise ValueError(f"{name}: inversion needs a real slice form, "
                              "and a term of the test function has a complex "
@@ -269,9 +275,10 @@ def fourier_inversion(f: TestFunction, x: GroupElement,
             f"{name}: inversion error budget {quad_error:.2g} exceeds the "
             f"tolerance {tolerance:g}")
 
-    reference = f.value(x)
+    # f(x), at the lift that the slice already took: exp(0) is exactly 1
+    reference = f.value_at(log_x)
     scale = max(f.sup_norm_bound(), 1e-300)
-    return InversionResult(val, complex(reference),
+    return InversionResult(val, reference,
                            abs(val - reference) / scale, quad_error)
 
 

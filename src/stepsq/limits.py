@@ -19,10 +19,6 @@ from .nilalg import realize_split_nilradical
 from .plancherel import plancherel_density
 from .rootsys import RootSystem, Vector, build_root_system, inner
 
-#: The stable families: series plus rank parity class (C grows one rank at
-#: a time and has a single class).
-FAMILIES = ("A_odd", "A_even", "B_odd", "B_even", "C", "D_odd", "D_even")
-
 
 def family_of(system: RootSystem) -> str:
     """Stable-family label of a generated root system."""
@@ -191,31 +187,23 @@ def cascade_stability(chain: DirectChain) -> StabilityReport:
     embedded r-th layer equals the big r-th layer intersected with the
     embedded small root system.
     """
-    decomps = [cascade_decomposition(s) for s in chain.stages]
+    layers = [cascade_decomposition(s) for s in chain.stages]
     rows: List[dict] = []
     for k, e in enumerate(chain.embeddings):
-        small_d, big_d = decomps[k], decomps[k + 1]
+        small, big = layers[k], layers[k + 1]
         embedded_pos = {e.apply(a) for a in chain.stages[k].positives}
-        for r in range(1, small_d.m + 1):
-            beta_ok = e.apply(small_d.beta[r - 1]) == big_d.beta[r - 1]
-            small_layer = {e.apply(a) for a in small_d.layers[r]}
-            layer_ok = small_layer == (set(big_d.layers[r]) & embedded_pos)
+        for layer in small:
+            big_layer = big[layer.r - 1]
+            beta_ok = e.apply(layer.beta) == big_layer.beta
+            small_layer = {e.apply(a) for a in layer.members}
+            layer_ok = small_layer == (set(big_layer.members) & embedded_pos)
             rows.append({"pair": f"{_label(chain.stages[k])}->"
                                  f"{_label(chain.stages[k + 1])}",
-                         "r": r, "beta_stable": beta_ok,
+                         "r": layer.r, "beta_stable": beta_ok,
                          "layer_intersection": layer_ok})
     return StabilityReport(tuple(rows),
                            all(r["beta_stable"] and r["layer_intersection"]
                                for r in rows))
-
-
-@dataclass(frozen=True)
-class FactorReport:
-    """Exact squared restriction factor |P_small / P_big| between stages."""
-
-    factor: Q
-    pf_small: Q
-    pf_big: Q
 
 
 def _stage_density(system: RootSystem, gamma: Dict[int, Q]):
@@ -229,7 +217,7 @@ def restriction_projection_factor(chain: DirectChain,
                                   gamma_small: Dict[int, Q],
                                   gamma_big: Dict[int, Q],
                                   stages: Tuple[int, int] = (0, -1),
-                                  ) -> FactorReport:
+                                  ) -> Q:
     """Exact |P_small(gamma) / P_big(gamma')| between two chain stages.
 
     The big parameter must restrict to the small one: both assign the same
@@ -249,8 +237,7 @@ def restriction_projection_factor(chain: DirectChain,
             raise ValueError("gamma_big does not restrict to gamma_small")
     if not dens_small.in_t_star or not dens_big.in_t_star:
         raise ValueError("singular parameter: a layer density vanishes")
-    factor = abs(dens_small.product) / abs(dens_big.product)
-    return FactorReport(factor, abs(dens_small.product), abs(dens_big.product))
+    return abs(dens_small.product) / abs(dens_big.product)
 
 
 def exact_sqrt(q: Q) -> Q:

@@ -2,14 +2,14 @@
 
 Each positive root space of the split matrix model is spanned by a matrix
 with one or two entries equal to +1 or -1.  It is stored as a sparse map
-``{(row, col): value}`` with 0-based positions and ``int`` values, and
+``{(row, col): value}`` with 0-based positions and values +1 or -1, and
 brackets and decompositions work on such maps directly.  Distinct roots sit
-at disjoint positions, so a bracket's coefficients are read off entrywise.
+at disjoint positions, so a bracket's int coefficients are read off entrywise.
 
 ``realize_split_nilradical(series, rank)`` is the one place that builds a
-model: it checks the grading and closure, cuts the layers l_r = z_r + v_r
-from the Kostant cascade, checks them, and returns the algebra with its
-layers in ``layers``.  Every consumer reads ``alg.layers``.
+model: it checks the grading and closure, checks the layers l_r = z_r + v_r
+that the root system's Kostant cascade cut (``RootSystem.cascade``) against
+the brackets, and returns the algebra with those same layers in ``layers``.
 
 Each model computes its nonzero brackets once, in ``alg.brackets`` (absent
 means zero); every check, the setup axioms and the Pfaffian densities read
@@ -17,11 +17,11 @@ that table.  A product of two sparse maps is nonzero only where a column of
 the left factor meets a row of the right one, so the table is built from an
 index of the basis entries by row and by column: only roots whose matrices
 share such an index are bracketed, and every other pair's commutator is
-exactly zero by construction.  The setup axioms walk the table's entries
-once, so both cost in proportion to the nonzero brackets, not to all pairs
-of roots.  The grading is checked in integers, from the weight of each
-matrix index under the series' diagonal Cartan element; given it, building
-the table checks closure.
+exactly zero by construction.  The layer check and the setup axioms walk
+the table's entries once, so all cost in proportion to the nonzero brackets.
+The grading is checked in integers, from the weight of each matrix index
+under the series' diagonal Cartan element; given it, building the table
+checks closure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction as Q
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .cascade import cascade_decomposition
+from .cascade import Layer, cascade_decomposition
 from .rootsys import RootSystem, Vector, build_root_system, vscale, vsub
 
 Entries = Dict[Tuple[int, int], int | Q]  # sparse matrix: position -> nonzero value
@@ -50,29 +50,12 @@ def sparse_commutator(a: Entries, b: Entries) -> Entries:
 
 
 @dataclass(frozen=True)
-class Layer:
-    """One layer: the central root beta and the symplectic member roots.
-
-    The root-space matrices are looked up in the algebra's ``basis``.
-    """
-
-    r: int
-    beta: Vector
-    members: Tuple[Vector, ...]
-
-    @cached_property
-    def d_r(self) -> int:
-        """Half the symplectic dimension."""
-        return len(self.members) // 2
-
-
-@dataclass(frozen=True)
 class NilpotentAlgebra:
     """Nilradical graded by positive restricted roots, as sparse root-space maps.
 
     ``layers`` are the cascade layers in order r = 1..m.  ``posmap`` sends
     each basis position to its owning root and entry; it is built, and the
-    positions checked disjoint, at construction.
+    positions checked disjoint and the entries ±1, at construction.
     """
 
     series: str
@@ -90,11 +73,13 @@ class NilpotentAlgebra:
             for pos, val in x.items():
                 if pos in posmap:
                     raise AssertionError("basis positions must be disjoint")
+                if val not in (1, -1):
+                    raise AssertionError(f"basis entry {val} of {a} is not +1 or -1")
                 posmap[pos] = (a, val)
         object.__setattr__(self, "posmap", posmap)
 
     @cached_property
-    def brackets(self) -> Dict[Tuple[Vector, Vector], Dict[Vector, Q]]:
+    def brackets(self) -> Dict[Tuple[Vector, Vector], Dict[Vector, int]]:
         """Basis coefficients of each nonzero [x_a, x_b] under (a, b) and,
         negated, under (b, a); an absent pair brackets to zero.
 
@@ -112,7 +97,7 @@ class NilpotentAlgebra:
             for i, j in x:
                 by_row.setdefault(i, []).append(n)
                 by_col.setdefault(j, []).append(n)
-        table: Dict[Tuple[Vector, Vector], Dict[Vector, Q]] = {}
+        table: Dict[Tuple[Vector, Vector], Dict[Vector, int]] = {}
         for n, (a, x) in enumerate(items):
             later = {k for i, j in x
                      for k in (*by_row.get(j, ()), *by_col.get(i, ())) if k > n}
@@ -177,10 +162,8 @@ def realize_split_nilradical(series: str, rank: int) -> NilpotentAlgebra:
     with its cascade layers; the algebra and the layers are checked."""
     system = build_root_system(series, rank)
     basis, size = _build_basis(series, rank, system)
-    decomp = cascade_decomposition(system)
-    layers = tuple(Layer(r, beta, decomp.layers[r])
-                   for r, beta in enumerate(decomp.beta, start=1))
-    alg = NilpotentAlgebra(series, rank, system, basis, size, layers)
+    alg = NilpotentAlgebra(series, rank, system, basis, size,
+                           cascade_decomposition(system))
     _validate_algebra(alg)
     check_layers(alg)
     return alg
@@ -214,30 +197,34 @@ def _validate_algebra(alg: NilpotentAlgebra) -> None:
 
 
 def check_layers(alg: NilpotentAlgebra) -> None:
-    """Check that each layer of alg is two-step with bracket into z_r:
-    [v_r, v_r] lies in z_r and z_r is central in l_r."""
-    table = alg.brackets
+    """Check that each layer of alg is two-step with bracket into z_r: v_r
+    has even dimension, [v_r, v_r] lies in z_r and z_r is central in l_r."""
+    where: Dict[Vector, Tuple[int, bool]] = {}  # root -> (layer r, is beta_r)
     for layer in alg.layers:
-        r, beta, members = layer.r, layer.beta, layer.members
-        if len(members) % 2:
-            raise AssertionError(f"v_{r} has odd dimension")
-        for a in members:
-            for b in members:
-                if not table.get((a, b), {}).keys() <= {beta}:
-                    raise AssertionError(f"[v_{r}, v_{r}] escapes z_{r} at ({a},{b})")
-            if (beta, a) in table:
-                raise AssertionError(f"z_{r} must be central in l_{r}")
+        if len(layer.members) % 2:
+            raise AssertionError(f"v_{layer.r} has odd dimension")
+        where[layer.beta] = (layer.r, True)
+        where.update((a, (layer.r, False)) for a in layer.members)
+    for (a, b), coeffs in alg.brackets.items():
+        r, centre = where.get(a, (0, False))
+        if where.get(b) != (r, False):
+            continue  # not a bracket with a member of a's layer
+        if centre:
+            raise AssertionError(f"z_{r} must be central in l_{r}")
+        if not coeffs.keys() <= {alg.layers[r - 1].beta}:
+            raise AssertionError(f"[v_{r}, v_{r}] escapes z_{r} at ({a},{b})")
 
 
-def decompose(alg: NilpotentAlgebra, entries: Entries) -> Optional[Dict[Vector, Q]]:
-    """Exact coefficients of a sparse matrix in the root-space basis; None if outside."""
-    coeffs: Dict[Vector, Q] = {}
+def decompose(alg: NilpotentAlgebra, entries: Entries) -> Optional[Dict[Vector, int | Q]]:
+    """Exact coefficients of a sparse matrix in the root-space basis; None if
+    outside.  Over a basis entry of +1 or -1 an int value stays an int."""
+    coeffs: Dict[Vector, int | Q] = {}
     counts: Dict[Vector, int] = {}
     for pos, val in entries.items():
         if pos not in alg.posmap:
             return None
         a, base = alg.posmap[pos]
-        c = Q(val) / base
+        c = val * base
         if a in coeffs and coeffs[a] != c:
             return None
         coeffs[a] = c

@@ -17,7 +17,8 @@ from fractions import Fraction as Q
 from math import factorial, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .nilalg import Layer, NilpotentAlgebra
+from .cascade import Layer
+from .nilalg import NilpotentAlgebra
 
 SkewMatrix = Tuple[Tuple[Q, ...], ...]
 

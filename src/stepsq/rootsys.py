@@ -8,8 +8,8 @@ greater.  Fractions appear only where division happens: in the general
 simple-coordinate solve and in Cartan entries.  Simple roots carry the
 center-out (type A) or multiple-bond-end-first (types B, C, D) index scheme
 used throughout the package.  ``build_root_system`` builds each (series,
-rank) once per process and shares the immutable system, which keeps its
-Kostant cascade (``RootSystem.cascade``).
+rank) once per process and shares the immutable system, which keeps the
+layers of its Kostant cascade (``RootSystem.cascade``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 if TYPE_CHECKING:
-    from .cascade import CascadeDecomposition
+    from .cascade import Layer
 
 Rational = Union[int, Q]
 Vector = Tuple[int, ...]
@@ -75,7 +75,7 @@ class RootSystem:
 
     simple_enumeration maps the signed index scheme to simple roots.  A
     system is immutable, so ``build_root_system`` can share one per
-    (series, rank); ``cascade`` keeps its Kostant cascade.
+    (series, rank); ``cascade`` keeps the layers of its Kostant cascade.
     """
 
     series: str
@@ -85,12 +85,12 @@ class RootSystem:
     simple_enumeration: Mapping[int, Vector]
 
     @cached_property
-    def cascade(self) -> CascadeDecomposition:
-        """The reversed Kostant cascade and layer partition of this system,
-        computed on first use and kept; read it through
+    def cascade(self) -> Tuple[Layer, ...]:
+        """The checked layers of this system's reversed Kostant cascade, in
+        order r = 1..m, computed on first use and kept; read them through
         ``cascade.cascade_decomposition``."""
-        from .cascade import _decompose
-        return _decompose(self)
+        from .cascade import kostant_cascade, layer_partition
+        return layer_partition(self, kostant_cascade(self)[::-1])
 
     @property
     def dim(self) -> int:

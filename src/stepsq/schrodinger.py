@@ -353,12 +353,10 @@ def coefficient_norm_sq(rep: RepInstance, u: State, v: State) -> NormReport:
 class RestrictionReport:
     """Pointwise and norm-level comparison of a restricted coefficient."""
 
-    inner_xy: complex
     pointwise_abs_err: float
     norm_ratio_measured: float
     norm_ratio_predicted: float
     norm_ratio_rel_err: float
-    factor: float
     central_deviation: float
 
 
@@ -418,10 +416,10 @@ def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
             dev = max(dev, abs(f_big(g) - inner_xy * f_small(g)))
 
     report = RestrictionReport(
-        inner_xy=inner_xy, pointwise_abs_err=pointwise_err,
+        pointwise_abs_err=pointwise_err,
         norm_ratio_measured=measured, norm_ratio_predicted=predicted,
         norm_ratio_rel_err=abs(measured - predicted) / predicted,
-        factor=factor, central_deviation=dev,
+        central_deviation=dev,
     )
     return report, factor
 

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from stepsq.cascade import cascade_decomposition, closed_form_beta, sigma_r
+from stepsq.cascade import closed_form_beta, sigma_r
 from stepsq.cli import run
 from stepsq.harness import (build_harness, element, identity,
                             leading_subgroup, random_element)
@@ -33,8 +33,9 @@ ORACLE_SYSTEMS = ([("A", r) for r in range(1, 14)]
 def test_01_cascade_tables_exact_and_fast():
     start = time.perf_counter()
     for series, rank in ORACLE_SYSTEMS:
-        decomp = cascade_decomposition(build_root_system(series, rank))
-        assert decomp.beta == closed_form_beta(series, rank), (series, rank)
+        layers = build_root_system(series, rank).cascade
+        assert (tuple(layer.beta for layer in layers)
+                == closed_form_beta(series, rank)), (series, rank)
     assert time.perf_counter() - start < 10.0
 
 
@@ -42,14 +43,13 @@ def test_02_layer_lemmas_exhaustive():
     for series, rank in ORACLE_SYSTEMS:
         system = build_root_system(series, rank)
         # partition fill-out and the orthogonality characterization are
-        # asserted inside the constructor; the pairing is checked here
-        decomp = cascade_decomposition(system)
-        covered = set(decomp.beta)
-        for r in range(1, decomp.m + 1):
-            for a in decomp.layers[r]:
-                image = sigma_r(decomp, a, r)
-                assert vadd(a, image) == decomp.beta[r - 1]
-            covered |= set(decomp.layers[r])
+        # raised inside layer_partition; the pairing is checked here
+        covered = set()
+        for layer in system.cascade:
+            for a in layer.members:
+                image = sigma_r(layer, a)
+                assert vadd(a, image) == layer.beta
+            covered |= {layer.beta, *layer.members}
         assert covered == set(system.positives)
 
 
@@ -138,9 +138,9 @@ def test_06_restriction_and_factor_transitivity():
     g1 = {1: Q(1)}
     g3 = {1: Q(1), 2: Q(3, 2)}
     g5 = {1: Q(1), 2: Q(3, 2), 3: Q(2, 5)}
-    f_02 = restriction_projection_factor(chain, g1, g5, stages=(0, 2)).factor
-    f_01 = restriction_projection_factor(chain, g1, g3, stages=(0, 1)).factor
-    f_12 = restriction_projection_factor(chain, g3, g5, stages=(1, 2)).factor
+    f_02 = restriction_projection_factor(chain, g1, g5, stages=(0, 2))
+    f_01 = restriction_projection_factor(chain, g1, g3, stages=(0, 1))
+    f_12 = restriction_projection_factor(chain, g3, g5, stages=(1, 2))
     assert f_02 == f_01 * f_12
 
 

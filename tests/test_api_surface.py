@@ -27,10 +27,6 @@ ALLOWED = {
     "inversion.TestFunction.conjugate_by":
         "conjugation invariance of the character, kept for a characters "
         "pipeline",
-    "limits.FactorReport.pf_small":
-        "the small stage's Pfaffian, which test_limits checks beside factor",
-    "limits.FactorReport.pf_big":
-        "the big stage's Pfaffian, which test_limits checks against factor",
     "rootsys.simple_coordinates":
         "BENCHMARK.json traces it by name (per-layer metrics "
         "rootsys.simple_coordinates.calls and .self_s)",
@@ -51,9 +47,6 @@ ALLOWED = {
         "half of the decay verdict, which acceptance test_09 reads",
     "schrodinger.DecayReport.l1_cauchy_gap":
         "the other half of the decay verdict, which acceptance test_09 reads",
-    "schrodinger.RestrictionReport.inner_xy":
-        "the inner product <x, y> that scales the small coefficient, which "
-        "test_schrodinger checks",
 }
 
 

@@ -1,20 +1,12 @@
 """Cascade construction, layer partition, sigma pairing, and closed-form oracle."""
 
 import itertools
-import random
 from fractions import Fraction as Q
 
 import pytest
 
 from stepsq import rootsys
-from stepsq.cascade import (
-    CascadeDecomposition,
-    cascade_decomposition,
-    closed_form_beta,
-    kostant_cascade,
-    reverse_cascade,
-    sigma_r,
-)
+from stepsq.cascade import Layer, closed_form_beta, kostant_cascade, sigma_r
 from stepsq.rootsys import (RootSystem, build_root_system, vadd, vneg, vscale,
                             strongly_orthogonal)
 
@@ -59,60 +51,51 @@ def test_cascade_brute_force_agreement():
         assert kostant_cascade(s) == brute_force_greedy(s)
 
 
-def test_reverse_cascade():
-    assert reverse_cascade((V(1, 0, 0, -1), V(0, 1, -1, 0))) == (
-        V(0, 1, -1, 0), V(1, 0, 0, -1))
-    assert reverse_cascade((V(1, -1),)) == (V(1, -1),)
-    rng = random.Random(7)
-    for _ in range(50):
-        xs = tuple(rng.sample(range(100), k=rng.randint(1, 9)))
-        assert reverse_cascade(reverse_cascade(xs)) == xs
-
-
 def test_layer_partition_a3():
-    d = cascade_decomposition(build_root_system("A", 3))
-    assert set(d.layers[2]) == {V(1, -1, 0, 0), V(1, 0, -1, 0),
-                                V(0, 1, 0, -1), V(0, 0, 1, -1)}
-    assert d.layers[1] == ()
+    layers = build_root_system("A", 3).cascade
+    assert [layer.r for layer in layers] == [1, 2]
+    assert set(layers[1].members) == {V(1, -1, 0, 0), V(1, 0, -1, 0),
+                                      V(0, 1, 0, -1), V(0, 0, 1, -1)}
+    assert layers[0].members == ()
 
 
 def test_layer_partition_c2_b2():
-    dc = cascade_decomposition(build_root_system("C", 2))
-    assert set(dc.layers[2]) == {V(1, -1), V(1, 1)}
-    assert dc.layers[1] == ()
-    db = cascade_decomposition(build_root_system("B", 2))
-    assert set(db.layers[2]) == {V(1, 0), V(0, 1)}
-    assert db.layers[1] == ()
+    lc = build_root_system("C", 2).cascade
+    assert set(lc[1].members) == {V(1, -1), V(1, 1)}
+    assert lc[0].members == ()
+    lb = build_root_system("B", 2).cascade
+    assert set(lb[1].members) == {V(1, 0), V(0, 1)}
+    assert lb[0].members == ()
 
 
 def test_sigma_r_a3():
-    d = cascade_decomposition(build_root_system("A", 3))
-    img = sigma_r(d, V(1, -1, 0, 0), 2)
+    layers = build_root_system("A", 3).cascade
+    img = sigma_r(layers[1], V(1, -1, 0, 0))
     assert img == V(0, 1, 0, -1)
-    assert vadd(V(1, -1, 0, 0), img) == d.beta[1]
-    with pytest.raises(ValueError):
-        sigma_r(d, V(1, -1, 0, 0), 1)
+    assert vadd(V(1, -1, 0, 0), img) == layers[1].beta
+    with pytest.raises(ValueError, match="is not in layer 1"):
+        sigma_r(layers[0], V(1, -1, 0, 0))
 
 
 def test_sigma_involution_and_pairing():
     for series, rank in (("A", 5), ("B", 4), ("C", 4), ("D", 4), ("B", 5), ("D", 5)):
-        d = cascade_decomposition(build_root_system(series, rank))
-        for r, members in d.layers.items():
-            for a in members:
-                img = sigma_r(d, a, r)
-                assert sigma_r(d, img, r) == a
-                assert vadd(a, img) == d.beta[r - 1]
+        system = build_root_system(series, rank)
+        for layer in system.cascade:
+            for a in layer.members:
+                img = sigma_r(layer, a)
+                assert sigma_r(layer, img) == a
+                assert vadd(a, img) == layer.beta
             # sums of two layer roots that are roots equal beta_r
-            for a, b in itertools.combinations(members, 2):
-                if vadd(a, b) in d.system.roots:
-                    assert vadd(a, b) == d.beta[r - 1]
+            for a, b in itertools.combinations(layer.members, 2):
+                if vadd(a, b) in system.roots:
+                    assert vadd(a, b) == layer.beta
 
 
 def test_sigma_images_are_int_vectors():
     for series, rank in (("B", 4), ("D", 5)):
-        d = cascade_decomposition(build_root_system(series, rank))
-        images = [sigma_r(d, a, r) for r, members in d.layers.items()
-                  for a in members]
+        images = [sigma_r(layer, a)
+                  for layer in build_root_system(series, rank).cascade
+                  for a in layer.members]
         assert images
         assert all(type(x) is int for img in images for x in img)
 
@@ -120,11 +103,10 @@ def test_sigma_images_are_int_vectors():
 def test_sigma_rejects_a_non_integral_cartan_integer():
     # with beta_2 = 2 e1 of C2 doubled, 2(alpha, beta)/(beta, beta) = 8/16
     # for alpha = e1 +- e2, which is not an integer
-    d = cascade_decomposition(build_root_system("C", 2))
-    doubled = (d.beta[0], vscale(2, d.beta[1]))
-    bad = CascadeDecomposition(d.system, doubled, d.layers)
+    layer = build_root_system("C", 2).cascade[1]
+    bad = Layer(layer.r, vscale(2, layer.beta), layer.members)
     with pytest.raises(AssertionError, match="not integral"):
-        sigma_r(bad, d.layers[2][0], 2)
+        sigma_r(bad, layer.members[0])
 
 
 def test_closed_form_examples():
@@ -155,26 +137,27 @@ ORACLE_FAMILIES = (
 @pytest.mark.parametrize("series,rank", ORACLE_FAMILIES)
 def test_cascade_matches_closed_form(series, rank):
     s = build_root_system(series, rank)
-    computed = reverse_cascade(kostant_cascade(s))
+    computed = tuple(reversed(kostant_cascade(s)))
     assert computed == closed_form_beta(series, rank)
+    assert tuple(layer.beta for layer in s.cascade) == computed
 
 
 @pytest.mark.parametrize("series,rank", ORACLE_FAMILIES)
 def test_layer_lemmas_exhaustive(series, rank):
     s = build_root_system(series, rank)
-    d = cascade_decomposition(s)
+    layers = s.cascade
+    assert [layer.r for layer in layers] == list(range(1, len(layers) + 1))
     # partition count
-    assert len(s.positives) == d.m + sum(len(v) for v in d.layers.values())
+    assert len(s.positives) == len(layers) + sum(len(l.members) for l in layers)
     # every positive root is assigned exactly once
-    assigned = list(d.beta) + [a for v in d.layers.values() for a in v]
+    assigned = [a for layer in layers for a in (layer.beta, *layer.members)]
     assert sorted(assigned) == sorted(s.positives)
-    # each beta_r is nonmultipliable
-    for b in d.beta:
-        assert tuple(2 * x for x in b) not in s.roots
-    # pairing lemma, exhaustively
-    for r, members in d.layers.items():
-        for a in members:
-            assert vadd(a, sigma_r(d, a, r)) == d.beta[r - 1]
+    for layer in layers:
+        # each beta_r is nonmultipliable
+        assert tuple(2 * x for x in layer.beta) not in s.roots
+        # pairing lemma, exhaustively
+        for a in layer.members:
+            assert vadd(a, sigma_r(layer, a)) == layer.beta
 
 
 def test_cascade_rejects_non_integral_simple_coordinates():
@@ -216,8 +199,8 @@ LARGE_RANKS = [("A", 31), ("A", 32), ("B", 20), ("B", 21), ("C", 32),
 
 @pytest.mark.parametrize("series,rank", LARGE_RANKS)
 def test_large_rank_cascade_and_pairing(series, rank):
-    d = cascade_decomposition(build_root_system(series, rank))
-    assert d.beta == closed_form_beta(series, rank)
-    for r, members in d.layers.items():
-        for a in members:
-            assert vadd(a, sigma_r(d, a, r)) == d.beta[r - 1]
+    layers = build_root_system(series, rank).cascade
+    assert tuple(layer.beta for layer in layers) == closed_form_beta(series, rank)
+    for layer in layers:
+        for a in layer.members:
+            assert vadd(a, sigma_r(layer, a)) == layer.beta

@@ -4,9 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from stepsq.cascade import cascade_decomposition, closed_form_beta
+from stepsq.cascade import closed_form_beta
 from stepsq.limits import (
-    FAMILIES,
     check_well_aligned,
     cascade_stability,
     exact_sqrt,
@@ -29,7 +28,6 @@ FAMILY_STARTS = {
 def test_family_labels():
     for fam, (series, rank) in FAMILY_STARTS.items():
         assert family_of(build_root_system(series, rank)) == fam
-    assert set(FAMILY_STARTS) == set(FAMILIES)
 
 
 def test_propagate_c_chain_ranks():
@@ -73,7 +71,7 @@ def test_embedding_preserves_positives():
         assert chain.embeddings[0].apply(a) in big_pos
 
 
-@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("fam", list(FAMILY_STARTS))
 def test_chains_of_length_four_are_aligned_and_stable(fam):
     series, rank = FAMILY_STARTS[fam]
     chain = propagate(build_root_system(series, rank), 3)
@@ -114,21 +112,19 @@ def test_c_chain_beta_table_is_stage_independent():
 
 def test_a_chain_first_beta_fixed():
     chain = propagate(build_root_system("A", 1), 2)
-    decomps = [cascade_decomposition(s) for s in chain.stages]
+    beta_1 = [s.cascade[0].beta for s in chain.stages]
     for k in range(2):
-        assert (chain.embeddings[k].apply(decomps[k].beta[0])
-                == decomps[k + 1].beta[0])
+        assert chain.embeddings[k].apply(beta_1[k]) == beta_1[k + 1]
         # beta_1 is the fixed central simple root at every stage
-        assert decomps[k].beta[0] == chain.stages[k].simple_enumeration[0]
+        assert beta_1[k] == chain.stages[k].simple_enumeration[0]
 
 
 def test_layer_intersection_a1_in_a3():
     chain = propagate(build_root_system("A", 1), 1)
-    small_d = cascade_decomposition(chain.stages[0])
-    big_d = cascade_decomposition(chain.stages[1])
+    small, big = chain.stages[0].cascade[0], chain.stages[1].cascade[0]
     e = chain.embeddings[0]
     embedded = {e.apply(a) for a in chain.stages[0].positives}
-    assert {e.apply(a) for a in small_d.layers[1]} == set(big_d.layers[1]) & embedded
+    assert {e.apply(a) for a in small.members} == set(big.members) & embedded
     report = cascade_stability(chain)
     assert report.stable and len(report.rows) == 1
 
@@ -136,24 +132,21 @@ def test_layer_intersection_a1_in_a3():
 def test_restriction_factor_a1_in_a3():
     chain = propagate(build_root_system("A", 1), 1)
     lam2 = Q(3, 2)
-    rep = restriction_projection_factor(chain, {1: Q(1)}, {1: Q(1), 2: lam2})
+    factor = restriction_projection_factor(chain, {1: Q(1)}, {1: Q(1), 2: lam2})
     # the small stage is abelian (density 1); the big one contributes lam2^2
-    assert rep.pf_small == 1
-    assert rep.factor == 1 / lam2 ** 2
-    assert rep.factor == 1 / rep.pf_big
+    assert factor == 1 / lam2 ** 2
 
 
 def test_restriction_factor_unit_big_density():
     chain = propagate(build_root_system("A", 1), 1)
-    rep = restriction_projection_factor(chain, {1: Q(2)}, {1: Q(2), 2: Q(1)})
-    assert rep.factor == 1 / rep.pf_big == 1
+    factor = restriction_projection_factor(chain, {1: Q(2)}, {1: Q(2), 2: Q(1)})
+    assert factor == 1  # 1 / lam2^2 at lam2 = 1
 
 
 def test_restriction_factor_idempotence():
     chain = propagate(build_root_system("C", 2), 0)
     g = {1: Q(1, 2), 2: Q(3)}
-    rep = restriction_projection_factor(chain, g, g)
-    assert rep.factor == 1
+    assert restriction_projection_factor(chain, g, g) == 1
 
 
 def test_restriction_factor_transitivity():
@@ -161,9 +154,9 @@ def test_restriction_factor_transitivity():
     g2 = {1: Q(1), 2: Q(2)}
     g3 = {**g2, 3: Q(1, 2)}
     g4 = {**g3, 4: Q(3)}
-    f_02 = restriction_projection_factor(chain, g2, g4, stages=(0, 2)).factor
-    f_01 = restriction_projection_factor(chain, g2, g3, stages=(0, 1)).factor
-    f_12 = restriction_projection_factor(chain, g3, g4, stages=(1, 2)).factor
+    f_02 = restriction_projection_factor(chain, g2, g4, stages=(0, 2))
+    f_01 = restriction_projection_factor(chain, g2, g3, stages=(0, 1))
+    f_12 = restriction_projection_factor(chain, g3, g4, stages=(1, 2))
     assert f_02 == f_01 * f_12
 
 

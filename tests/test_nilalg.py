@@ -9,6 +9,7 @@ from fractions import Fraction as Q
 import pytest
 
 import stepsq
+from stepsq.cascade import Layer
 from stepsq.nilalg import (
     NilpotentAlgebra,
     _validate_algebra,
@@ -126,9 +127,9 @@ def test_decompose_roundtrip():
     coeffs = decompose(alg, target)
     assert coeffs == {roots[0]: Q(2, 3), roots[3]: Q(-5)}
     assert all(type(c) is Q for c in coeffs.values())
-    # integer entries decompose exactly, never into floats
+    # integer entries decompose into ints, never into floats
     coeffs = decompose(alg, combine((3, alg.basis[roots[1]])))
-    assert coeffs == {roots[1]: 3} and type(coeffs[roots[1]]) is Q
+    assert coeffs == {roots[1]: 3} and type(coeffs[roots[1]]) is int
     # E_21 is strictly lower triangular, and half of a two-entry root
     # space matches no single basis element
     assert decompose(alg, {(1, 0): 1}) is None
@@ -274,6 +275,70 @@ def test_overlapping_basis_positions_rejected():
                          alg.layers)
 
 
+def test_basis_entries_other_than_plus_or_minus_one_rejected():
+    alg = realize_split_nilradical("A", 2)
+    a = max(alg.basis)
+    for val in (2, Q(1, 2), 0):
+        basis = {**alg.basis, a: {pos: val for pos in alg.basis[a]}}
+        with pytest.raises(AssertionError, match="is not \\+1 or -1"):
+            NilpotentAlgebra(alg.series, alg.rank, alg.system, basis, alg.size,
+                             alg.layers)
+
+
+def per_pair_layer_check(alg):
+    """The message of a lookup of every ordered pair of members of each
+    layer, or None: the oracle of check_layers' one walk over the table."""
+    table = alg.brackets
+    for layer in alg.layers:
+        r, beta, members = layer.r, layer.beta, layer.members
+        if len(members) % 2:
+            return f"v_{r} has odd dimension"
+        for a in members:
+            for b in members:
+                if not table.get((a, b), {}).keys() <= {beta}:
+                    return f"[v_{r}, v_{r}] escapes z_{r} at ({a},{b})"
+            if (beta, a) in table:
+                return f"z_{r} must be central in l_{r}"
+    return None
+
+
+def layer_check_message(alg):
+    try:
+        check_layers(alg)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _a5_injections():
+    """One A5 copy per message: l_3 loses a member, two members of v_3
+    bracket outside z_3, beta_3 brackets a member of v_3."""
+    alg = realize_split_nilradical("A", 5)
+    l1, l3 = alg.layers[0], alg.layers[2]
+    odd = Layer(3, l3.beta, l3.members[:-1])
+    yield NilpotentAlgebra(alg.series, alg.rank, alg.system, alg.basis,
+                           alg.size, (*alg.layers[:2], odd))
+    yield with_entry(alg, (l3.members[0], l3.members[1]), {l1.beta: 1})
+    yield with_entry(alg, (l3.beta, l3.members[0]), {l3.beta: 1})
+
+
+def test_layer_check_matches_per_pair_oracle():
+    models = ([("A", r) for r in range(1, 14)]
+              + [(s, r) for s in "BCD" for r in range(2, 13)])
+    for model in models:
+        alg = realize_split_nilradical(*model)
+        assert per_pair_layer_check(alg) is None, model
+        assert layer_check_message(alg) is None, model
+    bad = [corrupted_fixture(), *_a5_injections()]
+    messages = [per_pair_layer_check(alg) for alg in bad]
+    assert [layer_check_message(alg) for alg in bad] == messages
+    assert messages == [
+        "[v_2, v_2] escapes z_2 at ((1, 0, -1, 0),(1, -1, 0, 0))",
+        "v_3 has odd dimension",
+        "[v_3, v_3] escapes z_3 at ((1, 0, 0, 0, -1, 0),(1, 0, 0, -1, 0, 0))",
+        "z_3 must be central in l_3"]
+
+
 def test_shape_errors():
     with pytest.raises(ValueError):
         realize_split_nilradical("E", 6)
@@ -312,11 +377,10 @@ OPTIMIZED_CHECKS = {
         "check_layers(corrupted_fixture())")),
     "layer characterization failed at r=1": (
         "layer characterization failed at r=1", (
-            "from stepsq.cascade import cascade_decomposition, layer_partition\n"
+            "from stepsq.cascade import kostant_cascade, layer_partition\n"
             "from stepsq.rootsys import build_root_system\n"
             "system = build_root_system('A', 3)\n"
-            "layer_partition(system, tuple(reversed("
-            "cascade_decomposition(system).beta)))")),
+            "layer_partition(system, kostant_cascade(system))")),
     "Pfaffian must square to the determinant": (
         "Pfaffian must square to the determinant", (
             "import stepsq.plancherel as p\n"

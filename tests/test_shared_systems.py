@@ -1,12 +1,14 @@
 """One root system per (series, rank) per process, and one cascade per system.
 
-``build_root_system`` shares one immutable system per (series, rank), and
-``cascade_decomposition`` keeps each system's decomposition on that system
-object.  These tests check that the sharing saves the work, that nothing
-shared can be changed in place, and that reports do not depend on whether
-the caches are empty or warm.
+``build_root_system`` shares one immutable system per (series, rank), each
+system keeps the layers of its cascade (``RootSystem.cascade``, read by
+``cascade_decomposition``), and the split model of a (series, rank) carries
+those same layers.  These tests check that the sharing saves the work,
+that nothing shared can be changed in place, and that reports do not depend
+on whether the caches are empty or warm.
 """
 
+import dataclasses
 import types
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from stepsq import cascade, rootsys
 from stepsq.cascade import cascade_decomposition
 from stepsq.cli import run
+from stepsq.nilalg import realize_split_nilradical
 from stepsq.rootsys import RootSystem, build_root_system
 
 EXACT_SYSTEMS = ([("A", r) for r in range(1, 9)]
@@ -35,11 +38,27 @@ def test_one_immutable_system_per_series_and_rank(empty_memo):
     assert isinstance(s.simple_enumeration, types.MappingProxyType)
     with pytest.raises(TypeError):
         s.simple_enumeration[1] = (0, 0, 0, 0, 1)
-    decomp = cascade_decomposition(s)
-    assert cascade_decomposition(build_root_system("C", 5)) is decomp
+    layers = cascade_decomposition(s)
+    assert cascade_decomposition(build_root_system("C", 5)) is layers
     with pytest.raises(TypeError):
-        decomp.layers[1] = ()
+        layers[0] = layers[1]
     assert list(empty_memo) == [("C", 5), ("B", 5)]
+
+
+def test_the_split_model_carries_the_system_layers():
+    systems = ([("A", r) for r in range(1, 14)]
+               + [(s, r) for s in "BCD" for r in range(2, 13)])
+    for series, rank in systems:
+        layers = build_root_system(series, rank).cascade
+        assert realize_split_nilradical(series, rank).layers is layers
+    # the shared layers cannot be changed in place
+    layer = layers[-1]
+    with pytest.raises(TypeError):
+        layers[0] = layer
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.members = ()
+    with pytest.raises(TypeError):
+        layer.members[0] = layer.beta
 
 
 def test_a_failed_build_is_not_kept(empty_memo):
@@ -71,7 +90,6 @@ def test_a_hand_built_system_gets_its_own_decomposition():
                       shared.positives, shared.simple_enumeration)
     mine, theirs = cascade_decomposition(hand), cascade_decomposition(shared)
     assert mine is not theirs
-    assert mine.system is hand and theirs.system is shared
     assert mine == theirs
     assert cascade_decomposition(hand) is mine
 
