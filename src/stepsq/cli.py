@@ -4,6 +4,10 @@ Each subcommand runs one pipeline and writes a report document whose rows
 compare an exact-arithmetic prediction with the measured value.  Reports are
 deterministic for a fixed seed: timing is only written when requested, and
 all randomness flows through one seeded generator.
+
+The exact commands (``roots``, ``cascade``, ``layers``, ``axioms``) never load
+numpy: the numeric modules bind it lazily (``_numpy``), so it loads at the
+first ``np.*`` of ``pfaffian`` or a numeric command.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .cascade import cascade_decomposition, closed_form_beta, sigma_r
 from .harness import (HARNESS_NAMES, Harness, build_harness, element,
                       exact_density, identity, leading_subgroup,

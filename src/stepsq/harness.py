@@ -30,8 +30,7 @@ from functools import cached_property
 from fractions import Fraction as Q
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .cascade import Layer
 from .nilalg import NilpotentAlgebra, realize_split_nilradical
 from .plancherel import determinant, plancherel_density

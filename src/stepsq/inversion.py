@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .harness import GroupElement, Harness, build_harness, embed_leading
 from .plancherel import plancherel_constant
 from .states import GaussianState, gaussian_integral, gaussian_integral_parts

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .harness import (
     GroupElement,
     Harness,

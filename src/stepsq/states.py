@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
+from ._numpy import np
 
 
 def gaussian_integral_parts(S: np.ndarray, L: np.ndarray, K: complex) -> Tuple[complex, complex]:

@@ -6,7 +6,8 @@ A public top-level function or class in ``src/stepsq`` must be referenced
 public method or annotated field of such a class must be reached as an
 attribute (``obj.name``), so a local variable of the same name does not
 count, nor does a field that is only ever set.  An attribute of an imported
-module, such as ``np.exp``, does not count either.
+module, such as ``np.exp``, does not count either, nor one of the lazily
+loaded numpy that ``from ._numpy import np`` binds.
 A name that only tests reach is either given a pipeline, a caller or a demo,
 or deleted; the few kept on purpose are listed in ``ALLOWED`` with the
 reason.  The package has no ``assert`` statement, since ``python -O`` strips
@@ -56,16 +57,24 @@ def _sources():
     return {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
 
 
+def _modules(tree):
+    """Names that tree binds to a module: by ``import x [as y]``, or to the
+    lazily loaded numpy by ``from ._numpy import np``."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module == "_numpy")
+            for alias in node.names}
+
+
 def _referenced(trees):
     """(names, attributes): every name and attribute used, and the
-    attributes alone, except attributes on a chain rooted at a module bound
-    by ``import x [as y]``: ``np.add.at`` or ``np.exp`` reaches no method of
-    the package."""
+    attributes alone, except attributes on a chain rooted at a module name
+    (``_modules``): ``np.add.at`` or ``np.exp`` reaches no method of the
+    package."""
     names, attributes = set(), set()
     for tree in trees.values():
-        modules = {alias.asname or alias.name.split(".")[0]
-                   for node in ast.walk(tree) if isinstance(node, ast.Import)
-                   for alias in node.names}
+        modules = _modules(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -136,3 +145,12 @@ def test_the_package_has_no_assert_statement():
                    for path, tree in _sources().items() if path.parent == SRC
                    for node in ast.walk(tree) if isinstance(node, ast.Assert))
     assert found == [], f"assert statements that python -O strips: {found}"
+
+
+def test_attributes_of_the_lazy_numpy_reach_no_method():
+    tree = ast.parse("from ._numpy import np\n"
+                     "import numpy.linalg\n"
+                     "np.einsum(x)\nnumpy.linalg.norm(x)\nh.exp(x)\n")
+    _, attributes = _referenced({SRC / "probe.py": tree})
+    assert "exp" in attributes
+    assert not {"einsum", "linalg", "norm"} & attributes

@@ -324,6 +324,52 @@ def test_cli_import_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def fresh_interpreter(code, *args):
+    """Run code in a new interpreter that imports stepsq from this checkout;
+    return what it prints, as JSON."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+RUN_AND_LIST_NUMPY = """
+import json, sys
+from stepsq.cli import run
+out, commands = sys.argv[1], sys.argv[2:]
+codes = [run(cmd.split() + ["--out", f"{out}/{i}.json"])
+         for i, cmd in enumerate(commands)]
+print(json.dumps([codes, "numpy._core" in sys.modules]))
+"""
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    codes, loaded = fresh_interpreter(
+        RUN_AND_LIST_NUMPY, str(tmp_path), "roots --series B --n 4",
+        "cascade --series C --n 5", "layers --series D --n 4",
+        "axioms --series A --n 5", "axioms --series A --n 3 --corrupted")
+    assert codes == [0, 0, 0, 0, 0]
+    assert not loaded
+
+
+def test_numeric_commands_load_numpy_on_use(tmp_path):
+    codes, loaded = fresh_interpreter(
+        RUN_AND_LIST_NUMPY, str(tmp_path), "pfaffian --count 5",
+        "inversion --points 1")
+    assert codes == [0, 0]
+    assert loaded
+
+
+def test_numpy_imported_first_is_used_as_is():
+    assert fresh_interpreter(
+        "import json, numpy, stepsq.harness, stepsq.cli\n"
+        "print(json.dumps([stepsq.harness.np is numpy, stepsq.cli.np is numpy,"
+        " type(numpy) is type(json)]))") == [True, True, True]
+
+
 def test_make_row_exact_and_tolerant():
     row = make_row("x", 1.0, 1.0 + 5e-7, 1e-6, "p")
     assert row["pass"] and row["abs_err"] < 1e-6
