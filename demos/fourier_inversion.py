@@ -21,7 +21,7 @@ for t in (0.5, 1.0, 2.0):
 
 res = fourier_inversion(f, identity(h))
 print(f"\nreconstruction at the identity: {res.value.real:.8f} (expect 1), "
-      f"quadrature error {res.quad_error:.1e}")
+      f"error budget {res.budget:.1e}")
 rng = np.random.default_rng(2)
 for k in range(3):
     x = random_element(h, rng, 1.0)
@@ -35,4 +35,4 @@ for name in ("A3", "C2", "C3", "C4", "C5"):
     x = random_element(g, np.random.default_rng(3), 0.8)
     res = fourier_inversion(fg, x, tolerance=1e-5)
     print(f"{name} ({g.m} layers): rel err {res.rel_error:.1e}, "
-          f"quadrature error {res.quad_error:.1e}")
+          f"error budget {res.budget:.1e}")

@@ -125,6 +125,8 @@ def test_grid_lambda_beyond_the_grid_cap_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["inversion", "--points", "-1"],
+    ["inversion", "--points", str(cli.MAX_POINTS + 1)],
+    ["inversion", "--points", "100000000"],
     ["inversion", "--tolerance", "0"],
     ["inversion", "--tolerance", "-1"],
     ["inversion", "--tolerance", "nan"],
@@ -140,6 +142,22 @@ def test_bad_numeric_inputs_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert argv[1] in err  # the message names the flag
+    assert not os.path.exists(out)
+
+
+def test_limit_check_far_from_the_identity_keeps_every_row(tmp_path):
+    # f(x) = exp(-100 pi) at zeta = 10, which the closed form still resolves
+    out = str(tmp_path / "l.json")
+    assert run(["limit-check", "--zeta", "10", "--out", out]) == 0
+    assert len(read(out)["rows"]) == 19
+
+
+def test_limit_check_where_f_underflows_exits_2(tmp_path, capsys):
+    # f(x) = exp(-2500 pi) is 0 in double precision, so no residual relative
+    # to it is defined
+    out = str(tmp_path / "l.json")
+    assert run(["limit-check", "--zeta", "50", "--out", out]) == 2
+    assert "|f(x)| = 0 underflows at log x = [50.]" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

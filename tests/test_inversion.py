@@ -1,5 +1,6 @@
 """Orbit integrals, Fourier inversion, and the two-stage limit check."""
 
+import json
 import time
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from stepsq import inversion
+from stepsq.cli import run
 from stepsq.harness import (build_harness, element, from_matrix, identity,
                             leading_subgroup, multiply, random_element)
 from stepsq.inversion import (
@@ -135,13 +137,12 @@ def test_inversion_of_an_offset_packet():
     x = element(h, [(0.1, [0.2], [0.3])])
     res = fourier_inversion(f, x)
     assert res.rel_error < 1e-6
-    assert res.quad_error <= 1e-6
+    assert res.budget <= 1e-6
 
 
 def test_an_error_budget_over_tolerance_raises():
-    # no rule in double precision reaches 1e-30: successive estimates may
-    # agree bit for bit, but the budget is floored at the rounding bound of
-    # the final sum, so it stays above the tolerance
+    # the budget is a rounding bound in double precision, at least eps
+    # relative to |f(x)|, so it stays above a tolerance of 1e-30
     rng = np.random.default_rng(8)
     for name in ("HEIS1", "A3"):
         h = build_harness(name)
@@ -176,7 +177,7 @@ def test_inversion_two_layer_harnesses(name, lam):
                                   "packet"])
 def test_inversion_error_budget_covers_the_residual(name):
     # "packet" is an offset, modulated Gaussian on C3: its momentum makes b
-    # complex, which shifts each whitened one-dimensional Gaussian off 0
+    # complex, so b.b is the plain product of a complex vector
     h = build_harness("C3" if name == "packet" else name)
     if name == "packet":
         f = TestFunction.gaussian(h, np.linspace(-0.3, 0.2, h.dim),
@@ -186,7 +187,7 @@ def test_inversion_error_budget_covers_the_residual(name):
     x = random_element(h, np.random.default_rng(5), 0.8)
     res = fourier_inversion(f, x, tolerance=1e-8)
     assert res.rel_error < 1e-8
-    assert abs(res.value - res.reference) <= res.quad_error + 1e-12
+    assert res.rel_error <= res.budget + 1e-12
 
 
 def test_inversion_three_layers():
@@ -196,6 +197,89 @@ def test_inversion_three_layers():
     for x in (identity(h), random_element(h, np.random.default_rng(6), 0.8)):
         res = fourier_inversion(f, x)
         assert res.rel_error < 1e-6
+
+
+@pytest.mark.parametrize("name", ["A31", "C16"])
+def test_inversion_at_depth_is_exact_relative_to_f_of_x(name):
+    # |f(x)| is about 1e-23 on A31 and 2e-13 on C16, so a residual scaled by
+    # the sup of f, which is 1, would pass any value near 0
+    h = build_harness(name)
+    x = random_element(h, np.random.default_rng(5), 0.3)
+    res = fourier_inversion(TestFunction.standard(h), x)
+    assert abs(res.reference) < 1e-12
+    assert res.rel_error < 1e-12
+
+
+def test_a_reference_that_underflows_is_named():
+    h = build_harness("HEIS1")
+    x = element(h, [(50.0, [0.0], [0.0])])
+    with pytest.raises(ValueError, match=r"HEIS1: \|f\(x\)\| = 0 underflows "
+                                         r"at log x = \[50\."):
+        fourier_inversion(TestFunction.standard(h), x)
+
+
+def scale_the_value(monkeypatch, factor):
+    """Make fourier_inversion return factor times its value, by scaling the
+    prefactor of every term where inversion reads gaussian_integral_parts."""
+    parts = inversion.gaussian_integral_parts
+
+    def scaled_parts(S, L, K):
+        pre, expo = parts(S, L, K)
+        return factor * pre, expo
+
+    monkeypatch.setattr(inversion, "gaussian_integral_parts", scaled_parts)
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5])
+@pytest.mark.parametrize("name,scale", [("HEIS1", 0.8), ("A5", 0.8),
+                                        ("C4", 0.8), ("A7", 0.8),
+                                        ("C16", 0.3), ("A31", 0.3)])
+def test_a_wrong_value_fails_the_direct_call(monkeypatch, factor, name, scale):
+    # |f(x)| runs from 0.2 on HEIS1 down to 1e-23 on A31, so a residual
+    # scaled by the sup of f would let the wrong value pass everywhere but
+    # on HEIS1
+    scale_the_value(monkeypatch, factor)
+    h = build_harness(name)
+    x = random_element(h, np.random.default_rng(5), scale)
+    res = fourier_inversion(TestFunction.standard(h), x)
+    assert abs(res.value - factor * res.reference) < 1e-12 * abs(res.reference)
+    assert res.rel_error > 1e-6  # the default tolerance
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5])
+@pytest.mark.parametrize("command,count", [("inversion", 11),
+                                           ("limit-check", 2)])
+def test_a_wrong_value_fails_every_residual_row(tmp_path, monkeypatch, factor,
+                                                command, count):
+    scale_the_value(monkeypatch, factor)
+    out = tmp_path / "r.json"
+    assert run([command, "--out", str(out)]) == 1
+    rows = [row for row in json.loads(out.read_text(encoding="utf-8"))["rows"]
+            if row["name"].endswith("_rel_error")]
+    assert len(rows) == count
+    assert not any(row["pass"] for row in rows)
+
+
+@pytest.mark.parametrize("name", ["HEIS1", "A3", "C2", "C4"])
+def test_inversion_does_not_see_the_slice_map(monkeypatch, name):
+    # a documented negative result: each slice form (S, L0) taken to
+    # (G^T S G, G^T L0), the slice map A replaced by A G for a random
+    # invertible G, reconstructs the same value, by Euclidean Fourier
+    # inversion on R^m.  So the inversion rows check inversion through the
+    # slice; they cannot see the group law, |Pf| or c
+    h = build_harness(name)
+    rng = np.random.default_rng(13)
+    f, x = TestFunction.standard(h), random_element(h, rng, 0.8)
+    exact = fourier_inversion(f, x).value
+    G = rng.uniform(-1.0, 1.0, (h.m, h.m)) + 2.0 * np.eye(h.m)
+    slice_quadratic = inversion._slice_quadratic
+
+    def moved(f, x):
+        log_x, slices = slice_quadratic(f, x)
+        return log_x, [(G.T @ S @ G, G.T @ L0, K) for S, L0, K in slices]
+
+    monkeypatch.setattr(inversion, "_slice_quadratic", moved)
+    assert abs(fourier_inversion(f, x).value - exact) <= 1e-12 * abs(exact)
 
 
 SLICE_HARNESSES = (["HEIS1", "HEIS2", "HEIS3"] + [f"A{r}" for r in range(1, 8)]
@@ -254,6 +338,16 @@ def test_limit_inversion_two_stage_agreement():
         assert rep.coherent and rep.agree
         assert rep.stage_small.rel_error < 1e-3
         assert rep.stage_big.rel_error < 1e-3
+
+
+def test_limit_inversion_enforces_the_tolerance_asked_for():
+    big = build_harness("A3")
+    small = leading_subgroup(big, 1)
+    f_big = TestFunction.standard(big)
+    x = element(small, [(0.6, [], [])])
+    with pytest.raises(AssertionError, match=r"exceeds the tolerance 1e-30$"):
+        limit_inversion_check(f_big, restrict_test_function(f_big, small), x,
+                              tolerance=1e-30)
 
 
 def test_limit_inversion_flags_incoherent_family():

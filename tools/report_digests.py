@@ -14,7 +14,9 @@ outputs are the same::
     diff old.json new.json
 
 The progress lines that ``run`` prints are discarded, and its diagnostics
-go to stderr.
+go to stderr.  ``tests/data/report_digests_seed7.json`` is this output at
+``--seed 7``, which ``tests/test_report_digests.py`` checks; a change that
+alters a report on purpose writes it again.
 """
 
 from __future__ import annotations
