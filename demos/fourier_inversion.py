@@ -33,6 +33,6 @@ for name in ("A3", "C2", "C3", "C4", "C5"):
     g = build_harness(name)
     fg = TestFunction.standard(g)
     x = random_element(g, np.random.default_rng(3), 0.8)
-    res = fourier_inversion(fg, x, tolerance=1e-5)
+    res = fourier_inversion(fg, x)
     print(f"{name} ({g.m} layers): rel err {res.rel_error:.1e}, "
           f"error budget {res.budget:.1e}")

@@ -8,6 +8,7 @@ them, the split model shares them, and the harness extends them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .rootsys import (
@@ -44,14 +45,35 @@ def kostant_cascade(system: RootSystem) -> Tuple[Vector, ...]:
     Each step takes the lexicographically greatest candidate.  Every simple
     root is lexicographically positive (``rootsys._check_invariants``), so a
     root above another in the root order is lexicographically greater, and
-    the greatest candidate is a maximal one.
+    the greatest candidate is a maximal one.  The candidates strongly
+    orthogonal to the pick stay (``strongly_orthogonal``, inline: the
+    vectors of one system share a length), and each must be orthogonal to
+    it.  For an orthogonal candidate a, a + pick and a - pick both have
+    squared length |a|^2 + |pick|^2, so they are looked up only when some
+    root has that squared length.  The chosen roots are checked pairwise at
+    the end.
     """
+    roots = system.roots
+    lengths = {sum(map(mul, a, a)) for a in roots}
+    norm = {a: sum(map(mul, a, a)) for a in system.positives}
     chosen: List[Vector] = []
     candidates = list(system.positives)
     while candidates:
         pick = max(candidates)
         chosen.append(pick)
-        candidates = [a for a in candidates if strongly_orthogonal(system, a, pick)]
+        pick_norm = norm[pick]
+        kept = []
+        for a in candidates:
+            if sum(map(mul, a, pick)):
+                if not (a == pick or tuple(map(sub, a, pick)) in roots
+                        or tuple(map(add, a, pick)) in roots):
+                    raise AssertionError("strong orthogonality must imply "
+                                         "orthogonality")
+            elif (norm[a] + pick_norm not in lengths
+                  or (tuple(map(add, a, pick)) not in roots
+                      and tuple(map(sub, a, pick)) not in roots)):
+                kept.append(a)
+        candidates = kept
     for i, a in enumerate(chosen):
         for b in chosen[i + 1:]:
             if not strongly_orthogonal(system, a, b):
@@ -66,8 +88,9 @@ def layer_partition(system: RootSystem,
 
     Layer r collects the unassigned positives alpha with beta_r - alpha a
     positive root.  The fill-out partition property and the orthogonality
-    characterization of each layer are checked before returning; a root's
-    pairing with beta_r is read from its (at most two) nonzero coordinates.
+    characterization of each layer are checked before returning: a positive
+    root is characterized into layer r when its last nonzero pairing with
+    beta_1..beta_m is the one with beta_r and is positive.
     """
     beta = tuple(beta)
     m = len(beta)
@@ -76,22 +99,25 @@ def layer_partition(system: RootSystem,
     positives = set(system.positives)
     layers: Dict[int, Tuple[Vector, ...]] = {}
     for r in range(m, 0, -1):
-        members = tuple(a for a in remaining if vsub(beta[r - 1], a) in positives)
+        top = beta[r - 1]
+        members: List[Vector] = []
+        rest: List[Vector] = []
+        for a in remaining:
+            (members if tuple(map(sub, top, a)) in positives else rest).append(a)
         layers[r] = tuple(sorted(members, reverse=True))
-        taken = set(members)
-        remaining = [a for a in remaining if a not in taken]
+        remaining = rest
     if remaining:
         raise AssertionError(f"fill-out partition failed; unassigned {remaining}")
-    support = {a: [(i, x) for i, x in enumerate(a) if x] for a in system.positives}
-    pairings = {a: tuple(sum(x * b[i] for i, x in nz) for b in beta)
-                for a, nz in support.items()}
+    characterized: Dict[int, set] = {r: set() for r in range(1, m + 1)}
+    for a in system.positives:
+        for r in range(m, 0, -1):
+            pairing = sum(map(mul, a, beta[r - 1]))
+            if pairing:
+                if pairing > 0:
+                    characterized[r].add(a)
+                break
     for r in range(1, m + 1):
-        expected = set(layers[r]) | {beta[r - 1]}
-        characterized = {
-            a for a, ip in pairings.items()
-            if not any(ip[r:]) and ip[r - 1] > 0
-        }
-        if expected != characterized:
+        if set(layers[r]) | {beta[r - 1]} != characterized[r]:
             raise AssertionError(f"layer characterization failed at r={r}")
     return tuple(Layer(r, b, layers[r]) for r, b in enumerate(beta, start=1))
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import isqrt
+from operator import mul
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .cascade import cascade_decomposition
 from .nilalg import realize_split_nilradical
 from .plancherel import plancherel_density
-from .rootsys import RootSystem, Vector, build_root_system, inner
+from .rootsys import RootSystem, Vector, build_root_system
 
 
 def family_of(system: RootSystem) -> str:
@@ -70,18 +71,22 @@ def stage_embedding(small: RootSystem, big: RootSystem) -> StageEmbedding:
     else:
         left, right = shift, 0
     emb = StageEmbedding(left, right)
-    old = set(small.simple_indices())
+    small_idx = small.simple_indices()
+    old = set(small_idx)
     new = set(big.simple_indices()) - old
     if not old <= set(big.simple_indices()):
         raise ValueError("simple-root indices of the small stage are "
                          "missing at the big stage")
-    for i in small.simple_indices():
-        if emb.apply(small.simple_enumeration[i]) != big.simple_enumeration[i]:
+    # the padding of emb.apply, applied in place in the loops below
+    pad_left, pad_right = (0,) * left, (0,) * right
+    simples = [small.simple_enumeration[i] for i in small_idx]
+    images = [pad_left + a + pad_right for a in simples]
+    for i, image in zip(small_idx, images):
+        if image != big.simple_enumeration[i]:
             raise ValueError(f"simple root {i} is not preserved")
     big_pos = set(big.positives)
-    for a in small.positives:
-        if emb.apply(a) not in big_pos:
-            raise ValueError("a positive root maps outside the positives")
+    if not all(pad_left + a + pad_right in big_pos for a in small.positives):
+        raise ValueError("a positive root maps outside the positives")
     if small.series == "A":
         # new simple roots appear symmetrically about the fixed center
         if new != {-i for i in new} or (new and min(abs(i) for i in new)
@@ -91,10 +96,9 @@ def stage_embedding(small: RootSystem, big: RootSystem) -> StageEmbedding:
         # new simple roots attach beyond the old end of the diagram
         if new and min(new) <= max(old):
             raise ValueError("new simple roots must attach at the far end")
-    simples = [small.simple_enumeration[i] for i in small.simple_indices()]
-    for i, a in enumerate(simples):
-        for b in simples[i:]:
-            if inner(a, b) != inner(emb.apply(a), emb.apply(b)):
+    for i, (a, image_a) in enumerate(zip(simples, images)):
+        for b, image_b in zip(simples[i:], images[i:]):
+            if sum(map(mul, a, b)) != sum(map(mul, image_a, image_b)):
                 raise AssertionError("the embedding must preserve inner products")
     return emb
 
@@ -191,11 +195,14 @@ def cascade_stability(chain: DirectChain) -> StabilityReport:
     rows: List[dict] = []
     for k, e in enumerate(chain.embeddings):
         small, big = layers[k], layers[k + 1]
-        embedded_pos = {e.apply(a) for a in chain.stages[k].positives}
+        # the padding of e.apply, applied in place in the loops below
+        pad_left, pad_right = (0,) * e.left, (0,) * e.right
+        embedded_pos = {pad_left + a + pad_right
+                        for a in chain.stages[k].positives}
         for layer in small:
             big_layer = big[layer.r - 1]
-            beta_ok = e.apply(layer.beta) == big_layer.beta
-            small_layer = {e.apply(a) for a in layer.members}
+            beta_ok = pad_left + layer.beta + pad_right == big_layer.beta
+            small_layer = {pad_left + a + pad_right for a in layer.members}
             layer_ok = small_layer == (set(big_layer.members) & embedded_pos)
             rows.append({"pair": f"{_label(chain.stages[k])}->"
                                  f"{_label(chain.stages[k + 1])}",

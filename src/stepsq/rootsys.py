@@ -54,11 +54,6 @@ def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(map(sub, a, b))
 
 
-def vneg(a: Vector) -> Vector:
-    """Exact vector negation."""
-    return tuple(map(neg, a))
-
-
 def vscale(c: Rational, a: Vector) -> Vector:
     """Exact scalar multiple."""
     return tuple([c * x for x in a])
@@ -103,21 +98,20 @@ class RootSystem:
 
 
 def _positive_roots(series: str, rank: int) -> List[Vector]:
-    """Standard positive roots of a series."""
-    if series == "A":
-        dim = rank + 1
-        return [vsub(_e(i, dim), _e(j, dim)) for i in range(1, dim + 1)
-                for j in range(i + 1, dim + 1)]
-    dim = rank
+    """Standard positive roots of a series: e_i - e_j (i < j), then for
+    B, C and D also e_i + e_j after each, and e_i (B) or 2 e_i (C) last."""
+    dim = rank + 1 if series == "A" else rank
     pos: List[Vector] = []
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            pos.append(vsub(_e(i, dim), _e(j, dim)))
-            pos.append(vadd(_e(i, dim), _e(j, dim)))
-    if series == "B":
-        pos.extend(_e(i, dim) for i in range(1, rank + 1))
-    elif series == "C":
-        pos.extend(vscale(2, _e(i, dim)) for i in range(1, rank + 1))
+    for i in range(dim):
+        head = (0,) * i
+        for j in range(i + 1, dim):
+            gap, tail = (0,) * (j - i - 1), (0,) * (dim - j - 1)
+            pos.append(head + (1,) + gap + (-1,) + tail)
+            if series != "A":
+                pos.append(head + (1,) + gap + (1,) + tail)
+    if series in ("B", "C"):
+        c = (1,) if series == "B" else (2,)
+        pos.extend((0,) * i + c + (0,) * (dim - i - 1) for i in range(dim))
     return pos
 
 
@@ -183,7 +177,7 @@ def _build(series: str, rank: int) -> RootSystem:
     """Build and check the standard root system, uncached."""
     simple = MappingProxyType(_simple_enumeration(series, rank))
     pos_sorted = tuple(sorted(_positive_roots(series, rank), reverse=True))
-    roots = frozenset(pos_sorted) | frozenset(map(vneg, pos_sorted))
+    roots = frozenset(pos_sorted).union([tuple(map(neg, a)) for a in pos_sorted])
     system = RootSystem(series, rank, roots, pos_sorted, simple)
     _check_invariants(system)
     return system
@@ -197,11 +191,12 @@ def _check_invariants(system: RootSystem) -> None:
     every other positive root a has a simple root s with a - s positive.
     Since a - s is lexicographically smaller than a, induction on that order
     makes every positive root a nonnegative integer combination of the
-    simple roots.
+    simple roots.  The ambient vectors of one system share a length, so the
+    vector arithmetic below is inline.
     """
     pos = set(system.positives)
-    neg = {vneg(a) for a in pos}
-    if not (pos.isdisjoint(neg) and pos | neg == set(system.roots)):
+    negs = {tuple(map(neg, a)) for a in pos}
+    if not (pos.isdisjoint(negs) and pos | negs == set(system.roots)):
         raise AssertionError("positives do not split the roots")
     simples = list(system.simple_enumeration.values())
     zero = (0,) * system.dim
@@ -211,10 +206,12 @@ def _check_invariants(system: RootSystem) -> None:
                                  "positive positive root")
     for i, a in enumerate(simples):
         for b in simples[i + 1:]:
-            if inner(a, b) > 0:
+            if sum(map(mul, a, b)) > 0:
                 raise AssertionError(f"simple roots {a}, {b} form an acute angle")
+    simple_set = set(simples)
     for a in system.positives:
-        if a not in simples and not any(vsub(a, s) in pos for s in simples):
+        if a not in simple_set and not any(tuple(map(sub, a, s)) in pos
+                                           for s in simples):
             raise AssertionError(f"positive root {a} is not integral: no "
                                  "simple root leads down from it")
 

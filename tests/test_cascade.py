@@ -7,8 +7,8 @@ import pytest
 
 from stepsq import rootsys
 from stepsq.cascade import Layer, closed_form_beta, kostant_cascade, sigma_r
-from stepsq.rootsys import (RootSystem, build_root_system, vadd, vneg, vscale,
-                            strongly_orthogonal)
+from stepsq.rootsys import (RootSystem, build_root_system, strongly_orthogonal,
+                            vadd, vscale)
 
 
 def V(*xs):
@@ -172,7 +172,7 @@ def test_cascade_rejects_non_integral_simple_coordinates():
 
     rootsys._check_invariants(system(simple))
     doubled = {i: vscale(2, a) for i, a in simple.items()}
-    negated = {i: vneg(a) if i == 0 else a for i, a in simple.items()}
+    negated = {i: vscale(-1, a) if i == 0 else a for i, a in simple.items()}
     removed = {i: a for i, a in simple.items() if i != 0}
     for enumeration, match in ((doubled, "lexicographically positive"),
                                (negated, "lexicographically positive"),

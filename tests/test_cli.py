@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -168,6 +169,30 @@ def test_inversion_enforces_requested_tolerance(tmp_path):
     assert run(["inversion", "--points", "1", "--tolerance", "1e-20",
                 "--out", out]) == 1
     assert read(out)["passed"] is False
+
+
+@pytest.mark.parametrize("argv,rows,residuals", [
+    (["inversion", "--points", "2", "--tolerance", "1e-300"], 4,
+     ["identity_rel_error", "point_0_rel_error", "point_1_rel_error"]),
+    (["limit-check", "--tolerance", "1e-17"], 19,
+     ["stage_small_rel_error", "stage_big_rel_error"]),
+])
+def test_a_budget_over_the_tolerance_fails_its_rows(tmp_path, argv, rows,
+                                                    residuals):
+    # every row stays in the report: the residual rows fail and name the
+    # budget, and so does the two-stage agreement; the exact rows pass
+    out = str(tmp_path / "r.json")
+    assert run(argv + ["--out", out]) == 1
+    doc = read(out)
+    assert len(doc["rows"]) == rows
+    failed = {r["name"]: r for r in doc["rows"] if not r["pass"]}
+    if argv[0] == "limit-check":
+        assert failed.pop("two_stage_agreement")
+    assert sorted(failed) == sorted(residuals)
+    for row in failed.values():
+        assert re.fullmatch(r"reconstruction residual; error budget \S+ "
+                            rf"exceeds the tolerance {argv[-1]}",
+                            row["provenance"])
 
 
 def test_cascade_report(tmp_path):
@@ -574,8 +599,11 @@ def test_rank_above_32_exits_2_before_building(tmp_path, capsys, monkeypatch,
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("cmd,series", [("roots", "D"), ("cascade", "C"),
-                                        ("axioms", "C"), ("axioms", "D")])
+@pytest.mark.parametrize("cmd,series", [("roots", "D"), ("cascade", "B"),
+                                        ("cascade", "C"), ("cascade", "D"),
+                                        ("layers", "B"), ("layers", "C"),
+                                        ("layers", "D"), ("axioms", "C"),
+                                        ("axioms", "D")])
 def test_rank_32_runs(tmp_path, cmd, series):
     out = str(tmp_path / "r.json")
     assert run([cmd, "--series", series, "--n", "32", "--out", out]) == 0

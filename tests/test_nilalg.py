@@ -381,6 +381,40 @@ OPTIMIZED_CHECKS = {
             "from stepsq.rootsys import build_root_system\n"
             "system = build_root_system('A', 3)\n"
             "layer_partition(system, kostant_cascade(system))")),
+    "fill-out partition failed": (
+        "fill-out partition failed", (
+            "from stepsq.cascade import kostant_cascade, layer_partition\n"
+            "from stepsq.rootsys import build_root_system\n"
+            "system = build_root_system('A', 3)\n"
+            "layer_partition(system, kostant_cascade(system)[:1])")),
+    # (1, 0) and the pick (1, 1) are strongly orthogonal, not orthogonal
+    "strong orthogonality must imply orthogonality": (
+        "strong orthogonality must imply orthogonality", (
+            "from stepsq.cascade import kostant_cascade\n"
+            "from stepsq.rootsys import RootSystem\n"
+            "roots = frozenset({(1, 1), (1, 0), (-1, -1), (-1, 0)})\n"
+            "kostant_cascade(RootSystem('A', 1, roots, ((1, 1), (1, 0)), "
+            "{}))")),
+    # the greedy filter keeps only strongly orthogonal roots, so only a
+    # broken pairwise test reaches the final check
+    "are not strongly orthogonal": ("are not strongly orthogonal", (
+        "import stepsq.cascade as c\n"
+        "from stepsq.rootsys import build_root_system\n"
+        "c.strongly_orthogonal = lambda system, a, b: False\n"
+        "c.kostant_cascade(build_root_system('A', 3))")),
+    "form an acute angle": ("form an acute angle", (
+        "from stepsq.rootsys import RootSystem, _check_invariants, "
+        "build_root_system\n"
+        "s = build_root_system('A', 2)\n"
+        "_check_invariants(RootSystem('A', 2, s.roots, s.positives, "
+        "{-1: (1, -1, 0), 1: (1, 0, -1)}))")),
+    "positives do not split the roots": (
+        "positives do not split the roots", (
+            "from stepsq.rootsys import RootSystem, _check_invariants, "
+            "build_root_system\n"
+            "s = build_root_system('A', 2)\n"
+            "_check_invariants(RootSystem('A', 2, s.roots, s.positives[1:], "
+            "s.simple_enumeration))")),
     "Pfaffian must square to the determinant": (
         "Pfaffian must square to the determinant", (
             "import stepsq.plancherel as p\n"

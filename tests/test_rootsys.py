@@ -11,7 +11,6 @@ from stepsq.rootsys import (
     inner,
     simple_coordinates_all,
     strongly_orthogonal,
-    vneg,
 )
 
 
@@ -128,7 +127,7 @@ def test_invariants_reject_a_negated_positive_root():
     s = build_root_system("A", 3)
     top = V(1, 0, 0, -1)
     assert top in s.positives and top not in s.simple_enumeration.values()
-    bad = tuple(vneg(a) if a == top else a for a in s.positives)
+    bad = tuple(tuple(-x for x in a) if a == top else a for a in s.positives)
     bad_system = rootsys.RootSystem("A", 3, s.roots, bad, s.simple_enumeration)
     rootsys._check_invariants(s)
     with pytest.raises(AssertionError):
