@@ -224,3 +224,16 @@ def closed_form_beta(series: str, rank: int) -> Tuple[Vector, ...]:
                 combo.update({j: 2 for j in range(3, 2 * r + 1)})
                 betas.append(_psi_combo(simple, combo))
     return tuple(betas)
+
+
+def closed_form_layer_dims(series: str, rank: int) -> Tuple[int, ...]:
+    """Half dimension d_r of each layer's symplectic part, r = 1..m, by the
+    per-family closed forms.  Independent of layer_partition; its oracle."""
+    _simple_enumeration(series, rank)  # ValueError for no such root system
+    n = rank
+    m = {"A": (n + 1) // 2, "B": n, "C": n, "D": n - n % 2}[series]
+    d_r = {"A": lambda r: 2 * r - 2 + (n % 2 == 0),
+           "B": lambda r: 2 * r - 3 if r >= 2 and (r - n) % 2 == 0 else 0,
+           "C": lambda r: r - 1,
+           "D": lambda r: 0 if r % 2 else 2 * r - 2 - 2 * (n % 2 == 0)}[series]
+    return tuple(d_r(r) for r in range(1, m + 1))

@@ -10,9 +10,12 @@ layer, beta_r, the a-roots, then the b-roots.  The root-space matrices are
 the model's sparse ``basis``: ``Harness.lie`` turns a basis-order vector
 into its Lie-algebra matrix, ``exp`` into its group matrix, and ``log``
 reads a unipotent matrix back, by terminating power series in floats.
-``adjoint`` is Ad of an element on the basis, read from the model's bracket
-table, as is each layer's pairing C.  A ``GroupElement`` holds its
-coordinates as one float vector in the basis order.  ``Harness.positions``
+``adjoint`` is Ad of an element g by conjugation in the same matrix model,
+with g^-1 the reversed product of exp(-Y) over g's factors Y, so entries
+the root grading forbids are exact zeros.  Each layer's pairing C is read
+from the model's bracket table; that the keys span a subalgebra is checked
+when the harness is built.  A ``GroupElement`` holds its coordinates as one
+float vector in the basis order.  ``Harness.positions``
 decides how two harnesses meet: by model, then by root key.  Harnesses:
 HEIS1-3 (the top layer of A_{d+1}: beta = e_1 - e_{d+2}, a_i = e_1 -
 e_{d+2-i}, b_i = e_{d+2-i} - e_{d+2}) and the whole split model of any
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction as Q
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._numpy import np
 from .cascade import Layer
@@ -154,16 +157,33 @@ class Harness:
         return (rows, cols), vals, owner, uncovered
 
     def lie(self, coords: np.ndarray) -> np.ndarray:
-        """The Lie-algebra matrix sum_i coords[i] X_i of a basis-order vector."""
+        """The Lie-algebra matrix sum_i coords[i] X_i of a basis-order vector,
+        or the stack of them for a stack of vectors."""
         pos, vals, owner, _ = self._supports
-        w = np.zeros((self.size, self.size))
-        w[pos] = vals * coords[owner]
+        w = np.zeros(coords.shape[:-1] + (self.size, self.size))
+        w[(..., *pos)] = vals * coords[..., owner]
         return w
+
+    def _read(self, w: np.ndarray) -> np.ndarray:
+        """Basis-order coordinates of a Lie-algebra matrix, or of a stack of
+        them, read off the disjoint supports; AssertionError outside the
+        harness algebra."""
+        pos, vals, owner, uncovered = self._supports
+        ratios, off = w[(..., *pos)] / vals, w[..., uncovered]
+        coords = np.zeros(w.shape[:-2] + (self.dim,))
+        np.add.at(coords, (..., owner), ratios)
+        coords /= np.bincount(owner)
+        # allclose(ratios, their coordinates, atol=1e-9), and w is 0 elsewhere
+        near = coords[..., owner]
+        if not ((np.abs(ratios - near) <= 1e-9 + 1e-5 * np.abs(near)).all()
+                and np.abs(off).max() <= 1e-9):
+            raise AssertionError("element outside the harness algebra")
+        return coords
 
     def log(self, M: np.ndarray) -> np.ndarray:
         """Basis-order coordinates of the logarithm of a unipotent matrix, by
-        its terminating power series, read off the disjoint supports;
-        AssertionError outside the harness group."""
+        its terminating power series; AssertionError outside the harness
+        group."""
         N = M - np.eye(self.size)
         w, term = np.zeros_like(N), np.eye(self.size)
         for k in range(1, self.size + 1):
@@ -171,50 +191,32 @@ class Harness:
             if not np.abs(term).max() > 0:
                 break
             w = w + ((-1) ** (k + 1)) * term / k
-        pos, vals, owner, uncovered = self._supports
-        ratios, off = w[pos] / vals, w[uncovered]
-        coords = np.bincount(owner, ratios) / np.bincount(owner)
-        # each ratio equals its coordinate and w vanishes off the supports
-        if not np.allclose(np.concatenate([ratios, off]),
-                           np.concatenate([coords[owner], np.zeros(off.shape)]),
-                           atol=1e-9):
-            raise AssertionError("element outside the harness algebra")
-        return coords
+        return self._read(w)
 
     def exp(self, coords: np.ndarray) -> np.ndarray:
         """The group matrix exp(sum_i coords[i] X_i) of a basis-order vector."""
         return expm_nilpotent(self.lie(coords))
 
-    @cached_property
-    def _structure(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The model's table entries whose two roots are harness keys, as
-        sparse arrays (i, j, k, v) with [X_i, X_j] = v X_k; AssertionError
-        for a bracket that leaves the harness algebra."""
-        index = {key: n for n, key in enumerate(self.keys)}
-        table = np.array([
-            (index[a], index[b], index.get(c, -1), v)
-            for (a, b), coeffs in self.model.brackets.items()
-            if a in index and b in index
-            for c, v in coeffs.items()],
-            dtype=float).reshape(-1, 4)
-        if (table[:, 2] < 0).any():
+    def __post_init__(self) -> None:
+        keys = set(self.keys)
+        if any(c not in keys for (a, b), coeffs in self.model.brackets.items()
+               if a in keys and b in keys for c in coeffs):
             raise AssertionError("bracket outside the harness algebra")
-        i, j, k = table[:, :3].T.astype(int)
-        return i, j, k, table[:, 3]
 
     @cached_property
     def centre_slice_affine(self) -> bool:
         """Whether s -> log(exp(sum_r s_r z_r) x) is affine in s for every x,
-        read from the bracket table.
+        read from the model's bracket table by root key.
 
-        Let J be the ideal generated by [z, n]; being spanned by basis
-        vectors, it is a set of basis positions.  Every Baker-Campbell-
-        Hausdorff term of degree >= 2 in s lies in [z, J] + [J, J], so the
-        slice is affine when no bracket has its second index in J and its
-        first in J or among the centres."""
-        i, j, k, _ = self._structure
-        triples = list(zip(i.tolist(), j.tolist(), k.tolist()))
-        centres = set(self.starts)
+        Let J be the ideal generated by [z, n]; being spanned by root
+        vectors, it is a set of roots.  Every Baker-Campbell-Hausdorff term
+        of degree >= 2 in s lies in [z, J] + [J, J], so the slice is affine
+        when no bracket has its second root in J and its first in J or among
+        the centres."""
+        keys = set(self.keys)
+        triples = [(a, b, c) for (a, b), coeffs in self.model.brackets.items()
+                   if a in keys and b in keys for c in coeffs]
+        centres = {layer.beta for layer in self.layers}
         ideal = {c for a, _, c in triples if a in centres}
         grown = ideal
         while grown:
@@ -223,33 +225,31 @@ class Harness:
         return not any(b in ideal and (a in ideal or a in centres)
                        for a, b, _ in triples)
 
-    def _layered(self, coords: np.ndarray,
-                 factor: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-        """The product of the n x n matrices factor(Y) over the factors Y of
-        the layered product: one basis-order vector per centre, a- and
-        b-slice of coords, in product order."""
+    def _factors(self, coords: np.ndarray) -> List[np.ndarray]:
+        """The factors Y of the layered product exp(Y_1) exp(Y_2) ...: one
+        basis-order vector per centre, a- and b-slice of coords, in product
+        order; zero slices are left out, as exp(0) = I exactly."""
         cuts = [s + off for s, layer in zip(self.starts, self.layers)
                 for off in (0, 1, 1 + layer.d_r)] + [self.dim]
-        out = np.eye(n)
+        values, factors = coords.tolist(), []
         for lo, hi in zip(cuts, cuts[1:]):
-            if lo < hi:
-                piece = np.zeros(self.dim)
-                piece[lo:hi] = coords[lo:hi]
-                out = out @ factor(piece)
-        return out
+            if any(values[lo:hi]):
+                factors.append(np.zeros(self.dim))
+                factors[-1][lo:hi] = coords[lo:hi]
+        return factors
+
+    def _product(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """The group matrix exp(Y_1) exp(Y_2) ... of the factors Y_i."""
+        return reduce(np.matmul, map(self.exp, factors), np.eye(self.size))
 
     def adjoint(self, coords: np.ndarray) -> np.ndarray:
-        """Ad of the element with layered coordinates coords on the basis:
-        the product of exp(ad Y) over its factors Y, with column j of ad Y
-        the coordinates of [Y, X_j], read from the model's bracket table."""
-        i, j, k, v = self._structure
-
-        def exp_ad(piece: np.ndarray) -> np.ndarray:
-            ad = np.zeros((self.dim, self.dim))
-            ad[k, j] = piece[i] * v  # (k, j) fixes i: the roots are distinct
-            return expm_nilpotent(ad)
-
-        return self._layered(coords, exp_ad, self.dim)
+        """Ad of g with layered coordinates coords: column j is g X_j g^-1
+        read back, with g^-1 the reversed product of exp(-Y) over g's
+        factors Y, graded like g, so the grading's zeros are exact."""
+        factors = self._factors(coords)
+        g = self._product(factors)
+        g_inv = self._product([-y for y in reversed(factors)])
+        return self._read(g @ self.lie(np.eye(self.dim)) @ g_inv).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +262,7 @@ class GroupElement:
 
     def to_matrix(self) -> np.ndarray:
         """The product of one exponential per centre, a- and b-slice."""
-        h = self.harness
-        return h._layered(self.coords, h.exp, h.size)
+        return self.harness._product(self.harness._factors(self.coords))
 
 
 def identity(h: Harness) -> GroupElement:

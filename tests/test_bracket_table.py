@@ -74,7 +74,7 @@ def all_pairs_brackets(alg):
                          + [(s, r) for s in "BCD" for r in range(2, 9)])
 def test_table_matches_all_pairs_build_in_order(series, rank):
     alg = realize_split_nilradical(series, rank)
-    # Harness._structure reads the table in this order
+    # the table holds the all-pairs entries, in the all-pairs order
     assert list(alg.brackets.items()) == list(all_pairs_brackets(alg).items())
     # in basis order the left factor of a nonzero product comes first; the
     # reversed basis finds every pair from the other side of the index

@@ -6,7 +6,8 @@ from fractions import Fraction as Q
 import pytest
 
 from stepsq import rootsys
-from stepsq.cascade import Layer, closed_form_beta, kostant_cascade, sigma_r
+from stepsq.cascade import (Layer, closed_form_beta, closed_form_layer_dims,
+                            kostant_cascade, sigma_r)
 from stepsq.rootsys import (RootSystem, build_root_system, strongly_orthogonal,
                             vadd, vscale)
 
@@ -123,6 +124,17 @@ def test_closed_form_examples():
     a3 = build_root_system("A", 3)
     r = a3.simple_enumeration
     assert closed_form_beta("A", 3) == (r[0], vadd(vadd(r[-1], r[0]), r[1]))
+    # d_r per family: the harness layer shapes, and both parities of B and D
+    assert closed_form_layer_dims("C", 3) == (0, 1, 2)
+    assert closed_form_layer_dims("B", 2) == (0, 1)
+    assert closed_form_layer_dims("A", 3) == (0, 2)
+    assert closed_form_layer_dims("A", 4) == (1, 3)
+    assert closed_form_layer_dims("B", 3) == (0, 0, 3)
+    assert closed_form_layer_dims("D", 4) == (0, 0, 0, 4)
+    assert closed_form_layer_dims("D", 5) == (0, 2, 0, 6)
+    for series, rank in (("D", 1), ("C", 1), ("E", 6)):
+        with pytest.raises(ValueError):
+            closed_form_layer_dims(series, rank)
 
 
 ORACLE_FAMILIES = (
@@ -140,6 +152,8 @@ def test_cascade_matches_closed_form(series, rank):
     computed = tuple(reversed(kostant_cascade(s)))
     assert computed == closed_form_beta(series, rank)
     assert tuple(layer.beta for layer in s.cascade) == computed
+    assert (tuple(layer.d_r for layer in s.cascade)
+            == closed_form_layer_dims(series, rank))
 
 
 @pytest.mark.parametrize("series,rank", ORACLE_FAMILIES)
@@ -201,6 +215,8 @@ LARGE_RANKS = [("A", 31), ("A", 32), ("B", 20), ("B", 21), ("C", 32),
 def test_large_rank_cascade_and_pairing(series, rank):
     layers = build_root_system(series, rank).cascade
     assert tuple(layer.beta for layer in layers) == closed_form_beta(series, rank)
+    assert (tuple(layer.d_r for layer in layers)
+            == closed_form_layer_dims(series, rank))
     for layer in layers:
         for a in layer.members:
             assert vadd(a, sigma_r(layer, a)) == layer.beta

@@ -96,16 +96,17 @@ def test_broken_invariant_exits_1_with_a_report(tmp_path):
 
 
 def test_invariant_row_names_the_stage(tmp_path, monkeypatch, capsys):
-    # a broken vadd makes sigma_r's pairing check raise inside the layers
-    # pipeline; the row and stderr name cascade.sigma_r, not cli
-    monkeypatch.setattr(cascade, "vadd", lambda a, b: a)
-    out = tmp_path / "l.json"
-    assert run(["layers", "--series", "A", "--n", "3", "--out", str(out)]) == 1
+    # a broken commutator puts every bracket outside the span, so building
+    # the bracket table raises inside the axioms pipeline; the row and
+    # stderr name nilalg.brackets, not cli
+    monkeypatch.setattr(nilalg, "sparse_commutator", lambda a, b: {(0, 0): 1})
+    out = tmp_path / "a.json"
+    assert run(["axioms", "--series", "A", "--n", "3", "--out", str(out)]) == 1
     [row] = read(out)["rows"]
     assert row["name"] == "invariant"
-    assert row["provenance"] == ("cascade.sigma_r: alpha + sigma(alpha) "
-                                 "must equal beta_r")
-    assert "invariant failed: cascade.sigma_r: " in capsys.readouterr().err
+    assert row["provenance"] == ("nilalg.brackets: bracket [(1, 0, -1, 0),"
+                                 "(0, 0, 1, -1)] leaves the span")
+    assert "invariant failed: nilalg.brackets: " in capsys.readouterr().err
 
 
 def test_grid_orthogonality_at_lambda_3_passes(tmp_path):
@@ -150,7 +151,7 @@ def test_limit_check_far_from_the_identity_keeps_every_row(tmp_path):
     # f(x) = exp(-100 pi) at zeta = 10, which the closed form still resolves
     out = str(tmp_path / "l.json")
     assert run(["limit-check", "--zeta", "10", "--out", out]) == 0
-    assert len(read(out)["rows"]) == 19
+    assert len(read(out)["rows"]) == 12
 
 
 def test_limit_check_where_f_underflows_exits_2(tmp_path, capsys):
@@ -174,7 +175,7 @@ def test_inversion_enforces_requested_tolerance(tmp_path):
 @pytest.mark.parametrize("argv,rows,residuals", [
     (["inversion", "--points", "2", "--tolerance", "1e-300"], 4,
      ["identity_rel_error", "point_0_rel_error", "point_1_rel_error"]),
-    (["limit-check", "--tolerance", "1e-17"], 19,
+    (["limit-check", "--tolerance", "1e-17"], 12,
      ["stage_small_rel_error", "stage_big_rel_error"]),
 ])
 def test_a_budget_over_the_tolerance_fails_its_rows(tmp_path, argv, rows,
@@ -248,7 +249,8 @@ def test_limit_check_report(tmp_path):
     doc = read(out)
     names = {r["name"] for r in doc["rows"]}
     assert "incoherent_family_detected" in names
-    assert "C_aligned" in names and "A_odd_cascade_stable" in names
+    assert "C_cascade_stable" in names and "A_odd_cascade_stable" in names
+    assert not any(name.endswith("_aligned") for name in names)
 
 
 def test_quick_all_is_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 """Matrix harness groups and the layered exponential coordinates."""
 
+import time
 from fractions import Fraction as Q
 
 import numpy as np
@@ -151,27 +152,61 @@ def test_adjoint_action_stays_in_top_layer(name):
         assert not np.allclose(A, 0)
 
 
-def _read_back(h, w):
-    """Basis-order coordinates of a Lie-algebra matrix by least squares on
-    the basis matrices, with a zero residual."""
-    basis = np.array([h.lie(e).ravel() for e in np.eye(h.dim)]).T
-    coords = np.linalg.lstsq(basis, w.ravel(), rcond=None)[0]
-    assert np.allclose(basis @ coords, w.ravel(), rtol=0, atol=1e-12)
-    return coords
+def bracket_table_adjoint(h, coords):
+    """Reference Ad from the model's bracket table alone, not the matrix
+    model: the product of exp(ad Y) over the factors Y of the layered
+    product, with column j of ad Y the coordinates of [Y, X_j]."""
+    index = {key: n for n, key in enumerate(h.keys)}
+    i, j, k, v = np.array([
+        (index[a], index[b], index[c], v)
+        for (a, b), coeffs in h.model.brackets.items()
+        if a in index and b in index for c, v in coeffs.items()],
+        dtype=float).reshape(-1, 4).T
+    i, j, k = i.astype(int), j.astype(int), k.astype(int)
+    cuts = [s + off for s, layer in zip(h.starts, h.layers)
+            for off in (0, 1, 1 + layer.d_r)] + [h.dim]
+    out = np.eye(h.dim)
+    for lo, hi in zip(cuts, cuts[1:]):
+        ad, factor = np.zeros((h.dim, h.dim)), (lo <= i) & (i < hi)
+        np.add.at(ad, (k[factor], j[factor]), coords[i[factor]] * v[factor])
+        out = out @ expm_nilpotent(ad)
+    return out
 
 
-@pytest.mark.parametrize("name", HARNESS_NAMES + ("A5", "C4", "B3", "D4"))
+@pytest.mark.parametrize("name", HARNESS_NAMES + ("A5", "C4", "B3", "D4",
+                                                  "C8", "A15", "C16"))
 def test_adjoint_matches_matrix_conjugation(name):
-    # column j of Ad(g) is the read-back of g X_j g^-1 in the matrix model
+    # Ad(g) by conjugation in the matrix model agrees with the bracket-table
+    # exponential, and is exactly 0 just where the table gives exactly 0
     h = build_harness(name)
     rng = np.random.default_rng(4)
     for _ in range(3):
-        g = random_element(h, rng)
-        gm = g.to_matrix()
-        gi = np.linalg.inv(gm)
-        conj = np.array([_read_back(h, gm @ h.lie(e) @ gi)
-                         for e in np.eye(h.dim)]).T
-        assert np.allclose(h.adjoint(g.coords), conj, rtol=0, atol=1e-12)
+        coords = random_element(h, rng).coords
+        want, got = bracket_table_adjoint(h, coords), h.adjoint(coords)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got == 0, want == 0)
+
+
+@pytest.mark.parametrize("name", ["C32", "A63"])
+def test_adjoint_at_depth(name):
+    # a cold build and one Ad(g), on 1024 and 2016 coordinates
+    start = time.perf_counter()
+    h = build_harness(name)
+    rng = np.random.default_rng(9)
+    g1, g2 = random_element(h, rng), random_element(h, rng)
+    ad1 = h.adjoint(g1.coords)
+    assert time.perf_counter() - start < 10.0
+    # Ad(g) X_a - X_a lies in root spaces above a, which are lexicographically
+    # greater, so in increasing root order Ad(g) is unitriangular and
+    # det Ad(g) = 1 exactly
+    order = sorted(range(h.dim), key=h.keys.__getitem__)
+    ordered = ad1[np.ix_(order, order)]
+    assert np.array_equal(np.diag(ordered), np.ones(h.dim))
+    assert not np.triu(ordered, 1).any()
+    if name == "C32":
+        want = ad1 @ h.adjoint(g2.coords)
+        got = h.adjoint(multiply(g1, g2).coords)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name", HARNESS_NAMES)
@@ -207,9 +242,8 @@ def test_pairing_and_adjoint_read_the_bracket_table():
     # the simple lines e1 - e2 and e2 - e3 of A3 span no subalgebra:
     # [x_{e1-e2}, x_{e2-e3}] = x_{e1-e3}
     lines = [Layer(1, (1, -1, 0, 0), ()), Layer(2, (0, 1, -1, 0), ())]
-    bad = _cut("bad", a3, lines)
     with pytest.raises(AssertionError, match="bracket outside the harness"):
-        bad.adjoint(np.zeros(2))
+        _cut("bad", a3, lines)
 
 
 def test_log_rejects_outside_elements():
