@@ -7,9 +7,8 @@ function from its characters at random group points.
 
 import numpy as np
 
-from stepsq.harness import build_harness, identity, random_element
-from stepsq.inversion import (TestFunction, fourier_inversion, orbit,
-                              orbit_integral)
+from stepsq.harness import build_harness, identity, orbit, random_element
+from stepsq.inversion import TestFunction, fourier_inversion, orbit_integral
 
 h = build_harness("HEIS1")
 f = TestFunction.standard(h)

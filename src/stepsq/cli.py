@@ -41,7 +41,7 @@ from .plancherel import (determinant, pfaffian, pfaffian_expansion,
 from .rootsys import build_root_system, cartan_matrix
 from .schrodinger import (coefficient_norm_sq, restrict_and_renormalize,
                           stepwise_rep, validate_rep, validation_grid)
-from .states import GaussianState, Grid, GridState
+from .states import GaussianState, GridState
 
 DEFAULT_SEED = 20240801
 # largest --n of roots, cascade, layers and axioms: at 32 each run takes
@@ -270,12 +270,13 @@ def pipeline_pfaffian(count: int, max_size: int,
         alg = realize_split_nilradical(series, rank)
         base = {r: Q(r + 1) for r in range(1, len(alg.layers) + 1)}
         scaled = {r: t * v for r, v in base.items()}
+        dims = closed_form_layer_dims(series, rank)
         d0 = plancherel_density(alg, alg.layers, base)
         d1 = plancherel_density(alg, alg.layers, scaled)
-        homogeneous = all(d1.pf[r] == t ** d0.d_list[r - 1] * d0.pf[r]
+        homogeneous = all(d1.pf[r] == t ** dims[r - 1] * d0.pf[r]
                           for r in d0.pf)
         rows.append(make_row(f"homogeneity_{series}{rank}", True, homogeneous,
-                             0, "per-layer degree from the pairing rank"))
+                             0, "closed-form layer dimension"))
     return {"count": count, "max_size": max_size, "seed": seed}, rows
 
 
@@ -287,9 +288,9 @@ def pipeline_orthogonality(h: Harness, gamma: Dict[int, Q],
     u = GaussianState.ground(rep.D)
     tol = 1e-6
     if backend == "grid":
-        validate_rep(rep, 1e-4, validation_grid(rep))
-        u = GridState.from_gaussian(
-            u, Grid(rep.D, {1: 256, 2: 64, 3: 24}[rep.D], 3.3))
+        grid = validation_grid(rep)
+        validate_rep(rep, 1e-4, grid)
+        u = GridState.from_gaussian(u, grid)
         tol = 1e-3
     pf = exact_density(h, gamma)
     report = coefficient_norm_sq(rep, u, u)
@@ -575,11 +576,8 @@ def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
         return pipeline_pfaffian(args.count, args.max_size, args.seed)
     if cmd == "orthogonality":
         gamma = {r: parse_rat(s) for r, s in enumerate(args.lambdas, start=1)}
-        h = build_harness(args.harness)
-        if len(gamma) != h.m:
-            raise ValueError(f"{args.harness} needs {h.m} --lambda value(s) "
-                             "in layer order")
-        return pipeline_orthogonality(h, gamma, args.backend, args.seed)
+        return pipeline_orthogonality(build_harness(args.harness), gamma,
+                                      args.backend, args.seed)
     if cmd == "restriction":
         return pipeline_restriction(parse_rat(args.lambda1),
                                     parse_rat(args.lambda2), args.seed)

@@ -20,23 +20,26 @@ decides how two harnesses meet: by model, then by root key.  Harnesses:
 HEIS1-3 (the top layer of A_{d+1}: beta = e_1 - e_{d+2}, a_i = e_1 -
 e_{d+2-i}, b_i = e_{d+2-i} - e_{d+2}) and the whole split model of any
 ``<series><rank>`` name, such as A1, A3, C2, B2 or C3.  ``leading_subgroup``
-cuts the first k layers and shares the model.  ``exact_density`` takes |Pf|
-from the harness layers, which are model layers; it predicts the
-``orthogonality`` row density_abs.
+cuts the first k layers and shares the model.  ``orbit`` alone builds and
+checks an ``OrbitDescriptor``: a functional lam, one finite float per layer
+centre in layer order, the one label of pi_lam and of its coadjoint orbit.
+Its ``pf_abs`` is |Pf(lam)| from the pairings C, which ``check_regular`` asks
+to be a normal float; ``exact_density`` takes |Pf| from the model layers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._numpy import np
 from .cascade import Layer
 from .nilalg import NilpotentAlgebra, realize_split_nilradical
-from .plancherel import determinant, plancherel_density
+from .plancherel import determinant, plancherel_constant, plancherel_density
 from .rootsys import SERIES, Vector, vsub
 
 HARNESS_NAMES = ("HEIS1", "HEIS2", "HEIS3", "A3", "C2", "B2", "C3", "A1")
@@ -134,14 +137,6 @@ class Harness:
         """Layer k's (centre, a-part, b-part) of a basis-order vector."""
         s, d = self.starts[k], self.layers[k].d_r
         return coords[s], coords[s + 1:s + 1 + d], coords[s + 1 + d:s + 1 + 2 * d]
-
-    def pf_abs(self, gamma: Dict[int, float]) -> float:
-        """|Pf| of gamma from the float pairings: prod |gamma_r|^d_r |det C_r|."""
-        out = 1.0
-        for layer in self.layers:
-            if layer.d_r:
-                out *= abs(gamma[layer.r]) ** layer.d_r * abs(np.linalg.det(layer.C))
-        return out
 
     @cached_property
     def _supports(self) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray,
@@ -361,6 +356,54 @@ def build_harness(name: str) -> Harness:
                          "<series><rank> such as A3 or C2")
     alg = realize_split_nilradical(series, int(rank))
     return _cut(name, alg, alg.layers)
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitDescriptor:
+    """A functional lam on the layer centres, in layer order: the label of
+    pi_lam, of its coadjoint orbit and of the affine dual slice lam + v*."""
+
+    harness: Harness
+    lam: Tuple[float, ...]
+
+    @property
+    def c(self) -> int:
+        return plancherel_constant([layer.d_r for layer in self.harness.layers])
+
+    @property
+    def pf_abs(self) -> float:
+        """|Pf| of lam from the float pairings, prod |lam_r|^d_r |det C_r|;
+        inf when a power overflows."""
+        out = 1.0
+        for value, layer in zip(self.lam, self.harness.layers):
+            if layer.d_r:
+                try:
+                    out *= abs(value) ** layer.d_r * abs(np.linalg.det(layer.C))
+                except OverflowError:
+                    return math.inf
+        return out
+
+    def check_regular(self) -> None:
+        """ValueError unless |Pf| is a normal float: a regular functional's
+        density neither vanishes nor leaves float range."""
+        if not np.finfo(float).tiny <= self.pf_abs < math.inf:
+            raise ValueError(f"{self.harness.name}: the functional lambda = "
+                             f"{list(self.lam)} is not regular in float "
+                             f"range: |Pf| = {self.pf_abs:.3g}")
+
+
+def orbit(harness: Union[Harness, str], gamma: Dict[int, float]) -> OrbitDescriptor:
+    """The functional with value gamma[r] on the centre of layer r; ValueError
+    unless gamma holds one finite float per layer centre."""
+    h = build_harness(harness) if isinstance(harness, str) else harness
+    if set(gamma) != {layer.r for layer in h.layers}:
+        raise ValueError(f"{h.name} needs {h.m} functional value(s), one per "
+                         f"layer centre in layer order, got {len(gamma)}")
+    lam = tuple(float(gamma[layer.r]) for layer in h.layers)
+    if not all(map(math.isfinite, lam)):
+        raise ValueError(f"{h.name}: the functional lambda = {list(lam)} "
+                         "has a value that is not a finite float")
+    return OrbitDescriptor(h, lam)
 
 
 def exact_density(h: Harness, gamma: Dict[int, Q]) -> Q:

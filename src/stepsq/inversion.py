@@ -3,11 +3,12 @@
 A test function lives on a harness group through its lift to the Lie algebra,
 a finite sum of Gaussians; the lift, the centre slice and conjugation read
 the group law of the harness (``Harness.log``, ``Harness.exp`` and
-``Harness.adjoint``).  ``orbit_integral(f, orb)`` integrates the Euclidean
-Fourier transform of the lift, in closed form per Gaussian term, over the
-affine dual slice lam + v*, the span of the symplectic dual coordinates
-through lam.  That slice is the Kirillov orbit only on one-layer groups;
-with two or more layers the coadjoint orbit curves out of it.
+``Harness.adjoint``).  ``orbit_integral(f, orb)``, orb a ``harness.orbit``,
+integrates the Euclidean Fourier transform of the lift, in closed form per
+Gaussian term, over the affine dual slice lam + v*, the span of the
+symplectic dual coordinates through lam.  That slice is the Kirillov orbit
+only on one-layer groups; with two or more layers the coadjoint orbit curves
+out of it.
 ``character_of_translate`` reduces the character of a right translate to the
 centre slice, the same flat slice.  Inversion integrates the characters of
 right translates against the density over the functional parameters.
@@ -30,11 +31,10 @@ paper's Theta_lam, |Pf| and c; those need a check where they do not cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ._numpy import np
-from .harness import GroupElement, Harness, build_harness, embed_leading
-from .plancherel import plancherel_constant
+from .harness import GroupElement, Harness, OrbitDescriptor, embed_leading
 from .states import GaussianState, gaussian_integral, gaussian_integral_parts
 
 
@@ -84,46 +84,6 @@ class TestFunction:
             GaussianState(ad.T @ t.M @ ad, ad.T @ t.ell, t.k) for t in self.terms))
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitDescriptor:
-    """A regular functional and the affine dual slice it labels."""
-
-    harness: Harness
-    lam: Tuple[Tuple[int, float], ...]  # (layer index, coefficient)
-
-    @property
-    def lam_dict(self) -> Dict[int, float]:
-        return dict(self.lam)
-
-    @property
-    def d_list(self) -> Tuple[int, ...]:
-        return tuple(layer.d_r for layer in self.harness.layers)
-
-    @property
-    def c(self) -> int:
-        return plancherel_constant(self.d_list)
-
-    @property
-    def pf_abs(self) -> float:
-        return self.harness.pf_abs(self.lam_dict)
-
-    @property
-    def slice_dim(self) -> int:
-        return sum(2 * d for d in self.d_list)
-
-    def check_regular(self) -> None:
-        if self.pf_abs == 0.0:
-            raise ValueError("singular functional: the density vanishes")
-
-
-def orbit(harness: Union[Harness, str], lam: Dict[int, float]) -> OrbitDescriptor:
-    """Build an orbit descriptor for a functional on the layer centers."""
-    h = build_harness(harness) if isinstance(harness, str) else harness
-    if set(int(r) for r in lam) != {layer.r for layer in h.layers}:
-        raise ValueError("the functional must assign a value to every layer center")
-    return OrbitDescriptor(h, tuple(sorted((int(r), float(v)) for r, v in lam.items())))
-
-
 def orbit_integral(f: TestFunction, orb: OrbitDescriptor) -> complex:
     """Slice value: the normalized integral of the Euclidean Fourier
     transform of f's lift over the affine dual slice lam + v* of orb.
@@ -133,7 +93,7 @@ def orbit_integral(f: TestFunction, orb: OrbitDescriptor) -> complex:
     """
     orb.check_regular()
     h = orb.harness
-    lam_full = h.centres([orb.lam_dict[layer.r] for layer in h.layers])
+    lam_full = h.centres(orb.lam)
     # columns spanning the symplectic dual coordinates inside the full dual
     V = np.eye(h.dim)[:, [i for i in range(h.dim) if i not in h.starts]]
     total = 0.0 + 0.0j
@@ -145,7 +105,7 @@ def orbit_integral(f: TestFunction, orb: OrbitDescriptor) -> complex:
         L = -1j * np.pi * V.T @ (Minv @ a)
         K = 0.25 * a @ Minv @ a + t.k
         pre, _ = gaussian_integral_parts(t.M, t.ell, t.k)  # normalization of the transform
-        total += pre * gaussian_integral(S, L, K) if orb.slice_dim else pre * np.exp(K)
+        total += pre * gaussian_integral(S, L, K) if V.shape[1] else pre * np.exp(K)
     return complex(total / (orb.c * orb.pf_abs))
 
 
@@ -184,8 +144,7 @@ def character_of_translate(f: TestFunction, x: GroupElement,
                            orb: OrbitDescriptor) -> complex:
     """Character of the right translate r_x f via the center-slice reduction."""
     orb.check_regular()
-    h = f.harness
-    lam_vec = np.array([orb.lam_dict[layer.r] for layer in h.layers])
+    lam_vec = np.array(orb.lam)
     total = 0.0 + 0.0j
     for S, L0, K in _slice_quadratic(f, x)[1]:
         total += gaussian_integral(S, L0 - 2j * np.pi * lam_vec, K)

@@ -1,14 +1,15 @@
 """Schrödinger-model representations on layered harness groups.
 
-A representation is fixed by a harness group and a regular functional.  It
+A representation holds one regular functional, an ``OrbitDescriptor`` of
+``harness``, which also holds the group; ``stepwise_rep`` builds it.  It
 acts on functions of the top layer's b-coordinates, held either as Gaussian
 states or as product states sampled axis by axis on a grid (single-layer
 harnesses only, where the action is a translation and a modulation, both
 axis by axis): the state passed in picks the closed or grid path.  Earlier
 layers act by the point transformation of the top-layer b-coordinates that
-``Harness.adjoint`` gives.  Also: coefficient functions
-with their orthogonality, restriction to a leading-layer subgroup with
-renormalization, and decay reports.
+``Harness.adjoint`` gives.  Also: coefficient functions with their
+orthogonality, restriction to a leading-layer subgroup with renormalization,
+and decay reports.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ._numpy import np
-from .harness import (
-    GroupElement,
-    Harness,
-    build_harness,
-    embed_leading,
-    identity,
-    multiply,
-    random_element,
-)
+from .harness import (GroupElement, Harness, OrbitDescriptor, build_harness,
+                      embed_leading, identity, multiply, orbit, random_element)
 from .states import GaussianState, Grid, GridState, gaussian_integral
 
 State = Union[GaussianState, GridState]
@@ -50,26 +44,25 @@ class RepInstance:
     enforced by the numerically checked homomorphism invariant.
     """
 
-    harness: Harness
-    gamma: Tuple[Tuple[int, float], ...]  # sorted (layer index, lambda_r)
+    orbit: OrbitDescriptor
+
+    @property
+    def harness(self) -> Harness:
+        return self.orbit.harness
 
     @property
     def D(self) -> int:
         return self.harness.top.d_r
 
     @property
-    def gamma_dict(self) -> Dict[int, float]:
-        return dict(self.gamma)
-
-    @property
     def lam(self) -> float:
         """Coefficient on the top layer's central direction."""
-        return self.gamma_dict[self.harness.top.r]
+        return self.orbit.lam[-1]
 
     @property
     def pf_abs(self) -> float:
-        """|Pf| of the harness pairings at gamma; 1 for D = 0."""
-        return self.harness.pf_abs(self.gamma_dict)
+        """|Pf| of the harness pairings at the functional; 1 for D = 0."""
+        return self.orbit.pf_abs
 
     def _apply_top(self, zeta: float, p: np.ndarray, q: np.ndarray,
                    state: State) -> State:
@@ -96,8 +89,8 @@ class RepInstance:
         out = state.substitute(B)
         out = out.quadratic_phase(-np.pi * lam * (A.T @ h.top.C @ B),
                                   2.0 * np.pi * lam * zvec, 0.0)
-        lam_r = self.gamma_dict.get(layer.r, 0.0)
-        return out.modulate(np.zeros(self.D), 2j * np.pi * lam_r * zeta)
+        return out.modulate(np.zeros(self.D),
+                            2j * np.pi * self.orbit.lam[layer_index] * zeta)
 
     def apply(self, g: GroupElement, state: State) -> State:
         """pi(g) applied to a Gaussian or grid state vector."""
@@ -144,10 +137,11 @@ def _state_distance(lhs: State, rhs: State) -> float:
 
 
 def validation_grid(rep: RepInstance) -> Grid:
-    """The grid on which check_invariants samples rep's grid states.
+    """The one grid of rep's grid states: check_invariants samples its
+    random packets on it, and the grid coefficient norm its states.
 
-    It is wider than the sampling grids, so shifted packets stay off the
-    periodic boundary, and fine enough that no checked state aliases: its
+    Its half-width keeps shifted packets off the periodic boundary, and it
+    is fine enough that no checked state aliases: its
     Nyquist frequency n / (4 half_width) covers the grid packets' momentum,
     the modulation |lam| * scale of one checked element, and the packets'
     Gaussian spectrum exp(-pi w^2 xi^2) down to 1e-12.  n is the next power
@@ -169,19 +163,20 @@ def validation_grid(rep: RepInstance) -> Grid:
 def check_invariants(rep: RepInstance, rng: np.random.Generator,
                      trials: int = 5, grid: Optional[Grid] = None) -> Dict[str, float]:
     """Max unitarity and homomorphism deviations over random samples,
-    on grid states when a grid is given."""
-    uni = hom = 0.0
+    on grid states when a grid is given; NaN when a deviation is NaN."""
+    uni, hom = [], []
     for _ in range(trials):
         g1 = random_element(rep.harness, rng, _CHECK_SCALE)
         g2 = random_element(rep.harness, rng, _CHECK_SCALE)
         v = rep.random_state(rng, grid)
         nv = math.sqrt(v.norm_sq())
         pv = rep.apply(g1, v)
-        uni = max(uni, abs(math.sqrt(pv.norm_sq()) - nv) / nv)
+        uni.append(abs(math.sqrt(pv.norm_sq()) - nv) / nv)
         lhs = rep.apply(g1, rep.apply(g2, v))
         rhs = rep.apply(multiply(g1, g2), v)
-        hom = max(hom, _state_distance(lhs, rhs))
-    return {"unitarity": uni, "homomorphism": hom}
+        hom.append(_state_distance(lhs, rhs))
+    return {"unitarity": float(np.max(uni, initial=0.0)),
+            "homomorphism": float(np.max(hom, initial=0.0))}
 
 
 def validate_rep(rep: RepInstance, tol: float,
@@ -198,24 +193,20 @@ def validate_rep(rep: RepInstance, tol: float,
 
 def stepwise_rep(harness: Union[Harness, str],
                  gamma: Dict[int, float]) -> RepInstance:
-    """Representation of the full layered group for a regular functional.
+    """Representation of the layered group at ``orbit(harness, gamma)``.
 
     Supported shape: every layer below the top is a line (d_r = 0); other
-    shapes, a gamma missing a layer or a zero top coefficient raise
-    ValueError.  The result passes validate_rep on Gaussian states at 1e-8.
+    shapes raise ValueError, and so does a functional that ``orbit`` rejects
+    or that is not regular (``OrbitDescriptor.check_regular``).  The result
+    passes validate_rep on Gaussian states at 1e-8.
     """
     h = build_harness(harness) if isinstance(harness, str) else harness
-    for layer in h.layers[:-1]:
-        if layer.d_r != 0:
-            raise ValueError("unsupported harness shape: only the top layer may "
-                             "carry a symplectic part")
-    top = h.top
-    gd = {int(r): float(v) for r, v in gamma.items()}
-    if set(gd) != {layer.r for layer in h.layers}:
-        raise ValueError("gamma must assign a coefficient to every layer")
-    if top.d_r and gd[top.r] == 0:
-        raise ValueError("the top-layer coefficient must be nonzero")
-    rep = RepInstance(h, tuple(sorted(gd.items())))
+    if any(layer.d_r for layer in h.layers[:-1]):
+        raise ValueError("unsupported harness shape: only the top layer may "
+                         "carry a symplectic part")
+    orb = orbit(h, gamma)
+    orb.check_regular()
+    rep = RepInstance(orb)
     validate_rep(rep, 1e-8)
     return rep
 
@@ -381,8 +372,7 @@ def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
     hb, hs = rep_big.harness, rep_small.harness
     if hs.m >= hb.m or hb.positions(hs) != list(range(hs.dim)):
         raise ValueError("the small harness must be a leading-layer subgroup")
-    gb, gs = rep_big.gamma_dict, rep_small.gamma_dict
-    if any(gb[layer.r] != gs[layer.r] for layer in hs.layers):
+    if rep_big.orbit.lam[:hs.m] != rep_small.orbit.lam:
         raise ValueError("incompatible functionals: restriction must agree")
 
     inner_xy = complex(x.inner(y))

@@ -475,9 +475,9 @@ def test_timing_flag_populates_field(tmp_path):
 def test_density_abs_comes_from_the_exact_layer(tmp_path, monkeypatch, argv):
     # the float |Pf| of the harness pairings is doubled; the density row
     # must notice, while the coefficient norm reads neither it nor the pairing
-    real = harness.Harness.pf_abs
-    monkeypatch.setattr(harness.Harness, "pf_abs",
-                        lambda self, gamma: 2 * real(self, gamma))
+    real = harness.OrbitDescriptor.pf_abs
+    monkeypatch.setattr(harness.OrbitDescriptor, "pf_abs",
+                        property(lambda self: 2 * real.fget(self)))
     out = str(tmp_path / "o.json")
     assert run(["orthogonality", *argv, "--out", out]) == 1
     rows = {row["name"]: row for row in read(out)["rows"]}
@@ -573,6 +573,66 @@ def test_rationals_too_large_for_a_float_exit_2(tmp_path, capsys, argv):
     assert "configuration error" in err and "Traceback" not in err
     assert argv[-1] in err  # the message names the value
     assert not os.path.exists(out)
+
+
+def tenpow(k):
+    """10^k as the integer 1 followed by k zeros."""
+    return "1" + "0" * k
+
+
+@pytest.mark.parametrize("argv", [
+    ["orthogonality", "--harness", "HEIS3", "--lambda", tenpow(308)],
+    ["orthogonality", "--harness", "HEIS3", "--lambda", tenpow(308),
+     "--backend", "grid"],
+    ["orthogonality", "--harness", "HEIS3", "--lambda", f"1/{tenpow(150)}",
+     "--backend", "grid"],
+    ["orthogonality", "--harness", "HEIS2", "--lambda", f"1/{tenpow(200)}",
+     "--backend", "grid"],
+    ["orthogonality", "--harness", "HEIS3", "--lambda", f"1/{tenpow(103)}",
+     "--backend", "grid"],
+    ["orthogonality", "--harness", "HEIS2", "--lambda", tenpow(200)],
+    ["restriction", "--lambda2", tenpow(200)],
+], ids=["HEIS3-1e308", "HEIS3-1e308-grid", "HEIS3-1e-150-grid",
+        "HEIS2-1e-200-grid", "HEIS3-1e-103-grid", "HEIS2-1e200",
+        "restriction-1e200"])
+def test_a_density_beyond_float_range_exits_2(tmp_path, capsys, argv):
+    # |Pf| overflows to inf, underflows to 0 or is subnormal (1e-309 at
+    # HEIS3, lambda = 1e-103): no regular functional, so no report
+    out = str(tmp_path / "r.json")
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert "the functional lambda = [" in err and "is not regular" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_states_fail_validation_with_exit_1(tmp_path, capsys):
+    # at HEIS1, lambda = 1e308, |Pf| is a normal float but the modulation
+    # overflows; the NaN deviation is a failed invariant, not a pass
+    out = str(tmp_path / "r.json")
+    assert run(["orthogonality", "--harness", "HEIS1", "--lambda", tenpow(308),
+                "--out", out]) == 1
+    [row] = read(out)["rows"]
+    assert row["name"] == "invariant" and row["pass"] is False
+    assert "Gaussian unitarity deviation nan" in row["provenance"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_homogeneity_rows_read_the_closed_form_degree(tmp_path, monkeypatch):
+    # one closed-form layer dimension off by one must fail its row
+    real = cli.closed_form_layer_dims
+
+    def off_by_one(series, rank):
+        dims = real(series, rank)
+        return dims[:-1] + (dims[-1] + 1,) if series == "C" else dims
+
+    monkeypatch.setattr(cli, "closed_form_layer_dims", off_by_one)
+    out = str(tmp_path / "p.json")
+    assert run(["pfaffian", "--count", "0", "--out", out]) == 1
+    rows = {row["name"]: row["pass"] for row in read(out)["rows"]}
+    assert rows == {"pf_matches_expansion": True, "homogeneity_A3": True,
+                    "homogeneity_C2": False, "homogeneity_B2": True}
 
 
 def test_config_nested_too_deep_exits_2(tmp_path, capsys):

@@ -20,9 +20,10 @@ from stepsq.harness import (
     identity,
     leading_subgroup,
     multiply,
+    orbit,
     random_element,
 )
-from stepsq.inversion import TestFunction, orbit, restrict_test_function
+from stepsq.inversion import TestFunction, restrict_test_function
 from stepsq.nilalg import realize_split_nilradical
 from stepsq.schrodinger import restrict_and_renormalize, stepwise_rep
 from stepsq.states import GaussianState

@@ -10,13 +10,12 @@ import pytest
 from stepsq import inversion
 from stepsq.cli import run
 from stepsq.harness import (build_harness, element, from_matrix, identity,
-                            leading_subgroup, multiply, random_element)
+                            leading_subgroup, multiply, orbit, random_element)
 from stepsq.inversion import (
     TestFunction,
     character_of_translate,
     fourier_inversion,
     limit_inversion_check,
-    orbit,
     orbit_integral,
     restrict_test_function,
 )

@@ -8,15 +8,17 @@ import pytest
 
 from stepsq import schrodinger
 from stepsq.harness import (build_harness, element, from_matrix, identity,
-                            leading_subgroup, multiply, random_element)
+                            leading_subgroup, multiply, orbit, random_element)
 from stepsq.schrodinger import (
     CoefficientField,
+    RepInstance,
     check_invariants,
     coefficient,
     coefficient_norm_sq,
     restrict_and_renormalize,
     schwartz_decay_report,
     stepwise_rep,
+    validate_rep,
     validation_grid,
 )
 from stepsq.states import GaussianState, Grid, GridState
@@ -86,6 +88,17 @@ def test_stepwise_rep_errors():
     grid_state = GridState.from_gaussian(GaussianState.ground(2), Grid(2, 32, 3.0))
     with pytest.raises(ValueError):  # grid states need a single-layer harness
         rep.apply(identity(rep.harness), grid_state)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_deviation_fails_validation():
+    # at lambda = 1e308 the modulation overflows and every state is NaN; the
+    # deviations must stay NaN, not drop out of a max, so validation fails
+    rep = RepInstance(orbit("HEIS3", {1: 1e308}))
+    checks = check_invariants(rep, np.random.default_rng(11), trials=3)
+    assert any(math.isnan(dev) for dev in checks.values())
+    with pytest.raises(AssertionError, match="deviation nan"):
+        validate_rep(rep, 1e-8)
 
 
 @pytest.mark.parametrize("name,gamma", STEPWISE_CASES)
