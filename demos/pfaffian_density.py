@@ -4,21 +4,20 @@ Shows Pf^2 = det on random skew rational matrices and the per-layer density
 Pf_r(t*lambda) = t^{d_r} Pf_r(lambda) on a split nilradical.
 """
 
+import random
 from fractions import Fraction as Q
-
-import numpy as np
 
 from stepsq.nilalg import realize_split_nilradical
 from stepsq.plancherel import (determinant, pfaffian, plancherel_constant,
                                plancherel_density)
 
-rng = np.random.default_rng(0)
+rng = random.Random(0)
 for trial in range(3):
-    n = int(rng.integers(2, 9))
+    n = rng.randint(2, 8)
     m = [[Q(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = Q(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+            v = Q(rng.randint(-9, 9), rng.randint(1, 9))
             m[i][j], m[j][i] = v, -v
     pf, det = pfaffian(m), determinant(m)
     print(f"random skew {n}x{n}: Pf = {pf},  Pf^2 = {pf * pf} = det = {det}")

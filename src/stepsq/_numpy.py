@@ -5,8 +5,9 @@ The exact layer (``rootsys``, ``cascade``, ``nilalg``, ``plancherel``,
 modules, which name numpy.  ``np`` here is numpy itself when numpy was
 imported before stepsq, and otherwise a module that ``LazyLoader`` (the
 standard-library recipe for start-up-critical programs) loads on its first
-attribute access.  So ``roots``, ``cascade``, ``layers`` and ``axioms`` never
-load numpy, and the numeric commands load it at their first ``np.*``.
+attribute access.  So ``roots``, ``cascade``, ``layers``, ``axioms`` and
+``pfaffian`` never load numpy, and the numeric commands load it at their first
+``np.*``.
 
 Two rules keep it lazy:
 - no stepsq module has an ``import numpy`` statement, since importing a

@@ -3,11 +3,12 @@
 Each subcommand runs one pipeline and writes a report document whose rows
 compare an exact-arithmetic prediction with the measured value.  Reports are
 deterministic for a fixed seed: timing is only written when requested, and
-all randomness flows through one seeded generator.
+all randomness flows through one seeded generator: ``random.Random`` for
+``pfaffian``, numpy's ``default_rng`` for the numeric commands.
 
-The exact commands (``roots``, ``cascade``, ``layers``, ``axioms``) never load
-numpy: the numeric modules bind it lazily (``_numpy``), so it loads at the
-first ``np.*`` of ``pfaffian`` or a numeric command.
+The exact commands (``roots``, ``cascade``, ``layers``, ``axioms``,
+``pfaffian``) never load numpy: the numeric modules bind it lazily
+(``_numpy``), so it loads at the first ``np.*`` of a numeric command.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import functools
 import json
 import math
 import os
+import random
 import sys
 import time
 from dataclasses import dataclass
@@ -84,6 +86,15 @@ def parse_rat(s: str) -> Q:
     except OverflowError:
         raise ValueError(f"{s!r} is too large for a float") from None
     return x
+
+
+def nonnegative_int(s: str) -> int:
+    """Parse an integer flag value that must be at least 0 (``--seed``);
+    ValueError otherwise."""
+    value = int(s)
+    if value < 0:
+        raise ValueError(f"{s!r} is negative; expected an integer >= 0")
+    return value
 
 
 def vec_strs(v: Sequence[Q]) -> list:
@@ -226,37 +237,30 @@ def pipeline_axioms(series: str, rank: int,
     return {"series": series, "rank": rank, "corrupted": corrupted}, rows
 
 
-def _random_skew(rng: np.random.Generator, n: int, low: np.ndarray,
-                 high: np.ndarray, table: List[Tuple[Q, Q]]) -> List[List[Q]]:
+def _random_skew(rng: random.Random, n: int,
+                 table: List[Tuple[Q, Q]]) -> List[List[Q]]:
     """Skew matrix of size n whose (i, j) entry, i < j, is p/q with p
-    uniform in [-9, 9] and q in [1, 9], in row order.
-
-    One bounded draw over the alternating bounds low = [-9, 1, ...] and
-    high = [10, 10, ...] takes the same stream as a scalar draw of p and
-    then of q for each entry, so the matrices do not depend on how the
-    draws are batched.  ``table[9 * (p + 9) + q - 1]`` is (p/q, -p/q).
+    uniform in [-9, 9] and q in [1, 9]: one ``rng.choices`` over table, the
+    171 pairs (p/q, -p/q), draws the upper-triangle entries in row order.
     """
-    k = n * (n - 1)
-    draws = rng.integers(low[:k], high[:k])
-    pairs = iter((9 * draws[0::2] + draws[1::2] + 80).tolist())
-    m = [[Q(0)] * n for _ in range(n)]
+    pairs = iter(rng.choices(table, k=n * (n - 1) // 2))
+    zero = Q(0)
+    m = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            m[i][j], m[j][i] = table[next(pairs)]
+            m[i][j], m[j][i] = next(pairs)
     return m
 
 
 def pipeline_pfaffian(count: int, max_size: int,
                       seed: int) -> Tuple[dict, List[dict]]:
-    rng = np.random.default_rng(seed)
-    k = max_size * (max_size - 1)
-    low, high = np.tile([-9, 1], k // 2), np.full(k, 10)
+    rng = random.Random(seed)
     table = [(v, -v) for p in range(-9, 10) for q in range(1, 10)
              for v in (Q(p, q),)]
     ok = 0
     for _ in range(count):
-        n = int(rng.integers(1, max_size + 1))
-        m = _random_skew(rng, n, low, high, table)
+        n = rng.randint(1, max_size)
+        m = _random_skew(rng, n, table)
         pf = pfaffian(m)  # raises unless Pf^2 = det for even n
         if n % 2 == 0:
             ok += pf == pfaffian_expansion(m)
@@ -465,7 +469,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
         p.add_argument("--out", type=str, default=None,
                        help="report path (default: <command>.json in the "
                             "report directory)")

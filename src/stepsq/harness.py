@@ -24,7 +24,8 @@ cuts the first k layers and shares the model.  ``orbit`` alone builds and
 checks an ``OrbitDescriptor``: a functional lam, one finite float per layer
 centre in layer order, the one label of pi_lam and of its coadjoint orbit.
 Its ``pf_abs`` is |Pf(lam)| from the pairings C, which ``check_regular`` asks
-to be a normal float; ``exact_density`` takes |Pf| from the model layers.
+to be a normal float, as it asks the phase of each line layer to be good to
+``CHECK_TOL``; ``exact_density`` takes |Pf| from the model layers.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ from .plancherel import determinant, plancherel_constant, plancherel_density
 from .rootsys import SERIES, Vector, vsub
 
 HARNESS_NAMES = ("HEIS1", "HEIS2", "HEIS3", "A3", "C2", "B2", "C3", "A1")
+# coordinate range of the random elements that check a representation
+# (``schrodinger.check_invariants``), and the deviation below which the
+# check of its Gaussian states must stay (``schrodinger.stepwise_rep``)
+CHECK_SCALE = 0.8
+CHECK_TOL = 1e-8
 
 
 def expm_nilpotent(M: np.ndarray) -> np.ndarray:
@@ -384,12 +390,31 @@ class OrbitDescriptor:
         return out
 
     def check_regular(self) -> None:
-        """ValueError unless |Pf| is a normal float: a regular functional's
-        density neither vanishes nor leaves float range."""
+        """ValueError unless |Pf| is a normal float and the phase
+        2 pi lam_r zeta of every line layer (d_r = 0) is good to CHECK_TOL at
+        the check scale: a regular functional's density neither vanishes nor
+        leaves float range, and a representation at it can be checked.
+
+        A line layer acts by that phase alone.  The check forms it at centre
+        coordinates of products of two elements, |zeta| up to about
+        4 * CHECK_SCALE, each rounded about twice, so it is off by up to
+        2 pi |lam_r| 8 CHECK_SCALE eps.  On the line layers of A1, A3, B2
+        and C2 the check's deviation measured at most 2.7e-15 |lam_r|
+        (lam_r from 1e5 to 1e8), under this estimate's 8.9e-15 |lam_r|.
+        """
         if not np.finfo(float).tiny <= self.pf_abs < math.inf:
             raise ValueError(f"{self.harness.name}: the functional lambda = "
                              f"{list(self.lam)} is not regular in float "
                              f"range: |Pf| = {self.pf_abs:.3g}")
+        rounding = 2 * math.pi * 8 * CHECK_SCALE * np.finfo(float).eps
+        for value, layer in zip(self.lam, self.harness.layers):
+            if layer.d_r == 0 and not rounding * abs(value) < CHECK_TOL:
+                raise ValueError(
+                    f"{self.harness.name}: lambda_{layer.r} = {value:.3g} on "
+                    f"line layer {layer.r} is too large for a float phase: "
+                    f"at the check scale 2 pi lambda_{layer.r} zeta may be "
+                    f"off by {rounding * abs(value):.2g}, not below "
+                    f"{CHECK_TOL:g}")
 
 
 def orbit(harness: Union[Harness, str], gamma: Dict[int, float]) -> OrbitDescriptor:

@@ -19,16 +19,15 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ._numpy import np
-from .harness import (GroupElement, Harness, OrbitDescriptor, build_harness,
-                      embed_leading, identity, multiply, orbit, random_element)
+from .harness import (CHECK_SCALE, CHECK_TOL, GroupElement, Harness,
+                      OrbitDescriptor, build_harness, embed_leading, identity,
+                      multiply, orbit, random_element)
 from .states import GaussianState, Grid, GridState, gaussian_integral
 
 State = Union[GaussianState, GridState]
 
 # momentum bound and width range of the random grid packets
 _GRID_PACKET = (0.5, (1.0, 1.3))
-# coordinate range of the random elements check_invariants draws
-_CHECK_SCALE = 0.8
 # target q-step and half-span of the grid norm's shift lattice
 _Q_LATTICE = (0.55, 3.5)
 
@@ -151,7 +150,7 @@ def validation_grid(rep: RepInstance) -> Grid:
         raise ValueError(f"the grid path needs 1 <= D <= 3, got D = {rep.D}")
     half_width = 5.0
     momentum, (width, _) = _GRID_PACKET
-    nyquist = (momentum + abs(rep.lam) * _CHECK_SCALE
+    nyquist = (momentum + abs(rep.lam) * CHECK_SCALE
                + math.sqrt(math.log(1e12) / math.pi) / width)
     points = 2 ** math.ceil(math.log2(4.0 * half_width * nyquist))
     if points > 2 ** 16:
@@ -166,8 +165,8 @@ def check_invariants(rep: RepInstance, rng: np.random.Generator,
     on grid states when a grid is given; NaN when a deviation is NaN."""
     uni, hom = [], []
     for _ in range(trials):
-        g1 = random_element(rep.harness, rng, _CHECK_SCALE)
-        g2 = random_element(rep.harness, rng, _CHECK_SCALE)
+        g1 = random_element(rep.harness, rng, CHECK_SCALE)
+        g2 = random_element(rep.harness, rng, CHECK_SCALE)
         v = rep.random_state(rng, grid)
         nv = math.sqrt(v.norm_sq())
         pv = rep.apply(g1, v)
@@ -198,7 +197,7 @@ def stepwise_rep(harness: Union[Harness, str],
     Supported shape: every layer below the top is a line (d_r = 0); other
     shapes raise ValueError, and so does a functional that ``orbit`` rejects
     or that is not regular (``OrbitDescriptor.check_regular``).  The result
-    passes validate_rep on Gaussian states at 1e-8.
+    passes validate_rep on Gaussian states at CHECK_TOL.
     """
     h = build_harness(harness) if isinstance(harness, str) else harness
     if any(layer.d_r for layer in h.layers[:-1]):
@@ -207,7 +206,7 @@ def stepwise_rep(harness: Union[Harness, str],
     orb = orbit(h, gamma)
     orb.check_regular()
     rep = RepInstance(orb)
-    validate_rep(rep, 1e-8)
+    validate_rep(rep, CHECK_TOL)
     return rep
 
 

@@ -3,12 +3,12 @@
 import filecmp
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import stepsq
@@ -395,16 +395,16 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     codes, loaded = fresh_interpreter(
         RUN_AND_LIST_NUMPY, str(tmp_path), "roots --series B --n 4",
         "cascade --series C --n 5", "layers --series D --n 4",
-        "axioms --series A --n 5", "axioms --series A --n 3 --corrupted")
-    assert codes == [0, 0, 0, 0, 0]
+        "axioms --series A --n 5", "axioms --series A --n 3 --corrupted",
+        "pfaffian --count 5")
+    assert codes == [0, 0, 0, 0, 0, 0]
     assert not loaded
 
 
 def test_numeric_commands_load_numpy_on_use(tmp_path):
     codes, loaded = fresh_interpreter(
-        RUN_AND_LIST_NUMPY, str(tmp_path), "pfaffian --count 5",
-        "inversion --points 1")
-    assert codes == [0, 0]
+        RUN_AND_LIST_NUMPY, str(tmp_path), "inversion --points 1")
+    assert codes == [0]
     assert loaded
 
 
@@ -521,14 +521,34 @@ def test_pfaffian_row_catches_a_sign_error(tmp_path, monkeypatch):
     assert 0 < row["measured"] < row["predicted"] == 20
 
 
+PQ_PAIRS = [(p, q) for p in range(-9, 10) for q in range(1, 10)]
+
+
 def _scalar_skew(rng, n):
-    """The per-entry builder: a scalar draw of p, then of q, per entry."""
+    """The per-entry builder: a scalar draw of one of the 19 * 9 (p, q)
+    pairs per upper entry, in row order."""
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+            v = Fraction(*rng.choices(PQ_PAIRS)[0])
             m[i][j], m[j][i] = v, -v
     return m
+
+
+def _drawn_skews(monkeypatch, count, max_size, seed):
+    """The matrices that pipeline_pfaffian checks, in draw order, and the
+    table of (p/q, -p/q) pairs that it draws their entries from."""
+    drawn, tables, real = [], [], cli._random_skew
+
+    def record(rng, n, table):
+        drawn.append(real(rng, n, table))
+        tables.append(table)
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "_random_skew", record)
+    cli.pipeline_pfaffian(count, max_size, seed)
+    assert len(drawn) == count
+    return drawn, tables[0]
 
 
 @pytest.mark.parametrize("max_size", [1, 2, 10, 20])
@@ -536,19 +556,22 @@ def _scalar_skew(rng, n):
 def test_pfaffian_inputs_keep_the_scalar_draw_order(monkeypatch, seed,
                                                     max_size):
     # the report only counts matches, so compare the matrices themselves
-    drawn, real = [], cli._random_skew
+    rng = random.Random(seed)
+    for m in _drawn_skews(monkeypatch, 40, max_size, seed)[0]:
+        assert m == _scalar_skew(rng, rng.randint(1, max_size))
 
-    def record(*args):
-        drawn.append(real(*args))
-        return drawn[-1]
 
-    monkeypatch.setattr(cli, "_random_skew", record)
-    cli.pipeline_pfaffian(40, max_size, seed)
-    rng = np.random.default_rng(seed)
-    for m in drawn:
-        n = int(rng.integers(1, max_size + 1))
-        assert m == _scalar_skew(rng, n)
-    assert len(drawn) == 40
+def test_pfaffian_inputs_cover_every_pair_and_size(monkeypatch):
+    drawn, table = _drawn_skews(monkeypatch, 200, 10, 7)
+    assert {len(m) for m in drawn} == set(range(1, 11))
+    # equal values such as 1/2 and 2/4 are distinct table objects, so the
+    # objects drawn tell which of the 19 * 9 (p, q) pairs each entry took
+    assert table == [(Fraction(p, q), -Fraction(p, q)) for p, q in PQ_PAIRS]
+    pair = {id(v): k for k, (v, _) in enumerate(table)}
+    entries = [pair[id(m[i][j])] for m in drawn for i in range(len(m))
+               for j in range(i + 1, len(m))]
+    assert len(entries) > 3000
+    assert sorted(set(entries)) == list(range(19 * 9))
 
 
 def test_pfaffian_at_the_largest_size(tmp_path):
@@ -603,6 +626,41 @@ def test_a_density_beyond_float_range_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert "the functional lambda = [" in err and "is not regular" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["restriction", "--lambda1", tenpow(100), "--lambda2=-3/2"],
+    ["restriction", "--lambda1", "1200000"],
+    ["orthogonality", "--harness", "C2", "--lambda", "2000000", "--lambda", "1"],
+], ids=["restriction-1e100", "restriction-1.2e6", "C2-2e6"])
+def test_a_line_layer_phase_without_digits_exits_2(tmp_path, capsys, argv):
+    # a line layer acts by the phase 2 pi lambda_1 zeta alone; once the
+    # bound on its rounding reaches the 1e-8 of the representation check,
+    # the check may fail on float noise (restriction at 10^100 exited 1)
+    out = str(tmp_path / "r.json")
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert "on line layer 1 is too large for a float phase" in err
+    assert not os.path.exists(out)
+
+
+def test_a_line_layer_phase_below_the_bound_is_checked(tmp_path):
+    out = str(tmp_path / "r.json")
+    assert run(["restriction", "--lambda1", "1100000", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    "pfaffian", "inversion", "restriction", "roots --series A --n 2"])
+def test_a_negative_seed_exits_2(tmp_path, capsys, command):
+    out = str(tmp_path / "r.json")
+    assert run(command.split() + ["--seed", "-1", "--out", out]) == 2
+    assert "--seed" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert run(command.split() + ["--config", str(cfg), "--out", out]) == 2
+    assert "is negative" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -5,7 +5,10 @@ returns 0, 1 or 2 and no exception escapes it; exit 2 leaves no report, and
 exits 0 and 1 write one that matches the published schema, with ``passed``
 true exactly when the exit is 0.  The functional values are drawn from valid,
 boundary, junk and extreme sets; the extreme ones reach |Pf| beyond float
-range, which must be exit 2 with a message, not a traceback.
+range, or a phase 2 pi lambda zeta with no correct digit, which must be exit 2
+with a message, not a traceback.  ``orthogonality`` mostly takes one value
+per layer of its harness, so most draws reach the pipeline rather than the
+count check.  Some draws carry a ``--seed``, and a negative one exits 2.
 """
 
 import json
@@ -30,6 +33,7 @@ JUNK = ["", "abc", "1e5", "1/0"]
 EXTREME = [v for k in (50, 100, 103, 150, 200, 308, 400)
            for v in (tenpow(k), f"1/{tenpow(k)}")]
 LAMBDAS = st.one_of(*map(st.sampled_from, (VALID, BOUNDARY, JUNK, EXTREME)))
+SEEDS = st.integers(min_value=-3, max_value=2 ** 70)
 
 
 def choices(command, dest):
@@ -38,17 +42,29 @@ def choices(command, dest):
     return next(a.choices for a in parser._actions if a.dest == dest)
 
 
-ORTHOGONALITY = st.builds(
-    lambda harness, lambdas, backend: [
-        "orthogonality", "--harness", harness,
-        *(f"--lambda={v}" for v in lambdas), "--backend", backend],
-    st.sampled_from(choices("orthogonality", "harness")),
-    st.lists(LAMBDAS, max_size=3),
-    st.sampled_from(choices("orthogonality", "backend")))
+def lambda_lists(harness):
+    """Lists of --lambda values: one per layer of harness 7 times in 11,
+    otherwise 0 to 3; each value is valid about half the time."""
+    m = cli.build_harness(harness).m
+    return st.sampled_from([m] * 7 + [0, 1, 2, 3]).flatmap(
+        lambda k: st.lists(st.one_of(st.sampled_from(VALID), LAMBDAS),
+                           min_size=k, max_size=k))
+
+
+ORTHOGONALITY = st.sampled_from(choices("orthogonality", "harness")).flatmap(
+    lambda harness: st.builds(
+        lambda lambdas, backend: [
+            "orthogonality", "--harness", harness,
+            *(f"--lambda={v}" for v in lambdas), "--backend", backend],
+        lambda_lists(harness),
+        st.sampled_from(choices("orthogonality", "backend"))))
 RESTRICTION = st.builds(
     lambda lam1, lam2: ["restriction", f"--lambda1={lam1}",
                         f"--lambda2={lam2}"],
     LAMBDAS, LAMBDAS)
+ARGV = st.builds(lambda argv, seeds: argv + [f"--seed={v}" for v in seeds],
+                 st.one_of(ORTHOGONALITY, RESTRICTION),
+                 st.lists(SEEDS, max_size=1))
 
 
 def orthogonality(harness, lam, backend="closed"):
@@ -58,17 +74,20 @@ def orthogonality(harness, lam, backend="closed"):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(argv=st.one_of(ORTHOGONALITY, RESTRICTION))
+@given(argv=ARGV)
 @example(argv=orthogonality("HEIS3", tenpow(308)))
 @example(argv=orthogonality("HEIS3", tenpow(308), "grid"))
 @example(argv=orthogonality("HEIS3", f"1/{tenpow(150)}", "grid"))
 @example(argv=orthogonality("HEIS2", f"1/{tenpow(200)}", "grid"))
 @example(argv=orthogonality("HEIS3", f"1/{tenpow(103)}", "grid"))
+@example(argv=["restriction", f"--lambda1={tenpow(100)}", "--lambda2=-3/2"])
 def test_every_input_keeps_the_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "r.json")
         status = cli.run([*argv, "--out", out])
         assert status in (0, 1, 2)
+        if any(a.startswith("--seed=-") for a in argv):
+            assert status == 2
         assert os.path.exists(out) is (status != 2)
         if status != 2:
             with open(out, encoding="utf-8") as fh:

@@ -53,7 +53,9 @@ def records(path: str, workload: str, trace: int) -> list:
         return []
     with open(path, encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
-    return [r for r in lines if r["workload"] == workload and r["trace"] == trace]
+    # other lines (fresh-CLI timings, summaries) have no workload
+    return [r for r in lines
+            if r.get("workload") == workload and r.get("trace") == trace]
 
 
 def summarize(recs: list, metrics: list) -> None:
