@@ -53,6 +53,9 @@ MAX_RANK = 32
 # largest --points of inversion: a point takes about 0.5 ms on a 2-core Xeon,
 # so 10,000 points run in about 5 s and write a 2 MB report
 MAX_POINTS = 10_000
+# largest --count of pfaffian: 10,000 matrices take about 1.3 s on a 2-core
+# Xeon at the default --max-size 10, and about 40 s at the largest size 20
+MAX_COUNT = 10_000
 
 #: Published shape of every emitted report; validated on emit.
 REPORT_SCHEMA = {
@@ -571,8 +574,9 @@ def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
     if cmd == "axioms":
         return pipeline_axioms(args.series, args.n, args.corrupted)
     if cmd == "pfaffian":
-        if args.count < 0:
-            raise ValueError(f"--count must be nonnegative, got {args.count}")
+        if not 0 <= args.count <= MAX_COUNT:
+            raise ValueError(f"--count must be in [0, {MAX_COUNT}], "
+                             f"got {args.count}")
         # the first-row expansion oracle is exponential in the size
         if not 1 <= args.max_size <= 20:
             raise ValueError(f"--max-size must be in [1, 20], "

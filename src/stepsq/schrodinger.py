@@ -22,7 +22,8 @@ from ._numpy import np
 from .harness import (CHECK_SCALE, CHECK_TOL, GroupElement, Harness,
                       OrbitDescriptor, build_harness, embed_leading, identity,
                       multiply, orbit, random_element)
-from .states import GaussianState, Grid, GridState, gaussian_integral
+from .states import (GaussianState, Grid, GridState, gaussian_integral,
+                     gaussian_integral_parts)
 
 State = Union[GaussianState, GridState]
 
@@ -81,7 +82,8 @@ class RepInstance:
         lam = self.lam
         # Ad(exp(-zeta z_r))(y . b) = (zvec . y) z + (A y) . a + (B y) . b
         piece = h.centres([-zeta if k == layer_index else 0.0 for k in range(h.m)])
-        cols = h.adjoint(piece)[:, h.dim - self.D:]  # the top b-roots come last
+        # only the top b-columns of Ad are read; the top b-roots come last
+        cols = h.adjoint(piece, slice(h.dim - self.D, h.dim))
         if cols[:h.starts[-1]].any():
             raise AssertionError("adjoint image must stay in the top layer")
         zvec, A, B = h.part(cols, -1)
@@ -246,44 +248,29 @@ class NormReport:
 
 
 def _closed_norm_sq(rep: RepInstance, u: GaussianState, v: GaussianState) -> float:
-    """Exact integral of |<u, pi(0,p,q)v>|^2 over (p, q).
+    """Exact integral of |<u, pi(0,p,q)v>|^2 over x = (p, q), up to roundoff.
 
-    The exponent of the coefficient is exactly quadratic in (p, q) and the
-    Gaussian prefactor is constant, so the quadratic form is reconstructed
-    from exponent values at unit steps and integrated in closed form.
+    pi(0, p, q) sends v's data (M, ell, k) to (M, ell - 2 M q - 2 pi i lam C^T
+    p, k - q^T M q + ell.q), so <u, pi(0,p,q)v> is pre exp(E(x)) with pre
+    depending on S = conj(M_u) + M_v alone and E(x) = (1/4) L^T S^-1 L + K,
+    L = L0 + J x, J = [-2 pi i lam C^T, -2 M_v], K = K0 - q^T M_v q +
+    ell_v.q.  The quadratic form of E is written down from these data, not
+    read from its values, and |pre|^2 exp(2 Re E) is integrated once.
     """
     D = rep.D
-    n = 2 * D
-
-    def parts(x: np.ndarray) -> Tuple[complex, complex]:
-        w = rep._apply_top(0.0, x[:D], x[D:], v)
-        return u.inner_parts(w)
-
-    pre0, c = parts(np.zeros(n))
-    Qm = np.zeros((n, n), dtype=complex)
-    lv = np.zeros(n, dtype=complex)
-    plus = np.zeros(n, dtype=complex)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        pre_p, ep = parts(e)
-        pre_m, em = parts(-e)
-        if not (abs(pre_p - pre0) < 1e-9 * abs(pre0)
-                and abs(pre_m - pre0) < 1e-9 * abs(pre0)):
-            raise AssertionError("the coefficient prefactor must be constant")
-        Qm[i, i] = 0.5 * (ep + em) - c
-        lv[i] = 0.5 * (ep - em)
-        plus[i] = ep
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros(n)
-            e[i] = e[j] = 1.0
-            _, eij = parts(e)
-            off = 0.5 * (eij - plus[i] - plus[j] + c)
-            Qm[i, j] = Qm[j, i] = off
-    # |f|^2 = |pre0|^2 exp(2 Re(x^T Qm x + lv.x + c))
-    val = abs(pre0) ** 2 * gaussian_integral(-2.0 * Qm.real, 2.0 * lv.real,
-                                             2.0 * c.real)
+    lam, C = rep.lam, rep.harness.top.C
+    S = np.conj(u.M) + v.M
+    L0 = np.conj(u.ell) + v.ell
+    pre, c = gaussian_integral_parts(S, L0, np.conj(u.k) + v.k)
+    J = np.hstack([-2j * np.pi * lam * C.T, -2.0 * v.M])
+    SJ = np.linalg.solve(S, J)
+    Qm = 0.25 * J.T @ SJ
+    Qm[D:, D:] -= v.M
+    lv = 0.5 * SJ.T @ L0
+    lv[D:] += v.ell
+    # |f|^2 = |pre|^2 exp(2 Re(x^T Qm x + lv.x + c))
+    val = abs(pre) ** 2 * gaussian_integral(-2.0 * Qm.real, 2.0 * lv.real,
+                                            2.0 * c.real)
     return float(np.real(val))
 
 
@@ -325,9 +312,10 @@ def coefficient_norm_sq(rep: RepInstance, u: State, v: State) -> NormReport:
 
     Reports the measured value, the predicted norm_u^2 norm_v^2 / |Pf|, and
     their relative error.  The state type picks the path: Gaussian states
-    take the closed path, exact up to roundoff; grid states take the
-    quadrature over grid shifts, one 1-D cyclic correlation of |u|^2 and
-    |v|^2 per axis.
+    take the closed path, exact up to roundoff (its quadratic form is
+    written down from the state data, so small |lambda| keeps its digits);
+    grid states take the quadrature over grid shifts, one 1-D cyclic
+    correlation of |u|^2 and |v|^2 per axis.
     """
     if rep.D < 1:
         raise ValueError("the coefficient norm needs a symplectic layer")

@@ -135,6 +135,8 @@ def test_grid_lambda_beyond_the_grid_cap_exits_2(tmp_path, capsys):
     ["limit-check", "--tolerance", "inf"],
     ["limit-check", "--zeta", "nan"],
     ["pfaffian", "--count", "-1"],
+    ["pfaffian", "--count", str(cli.MAX_COUNT + 1)],
+    ["pfaffian", "--count", "100000000"],
     ["pfaffian", "--max-size", "0"],
     ["pfaffian", "--max-size", "21"],
 ])
@@ -644,6 +646,22 @@ def test_a_line_layer_phase_without_digits_exits_2(tmp_path, capsys, argv):
     assert "configuration error" in err and "Traceback" not in err
     assert "on line layer 1 is too large for a float phase" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["orthogonality", "--harness", "HEIS1", "--lambda", f"1/{tenpow(8)}"],
+    ["orthogonality", "--harness", "HEIS3", "--lambda", f"1/{tenpow(100)}"],
+    ["restriction", "--lambda2", f"1/{tenpow(50)}"],
+    ["restriction", "--lambda2", f"1/{tenpow(100)}"],
+], ids=["HEIS1-1e-8", "HEIS3-1e-100", "restriction-1e-50",
+        "restriction-1e-100"])
+def test_a_small_symplectic_lambda_keeps_its_norm(tmp_path, argv):
+    # the closed norm is of order 1/|lambda|^D there; it exited 1 (a norm
+    # 2.9 % off at 1e-8, a form not positive definite below) while the
+    # quadratic form was read from exponent values
+    out = str(tmp_path / "r.json")
+    assert run(argv + ["--out", out]) == 0
+    assert all(row["pass"] for row in read(out)["rows"])
 
 
 def test_a_line_layer_phase_below_the_bound_is_checked(tmp_path):

@@ -188,6 +188,21 @@ def test_adjoint_matches_matrix_conjugation(name):
         assert np.array_equal(got == 0, want == 0)
 
 
+@pytest.mark.parametrize("name", ["A3", "C2", "B2", "A5", "C4"])
+def test_adjoint_columns_are_the_columns_of_the_whole_adjoint(name):
+    # asking for some columns conjugates only their basis matrices, and
+    # gives the same floats as reading them off the whole Ad(g)
+    h = build_harness(name)
+    rng = np.random.default_rng(12)
+    top_b = slice(h.dim - h.top.d_r, h.dim)
+    for _ in range(3):
+        coords = random_element(h, rng).coords
+        whole = h.adjoint(coords)
+        picked = sorted(rng.choice(h.dim, size=3, replace=False).tolist())
+        for cols in (top_b, picked, [h.dim - 1]):
+            assert np.array_equal(h.adjoint(coords, cols), whole[:, cols])
+
+
 @pytest.mark.parametrize("name", ["C32", "A63"])
 def test_adjoint_at_depth(name):
     # a cold build and one Ad(g), on 1024 and 2016 coordinates
@@ -316,6 +331,23 @@ def test_heisenberg_keys_in_model_order():
         assert h.keys[0] == top.beta and set(h.keys[1:]) == set(top.members)
         assert h.top.r == 1 and np.array_equal(h.top.C, np.eye(d))
     assert build_harness("HEIS2").keys == build_harness("A3").keys[1:]
+
+
+@pytest.mark.parametrize("name,gamma,missing,unexpected", [
+    ("HEIS1", {0: 1.0}, [1], [0]),
+    ("HEIS1", {}, [1], []),
+    ("A3", {1: 1.0}, [2], []),
+    ("A3", {1: 1.0, 2: 1.0, 3: 1.0}, [], [3]),
+    ("C2", {2: 1.0, 3: 1.0}, [1], [3]),
+])
+def test_orbit_names_the_missing_and_unexpected_keys(name, gamma, missing,
+                                                     unexpected):
+    # layers are keyed from r = 1; a count of the values does not say which
+    # key is wrong
+    with pytest.raises(ValueError) as err:
+        orbit(name, gamma)
+    assert (f"missing keys {missing}, unexpected keys {unexpected}"
+            in str(err.value))
 
 
 @pytest.mark.parametrize("name", HARNESS_NAMES + ("A5", "C4"))

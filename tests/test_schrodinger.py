@@ -21,7 +21,7 @@ from stepsq.schrodinger import (
     validate_rep,
     validation_grid,
 )
-from stepsq.states import GaussianState, Grid, GridState
+from stepsq.states import GaussianState, Grid, GridState, gaussian_integral
 
 STEPWISE_CASES = [
     ("HEIS1", {1: 1.0}), ("HEIS2", {1: 1.0}), ("HEIS3", {1: -0.8}),
@@ -242,6 +242,76 @@ def test_orthogonality_stepwise(name, gammas):
         v = GaussianState.packet(rep.D, [0.1] * rep.D, [-0.2] * rep.D, 0.9)
         report = coefficient_norm_sq(rep, u, v)
         assert abs(report.value * rep.pf_abs / (u.norm_sq() * v.norm_sq()) - 1.0) < 1e-3
+
+
+CLOSED_NORM_CASES = [("HEIS1", {}), ("HEIS2", {}), ("HEIS3", {}),
+                     ("A3", {1: 1.0}), ("C2", {1: 0.7}), ("B2", {1: -0.4})]
+
+
+def _top_rep(name, low, lam):
+    """The representation with lam on the top layer over the functional low
+    on the earlier (line) layers."""
+    return stepwise_rep(name, {**low, len(low) + 1: lam})
+
+
+def probe_norm_sq(rep, u, v):
+    """The closed norm as it was assembled before the form was written down:
+    the quadratic form of the coefficient's exponent is read from its values
+    at 0, +-e_i and e_i + e_j, and integrated once."""
+    D = rep.D
+    n = 2 * D
+
+    def parts(x):
+        return u.inner_parts(rep._apply_top(0.0, x[:D], x[D:], v))
+
+    pre0, c = parts(np.zeros(n))
+    Qm = np.zeros((n, n), dtype=complex)
+    lv = np.zeros(n, dtype=complex)
+    plus = np.zeros(n, dtype=complex)
+    for i, e in enumerate(np.eye(n)):
+        (_, ep), (_, em) = parts(e), parts(-e)
+        Qm[i, i] = 0.5 * (ep + em) - c
+        lv[i] = 0.5 * (ep - em)
+        plus[i] = ep
+    for i in range(n):
+        for j in range(i + 1, n):
+            _, eij = parts(np.eye(n)[i] + np.eye(n)[j])
+            Qm[i, j] = Qm[j, i] = 0.5 * (eij - plus[i] - plus[j] + c)
+    return float(np.real(abs(pre0) ** 2 * gaussian_integral(
+        -2.0 * Qm.real, 2.0 * lv.real, 2.0 * c.real)))
+
+
+@pytest.mark.parametrize("name,low", CLOSED_NORM_CASES)
+def test_closed_norm_is_exact_down_to_tiny_lambda(name, low):
+    # the p-block of the form is of order lam^2: written down, it keeps its
+    # digits where reading it from exponent values lost them (lam <= 1e-8)
+    rng = np.random.default_rng(21)
+    for lam in (4.0, 1.0, 1e-3, 1e-8, 1e-50, 1e-100):
+        rep = _top_rep(name, low, lam)
+        for _ in range(2):
+            u, v = rep.random_state(rng), rep.random_state(rng)
+            report = coefficient_norm_sq(rep, u, v)
+            assert report.predicted == u.norm_sq() * v.norm_sq() / rep.pf_abs
+            assert report.rel_error < 1e-12, (name, lam, report)
+
+
+@pytest.mark.parametrize("name,low", CLOSED_NORM_CASES)
+def test_closed_norm_matches_the_probe_assembly(name, low):
+    # on chirped packets, so M is complex and the p- and q-blocks of the
+    # form are coupled
+    rng = np.random.default_rng(22)
+
+    def chirped(rep):
+        Qf = rng.uniform(-1.0, 1.0, (rep.D, rep.D))
+        return rep.random_state(rng).quadratic_phase(Qf, np.zeros(rep.D), 0.0)
+
+    for lam in (0.5, 1.0, 3.0):
+        rep = _top_rep(name, low, lam)
+        for _ in range(2):
+            u, v = chirped(rep), chirped(rep)
+            want = probe_norm_sq(rep, u, v)
+            got = coefficient_norm_sq(rep, u, v).value
+            assert abs(got - want) <= 1e-12 * abs(want), (name, lam)
 
 
 @pytest.mark.parametrize("d,points", [(1, 256), (2, 64), (3, 24)])
