@@ -6,7 +6,7 @@ integral |f_{u,v}|^2 * |density| = ||u||^2 ||v||^2 on closed-form and grid
 paths.
 """
 
-import numpy as np
+import random
 
 from stepsq.harness import random_element
 from stepsq.schrodinger import (check_invariants, coefficient,
@@ -14,15 +14,16 @@ from stepsq.schrodinger import (check_invariants, coefficient,
                                 validation_grid)
 from stepsq.states import GaussianState, Grid, GridState
 
-rng = np.random.default_rng(1)
+rng = random.Random(1)
 
 for name, gamma in (("HEIS1", {1: 2.0}), ("HEIS2", {1: 0.7}),
                     ("A3", {1: 1.0, 2: 1.5}), ("C2", {1: 0.5, 2: 1.0}),
                     ("B2", {1: 1.0, 2: -0.8})):
     rep = stepwise_rep(name, gamma)
     checks = check_invariants(rep, rng, trials=3)
-    u = GaussianState.packet(rep.D, rng.normal(size=rep.D) * 0.4,
-                             rng.normal(size=rep.D) * 0.4)
+    u = GaussianState.packet(rep.D,
+                             [rng.gauss(0.0, 0.4) for _ in range(rep.D)],
+                             [rng.gauss(0.0, 0.4) for _ in range(rep.D)])
     v = GaussianState.ground(rep.D)
     g = random_element(rep.harness, rng)
     report = coefficient_norm_sq(rep, u, v)

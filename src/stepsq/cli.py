@@ -3,8 +3,8 @@
 Each subcommand runs one pipeline and writes a report document whose rows
 compare an exact-arithmetic prediction with the measured value.  Reports are
 deterministic for a fixed seed: timing is only written when requested, and
-all randomness flows through one seeded generator: ``random.Random`` for
-``pfaffian``, numpy's ``default_rng`` for the numeric commands.
+all randomness flows through one generator, ``random.Random(seed)``, in
+every command; ``numpy.random`` is never loaded.
 
 The exact commands (``roots``, ``cascade``, ``layers``, ``axioms``,
 ``pfaffian``) never load numpy: the numeric modules bind it lazily
@@ -53,9 +53,14 @@ MAX_RANK = 32
 # largest --points of inversion: a point takes about 0.5 ms on a 2-core Xeon,
 # so 10,000 points run in about 5 s and write a 2 MB report
 MAX_POINTS = 10_000
-# largest --count of pfaffian: 10,000 matrices take about 1.3 s on a 2-core
-# Xeon at the default --max-size 10, and about 40 s at the largest size 20
+# largest --count of pfaffian, and the largest --max-size at which it holds:
+# 10,000 matrices take about 1.5 s on a 2-core Xeon at the default
+# --max-size 10 and 2-3 s at 13.  The first-row expansion oracle grows
+# exponentially in the size (10,000 matrices at size 20 took 40 s), so above
+# FULL_COUNT_SIZE the cap halves per unit of size (``max_pfaffian_count``);
+# every accepted input ran within 3.2 s.
 MAX_COUNT = 10_000
+FULL_COUNT_SIZE = 13
 
 #: Published shape of every emitted report; validated on emit.
 REPORT_SCHEMA = {
@@ -255,6 +260,12 @@ def _random_skew(rng: random.Random, n: int,
     return m
 
 
+def max_pfaffian_count(max_size: int) -> int:
+    """Largest --count of pfaffian at max_size: MAX_COUNT up to
+    FULL_COUNT_SIZE, halved per unit of size above it."""
+    return MAX_COUNT >> max(0, max_size - FULL_COUNT_SIZE)
+
+
 def pipeline_pfaffian(count: int, max_size: int,
                       seed: int) -> Tuple[dict, List[dict]]:
     rng = random.Random(seed)
@@ -318,10 +329,10 @@ def pipeline_restriction(lam1: Q, lam2: Q, seed: int) -> Tuple[dict, List[dict]]
     big = build_harness("A3")
     rep_big = stepwise_rep(big, {1: float(lam1), 2: float(lam2)})
     rep_small = stepwise_rep(leading_subgroup(big, 1), {1: float(lam1)})
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     scalar = GaussianState(np.zeros((0, 0)), np.zeros(0), 0.0)
-    x = GaussianState.packet(2, rng.normal(size=2) * 0.3,
-                             rng.normal(size=2) * 0.3)
+    x = GaussianState.packet(2, [rng.gauss(0.0, 0.3) for _ in range(2)],
+                             [rng.gauss(0.0, 0.3) for _ in range(2)])
     report, factor = restrict_and_renormalize(rep_big, rep_small, scalar,
                                               scalar, x)
     predicted_factor = 1 / abs(lam2)
@@ -362,7 +373,7 @@ def pipeline_inversion(points: int, tolerance: float,
                        seed: int) -> Tuple[dict, List[dict]]:
     h = build_harness("HEIS1")
     f = TestFunction.standard(h)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     res = fourier_inversion(f, identity(h))
     rows = [make_row("identity_value", 1.0, res.value.real, tolerance,
                      "test function value at the identity"),
@@ -574,13 +585,14 @@ def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
     if cmd == "axioms":
         return pipeline_axioms(args.series, args.n, args.corrupted)
     if cmd == "pfaffian":
-        if not 0 <= args.count <= MAX_COUNT:
-            raise ValueError(f"--count must be in [0, {MAX_COUNT}], "
-                             f"got {args.count}")
         # the first-row expansion oracle is exponential in the size
         if not 1 <= args.max_size <= 20:
             raise ValueError(f"--max-size must be in [1, 20], "
                              f"got {args.max_size}")
+        cap = max_pfaffian_count(args.max_size)
+        if not 0 <= args.count <= cap:
+            raise ValueError(f"--count must be in [0, {cap}] at --max-size "
+                             f"{args.max_size}, got {args.count}")
         return pipeline_pfaffian(args.count, args.max_size, args.seed)
     if cmd == "orthogonality":
         gamma = {r: parse_rat(s) for r, s in enumerate(args.lambdas, start=1)}

@@ -24,7 +24,7 @@ cuts the first k layers and shares the model.  ``orbit`` alone builds and
 checks an ``OrbitDescriptor``: a functional lam, one finite float per layer
 centre in layer order, the one label of pi_lam and of its coadjoint orbit.
 Its ``pf_abs`` is |Pf(lam)| from the pairings C, which ``check_regular`` asks
-to be a normal float, as it asks the phase of each line layer to be good to
+to be a normal float, as it asks the phase of each layer to be good to
 ``CHECK_TOL``; ``exact_density`` takes |Pf| from the model layers.
 """
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from fractions import Fraction as Q
@@ -325,9 +326,12 @@ def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
     return from_matrix(g1.harness, g1.to_matrix() @ g2.to_matrix())
 
 
-def random_element(h: Harness, rng: np.random.Generator, scale: float = 1.0) -> GroupElement:
-    """Random element with coordinates uniform in [-scale, scale]."""
-    return GroupElement(h, rng.uniform(-scale, scale, h.dim))
+def random_element(h: Harness, rng: random.Random,
+                   scale: float = 1.0) -> GroupElement:
+    """Random element with coordinates uniform in [-scale, scale], drawn
+    one ``rng.uniform`` per coordinate in basis order."""
+    return GroupElement(h, np.array([rng.uniform(-scale, scale)
+                                     for _ in range(h.dim)]))
 
 
 def _cut(name: str, alg: NilpotentAlgebra, layers: Sequence[Layer]) -> Harness:
@@ -396,16 +400,19 @@ class OrbitDescriptor:
 
     def check_regular(self) -> None:
         """ValueError unless |Pf| is a normal float and the phase
-        2 pi lam_r zeta of every line layer (d_r = 0) is good to CHECK_TOL at
-        the check scale: a regular functional's density neither vanishes nor
-        leaves float range, and a representation at it can be checked.
+        2 pi lam_r zeta of every layer is good to CHECK_TOL at the check
+        scale: a regular functional's density neither vanishes nor leaves
+        float range, and a representation at it can be checked.
 
-        A line layer acts by that phase alone.  The check forms it at centre
-        coordinates of products of two elements, |zeta| up to about
-        4 * CHECK_SCALE, each rounded about twice, so it is off by up to
-        2 pi |lam_r| 8 CHECK_SCALE eps.  On the line layers of A1, A3, B2
-        and C2 the check's deviation measured at most 2.7e-15 |lam_r|
-        (lam_r from 1e5 to 1e8), under this estimate's 8.9e-15 |lam_r|.
+        A line layer (d_r = 0) acts by that phase alone; the top layer adds
+        the modulation 2 pi lam C^T p, of the same size.  The check forms
+        the phase at centre coordinates of products of two elements, |zeta|
+        up to about 4 * CHECK_SCALE, each rounded about twice, so it is off
+        by up to 2 pi |lam_r| 8 CHECK_SCALE eps.  For lam_r from 1e5 to 1e8,
+        the check's deviation measured at most 2.7e-15 |lam_r| on the line
+        layers of A1, A3, B2 and C2, and at most 7.5e-15 |lam_r| on the top
+        layers of HEIS1-3, A3, B2 and C2 (150 samples each), under this
+        estimate's 8.9e-15 |lam_r|.
         """
         if not np.finfo(float).tiny <= self.pf_abs < math.inf:
             raise ValueError(f"{self.harness.name}: the functional lambda = "
@@ -413,10 +420,11 @@ class OrbitDescriptor:
                              f"range: |Pf| = {self.pf_abs:.3g}")
         rounding = 2 * math.pi * 8 * CHECK_SCALE * np.finfo(float).eps
         for value, layer in zip(self.lam, self.harness.layers):
-            if layer.d_r == 0 and not rounding * abs(value) < CHECK_TOL:
+            if not rounding * abs(value) < CHECK_TOL:
+                kind = "symplectic" if layer.d_r else "line"
                 raise ValueError(
                     f"{self.harness.name}: lambda_{layer.r} = {value:.3g} on "
-                    f"line layer {layer.r} is too large for a float phase: "
+                    f"{kind} layer {layer.r} is too large for a float phase: "
                     f"at the check scale 2 pi lambda_{layer.r} zeta may be "
                     f"off by {rounding * abs(value):.2g}, not below "
                     f"{CHECK_TOL:g}")

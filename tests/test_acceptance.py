@@ -1,6 +1,7 @@
 """End-to-end acceptance checks at the stated tolerances and rank bounds."""
 
 import filecmp
+import random
 import time
 from fractions import Fraction as Q
 
@@ -63,13 +64,13 @@ def test_03_setup_axioms_with_negative_control():
 
 
 def test_04_pfaffian_oracle_and_homogeneity():
-    rng = np.random.default_rng(12)
+    rng = random.Random(12)
     for _ in range(500):
-        n = int(rng.integers(1, 11))
+        n = rng.randint(1, 10)
         m = [[Q(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                v = Q(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                v = Q(rng.randint(-9, 9), rng.randint(1, 9))
                 m[i][j], m[j][i] = v, -v
         assert pfaffian(m) ** 2 == determinant(m)
     t = Q(5, 3)
@@ -87,15 +88,16 @@ LAMBDAS = (0.5, 1.0, 2.0, -1.5, 3.0)
 
 
 def _packets(rng, D):
-    u = GaussianState.packet(D, rng.normal(size=D) * 0.4,
-                             rng.normal(size=D) * 0.4)
-    v = GaussianState.packet(D, rng.normal(size=D) * 0.4,
-                             rng.normal(size=D) * 0.4, 1.1)
+    def normal():
+        return [rng.gauss(0.0, 0.4) for _ in range(D)]
+
+    u = GaussianState.packet(D, normal(), normal())
+    v = GaussianState.packet(D, normal(), normal(), 1.1)
     return u, v
 
 
 def test_05_orthogonality_closed_and_grid():
-    rng = np.random.default_rng(21)
+    rng = random.Random(21)
     for d in (1, 2, 3):
         for lam in LAMBDAS:
             rep = stepwise_rep(f"HEIS{d}", {1: lam})
@@ -150,7 +152,7 @@ def test_07_fourier_inversion_and_two_stage_limit():
     f = TestFunction.standard(h)
     res = fourier_inversion(f, identity(h))
     assert abs(res.value - 1.0) < 1e-4
-    rng = np.random.default_rng(31)
+    rng = random.Random(31)
     for _ in range(10):
         res = fourier_inversion(f, random_element(h, rng, 1.0))
         assert res.rel_error < 1e-4

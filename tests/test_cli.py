@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,9 @@ def test_grid_lambda_beyond_the_grid_cap_exits_2(tmp_path, capsys):
     ["pfaffian", "--count", "100000000"],
     ["pfaffian", "--max-size", "0"],
     ["pfaffian", "--max-size", "21"],
+    ["pfaffian", "--count", str(cli.MAX_COUNT), "--max-size", "20"],
+    ["pfaffian", "--count", str(cli.max_pfaffian_count(16) + 1),
+     "--max-size", "16"],
 ])
 def test_bad_numeric_inputs_exit_2(tmp_path, capsys, argv):
     out = str(tmp_path / "r.json")
@@ -147,6 +151,19 @@ def test_bad_numeric_inputs_exit_2(tmp_path, capsys, argv):
     assert "configuration error" in err and "Traceback" not in err
     assert argv[1] in err  # the message names the flag
     assert not os.path.exists(out)
+
+
+def test_the_largest_pfaffian_count_at_size_20_stays_cheap(tmp_path):
+    # the expansion oracle is exponential in the size (10,000 matrices at
+    # size 20 took 40 s); the cap falls with the size, so its largest
+    # accepted count there runs in well under 5 s, and the default count
+    # 500 holds at the default --max-size 10
+    assert cli.max_pfaffian_count(10) == cli.MAX_COUNT
+    out = str(tmp_path / "p.json")
+    start = time.perf_counter()
+    assert run(["pfaffian", "--count", str(cli.max_pfaffian_count(20)),
+                "--max-size", "20", "--out", out]) == 0
+    assert time.perf_counter() - start < 5.0
 
 
 def test_limit_check_far_from_the_identity_keeps_every_row(tmp_path):
@@ -389,12 +406,13 @@ from stepsq.cli import run
 out, commands = sys.argv[1], sys.argv[2:]
 codes = [run(cmd.split() + ["--out", f"{out}/{i}.json"])
          for i, cmd in enumerate(commands)]
-print(json.dumps([codes, "numpy._core" in sys.modules]))
+print(json.dumps([codes, "numpy._core" in sys.modules,
+                  "numpy.random" in sys.modules]))
 """
 
 
 def test_exact_commands_do_not_load_numpy(tmp_path):
-    codes, loaded = fresh_interpreter(
+    codes, loaded, _ = fresh_interpreter(
         RUN_AND_LIST_NUMPY, str(tmp_path), "roots --series B --n 4",
         "cascade --series C --n 5", "layers --series D --n 4",
         "axioms --series A --n 5", "axioms --series A --n 3 --corrupted",
@@ -404,10 +422,22 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
 
 
 def test_numeric_commands_load_numpy_on_use(tmp_path):
-    codes, loaded = fresh_interpreter(
+    codes, loaded, _ = fresh_interpreter(
         RUN_AND_LIST_NUMPY, str(tmp_path), "inversion --points 1")
     assert codes == [0]
     assert loaded
+
+
+def test_numeric_commands_never_load_numpy_random(tmp_path):
+    # every draw is a random.Random one; numpy.random and the modules it
+    # pulls in (hashlib, hmac, secrets) are 17 modules and about 2.5 MB
+    codes, loaded, random_loaded = fresh_interpreter(
+        RUN_AND_LIST_NUMPY, str(tmp_path), "inversion --points 1",
+        "restriction", "limit-check",
+        "orthogonality --harness A3 --lambda 1 --lambda 3/2",
+        "orthogonality --harness HEIS1 --lambda 1 --backend grid")
+    assert codes == [0, 0, 0, 0, 0]
+    assert loaded and not random_loaded
 
 
 def test_numpy_imported_first_is_used_as_is():
@@ -682,17 +712,29 @@ def test_a_negative_seed_exits_2(tmp_path, capsys, command):
     assert not os.path.exists(out)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_states_fail_validation_with_exit_1(tmp_path, capsys):
-    # at HEIS1, lambda = 1e308, |Pf| is a normal float but the modulation
-    # overflows; the NaN deviation is a failed invariant, not a pass
+@pytest.mark.parametrize("harness,lam", [
+    ("HEIS1", tenpow(308)), ("HEIS1", tenpow(7)), ("HEIS3", "2000000"),
+    ("HEIS2", tenpow(8)),
+], ids=["HEIS1-1e308", "HEIS1-1e7", "HEIS3-2e6", "HEIS2-1e8"])
+def test_a_top_layer_phase_without_digits_exits_2(tmp_path, capsys, harness,
+                                                  lam):
+    # the top layer's phase and modulation are as large as a line layer's
+    # phase, so the same bound applies: HEIS1 at 10^308 overflowed to NaN
+    # states and exited 1 through the invariant row, and at 10^7 the check
+    # failed on float noise
     out = str(tmp_path / "r.json")
-    assert run(["orthogonality", "--harness", "HEIS1", "--lambda", tenpow(308),
-                "--out", out]) == 1
-    [row] = read(out)["rows"]
-    assert row["name"] == "invariant" and row["pass"] is False
-    assert "Gaussian unitarity deviation nan" in row["provenance"]
-    assert "Traceback" not in capsys.readouterr().err
+    assert run(["orthogonality", "--harness", harness, "--lambda", lam,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert "on symplectic layer 1 is too large for a float phase" in err
+    assert not os.path.exists(out)
+
+
+def test_a_top_layer_phase_below_the_bound_is_checked(tmp_path):
+    out = str(tmp_path / "r.json")
+    assert run(["orthogonality", "--harness", "C2", "--lambda", "1",
+                "--lambda", "1100000", "--out", out]) == 0
 
 
 def test_homogeneity_rows_read_the_closed_form_degree(tmp_path, monkeypatch):

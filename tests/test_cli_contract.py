@@ -1,14 +1,17 @@
 """The exit-code contract of the CLI as a property of drawn inputs.
 
-For every drawn ``orthogonality`` or ``restriction`` argv, ``cli.run``
-returns 0, 1 or 2 and no exception escapes it; exit 2 leaves no report, and
-exits 0 and 1 write one that matches the published schema, with ``passed``
-true exactly when the exit is 0.  The functional values are drawn from valid,
-boundary, junk and extreme sets; the extreme ones reach |Pf| beyond float
-range, or a phase 2 pi lambda zeta with no correct digit, which must be exit 2
-with a message, not a traceback.  ``orthogonality`` mostly takes one value
-per layer of its harness, so most draws reach the pipeline rather than the
-count check.  Some draws carry a ``--seed``, and a negative one exits 2.
+For every drawn ``orthogonality``, ``restriction`` or ``pfaffian`` argv,
+``cli.run`` returns 0, 1 or 2 and no exception escapes it; exit 2 leaves no
+report, and exits 0 and 1 write one that matches the published schema, with
+``passed`` true exactly when the exit is 0.  The functional values are
+drawn from valid, boundary, junk and extreme sets; the extreme ones reach
+|Pf| beyond float range, or a phase 2 pi lambda zeta with no correct digit,
+which must be exit 2 with a message, not a traceback.  ``orthogonality``
+mostly takes one value per layer of its harness, so most draws reach the
+pipeline rather than the count check.  ``pfaffian`` draws ``--max-size``
+around [1, 20] and ``--count`` either small or just past the cap that falls
+with the size (``cli.max_pfaffian_count``), which must exit 2.  Some draws
+carry a ``--seed``, and a negative one exits 2.
 """
 
 import json
@@ -62,8 +65,14 @@ RESTRICTION = st.builds(
     lambda lam1, lam2: ["restriction", f"--lambda1={lam1}",
                         f"--lambda2={lam2}"],
     LAMBDAS, LAMBDAS)
+PFAFFIAN = st.integers(min_value=-1, max_value=22).flatmap(
+    lambda size: st.builds(
+        lambda count: ["pfaffian", f"--count={count}", f"--max-size={size}"],
+        st.one_of(st.integers(min_value=-2, max_value=8),
+                  st.sampled_from([cli.max_pfaffian_count(size) + 1,
+                                   cli.MAX_COUNT + 1, 10 ** 8]))))
 ARGV = st.builds(lambda argv, seeds: argv + [f"--seed={v}" for v in seeds],
-                 st.one_of(ORTHOGONALITY, RESTRICTION),
+                 st.one_of(ORTHOGONALITY, RESTRICTION, PFAFFIAN),
                  st.lists(SEEDS, max_size=1))
 
 
@@ -88,6 +97,11 @@ def test_every_input_keeps_the_exit_code_contract(argv):
         assert status in (0, 1, 2)
         if any(a.startswith("--seed=-") for a in argv):
             assert status == 2
+        if argv[0] == "pfaffian":
+            count, size = (int(a.split("=")[1]) for a in argv[1:3])
+            if not (1 <= size <= 20
+                    and 0 <= count <= cli.max_pfaffian_count(size)):
+                assert status == 2
         assert os.path.exists(out) is (status != 2)
         if status != 2:
             with open(out, encoding="utf-8") as fh:

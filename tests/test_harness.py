@@ -1,5 +1,6 @@
 """Matrix harness groups and the layered exponential coordinates."""
 
+import random
 import time
 from fractions import Fraction as Q
 
@@ -30,10 +31,10 @@ from stepsq.states import GaussianState
 
 
 def test_exp_log_inverse_pair():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for h in (build_harness("A3"), build_harness("B2")):
         for _ in range(10):
-            c = rng.normal(size=h.dim)
+            c = np.array([rng.gauss(0.0, 1.0) for _ in range(h.dim)])
             M = h.exp(c)
             assert np.allclose(M, expm(h.lie(c)))
             assert np.allclose(h.log(M), c)
@@ -43,7 +44,7 @@ def test_exp_log_inverse_pair():
 @pytest.mark.parametrize("name", HARNESS_NAMES)
 def test_coordinate_round_trip(name):
     h = build_harness(name)
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     for _ in range(10):
         g = random_element(h, rng, 2.0)
         back = from_matrix(h, g.to_matrix())
@@ -54,7 +55,7 @@ def test_coordinate_round_trip(name):
 @pytest.mark.parametrize("name", HARNESS_NAMES)
 def test_multiplication_matches_matrices(name):
     h = build_harness(name)
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     for _ in range(10):
         g1, g2 = random_element(h, rng), random_element(h, rng)
         assert np.allclose(multiply(g1, g2).to_matrix(),
@@ -136,7 +137,7 @@ def _top_b_columns(h, coords):
 @pytest.mark.parametrize("name", ["A3", "C2", "B2"])
 def test_adjoint_action_stays_in_top_layer(name):
     h = build_harness(name)
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(5):
         zvec, A, B = _top_b_columns(h, random_element(h, rng).coords)
         assert abs(abs(np.linalg.det(B)) - 1.0) < 1e-9
@@ -180,7 +181,7 @@ def test_adjoint_matches_matrix_conjugation(name):
     # Ad(g) by conjugation in the matrix model agrees with the bracket-table
     # exponential, and is exactly 0 just where the table gives exactly 0
     h = build_harness(name)
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     for _ in range(3):
         coords = random_element(h, rng).coords
         want, got = bracket_table_adjoint(h, coords), h.adjoint(coords)
@@ -193,12 +194,12 @@ def test_adjoint_columns_are_the_columns_of_the_whole_adjoint(name):
     # asking for some columns conjugates only their basis matrices, and
     # gives the same floats as reading them off the whole Ad(g)
     h = build_harness(name)
-    rng = np.random.default_rng(12)
+    rng = random.Random(12)
     top_b = slice(h.dim - h.top.d_r, h.dim)
     for _ in range(3):
         coords = random_element(h, rng).coords
         whole = h.adjoint(coords)
-        picked = sorted(rng.choice(h.dim, size=3, replace=False).tolist())
+        picked = sorted(rng.sample(range(h.dim), 3))
         for cols in (top_b, picked, [h.dim - 1]):
             assert np.array_equal(h.adjoint(coords, cols), whole[:, cols])
 
@@ -208,7 +209,7 @@ def test_adjoint_at_depth(name):
     # a cold build and one Ad(g), on 1024 and 2016 coordinates
     start = time.perf_counter()
     h = build_harness(name)
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     g1, g2 = random_element(h, rng), random_element(h, rng)
     ad1 = h.adjoint(g1.coords)
     assert time.perf_counter() - start < 10.0
@@ -228,7 +229,7 @@ def test_adjoint_at_depth(name):
 @pytest.mark.parametrize("name", HARNESS_NAMES)
 def test_adjoint_is_a_homomorphism(name):
     h = build_harness(name)
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     for _ in range(5):
         g1, g2 = random_element(h, rng), random_element(h, rng)
         assert np.allclose(h.adjoint(multiply(g1, g2).coords),
@@ -374,17 +375,19 @@ def test_log_reads_coordinates_in_basis_order():
 
 @pytest.mark.parametrize("name", HARNESS_NAMES)
 def test_random_element_draws_the_per_layer_stream(name):
-    # one draw of h.dim values gives the numbers of per-layer draws of
-    # 1, d and d values from the same seed: the stream of every numeric report
+    # the coordinates are the uniform draws of one seeded random.Random,
+    # layer by layer the centre, the d a-coordinates, then the d
+    # b-coordinates: the stream of every numeric report
     h = build_harness(name)
     for seed in (0, 7):
-        g = random_element(h, np.random.default_rng(seed), 1.5)
-        rng = np.random.default_rng(seed)
-        per_layer = np.concatenate([np.concatenate(
-            [[rng.uniform(-1.5, 1.5)], rng.uniform(-1.5, 1.5, layer.d_r),
-             rng.uniform(-1.5, 1.5, layer.d_r)]) for layer in h.layers])
+        g = random_element(h, random.Random(seed), 1.5)
+        rng = random.Random(seed)
+        per_layer = [(rng.uniform(-1.5, 1.5),
+                      [rng.uniform(-1.5, 1.5) for _ in range(layer.d_r)],
+                      [rng.uniform(-1.5, 1.5) for _ in range(layer.d_r)])
+                     for layer in h.layers]
         assert g.coords.shape == (h.dim,)
-        assert np.array_equal(g.coords, per_layer)
+        assert np.array_equal(g.coords, element(h, per_layer).coords)
 
 
 def test_element_coords_are_one_basis_order_vector():
@@ -407,7 +410,7 @@ def test_embed_leading_pads_its_own_subgroup_and_rejects_others():
 
 
 def test_multiply_compares_factors_by_root_keys():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     g1 = random_element(build_harness("A3"), rng)
     g2 = random_element(build_harness("A3"), rng)
     assert g1.harness is not g2.harness
@@ -427,7 +430,7 @@ def test_equal_keys_of_another_model_are_rejected(big, other):
     own = leading_subgroup(h, 1)
     foreign = leading_subgroup(build_harness(other), 1)
     assert foreign.keys == own.keys and foreign.series != own.series
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     g = random_element(foreign, rng)
     multiply(random_element(own, rng), random_element(own, rng))
     with pytest.raises(ValueError, match="do not multiply"):

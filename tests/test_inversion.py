@@ -1,6 +1,7 @@
 """Orbit integrals, Fourier inversion, and the two-stage limit check."""
 
 import json
+import random
 import time
 from dataclasses import replace
 
@@ -84,7 +85,7 @@ def test_character_conjugation_invariance_heisenberg(name, lam):
     h = build_harness(name)
     f = TestFunction.standard(h)
     orb = orbit(h, lam)
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     base = character_of_translate(f, identity(h), orb)
     for _ in range(3):
         g = random_element(h, rng)
@@ -100,7 +101,7 @@ def test_affine_slice_differs_from_curved_orbit_on_two_layer_groups():
     h = build_harness("C2")
     f = TestFunction.standard(h)
     orb = orbit(h, {1: 0.4, 2: 1.2})
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     base = character_of_translate(f, identity(h), orb)
     dev = max(abs(character_of_translate(f.conjugate_by(random_element(h, rng)),
                                          identity(h), orb) - base)
@@ -114,7 +115,7 @@ def test_inversion_heisenberg_identity_and_random_points():
     start = time.perf_counter()
     res = fourier_inversion(f, identity(h))
     assert abs(res.value - 1.0) < 1e-4
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     for _ in range(10):
         x = random_element(h, rng, 1.0)
         res = fourier_inversion(f, x)
@@ -143,7 +144,7 @@ def test_an_error_budget_is_returned_at_double_precision():
     # the budget is a rounding bound in double precision, at least eps
     # relative to |f(x)|, so it stays above a tolerance of 1e-30; the
     # caller compares it with its tolerance, and nothing raises
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     for name in ("HEIS1", "A3"):
         h = build_harness(name)
         f = TestFunction.standard(h)
@@ -167,7 +168,7 @@ def test_inversion_rejects_a_complex_slice_form():
 def test_inversion_two_layer_harnesses(name, lam):
     h = build_harness(name)
     f = TestFunction.standard(h)
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     x = random_element(h, rng, 0.8)
     res = fourier_inversion(f, x)
     assert res.rel_error < 1e-4
@@ -184,7 +185,7 @@ def test_inversion_error_budget_covers_the_residual(name):
                                   np.linspace(0.4, -0.3, h.dim), 1.1)
     else:
         f = TestFunction.standard(h)
-    x = random_element(h, np.random.default_rng(5), 0.8)
+    x = random_element(h, random.Random(5), 0.8)
     res = fourier_inversion(f, x)
     assert res.rel_error < 1e-8 and res.budget <= 1e-8
     assert res.rel_error <= res.budget + 1e-12
@@ -194,7 +195,7 @@ def test_inversion_three_layers():
     h = build_harness("C3")
     assert h.m == 3
     f = TestFunction.standard(h)
-    for x in (identity(h), random_element(h, np.random.default_rng(6), 0.8)):
+    for x in (identity(h), random_element(h, random.Random(6), 0.8)):
         res = fourier_inversion(f, x)
         assert res.rel_error < 1e-6
 
@@ -204,7 +205,7 @@ def test_inversion_at_depth_is_exact_relative_to_f_of_x(name):
     # |f(x)| is about 1e-23 on A31 and 2e-13 on C16, so a residual scaled by
     # the sup of f, which is 1, would pass any value near 0
     h = build_harness(name)
-    x = random_element(h, np.random.default_rng(5), 0.3)
+    x = random_element(h, random.Random(5), 0.3)
     res = fourier_inversion(TestFunction.standard(h), x)
     assert abs(res.reference) < 1e-12
     assert res.rel_error < 1e-12
@@ -240,7 +241,7 @@ def test_a_wrong_value_fails_the_direct_call(monkeypatch, factor, name, scale):
     # on HEIS1
     scale_the_value(monkeypatch, factor)
     h = build_harness(name)
-    x = random_element(h, np.random.default_rng(5), scale)
+    x = random_element(h, random.Random(5), scale)
     res = fourier_inversion(TestFunction.standard(h), x)
     assert abs(res.value - factor * res.reference) < 1e-12 * abs(res.reference)
     assert res.rel_error > 1e-6  # the default tolerance
@@ -268,10 +269,11 @@ def test_inversion_does_not_see_the_slice_map(monkeypatch, name):
     # inversion on R^m.  So the inversion rows check inversion through the
     # slice; they cannot see the group law, |Pf| or c
     h = build_harness(name)
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     f, x = TestFunction.standard(h), random_element(h, rng, 0.8)
     exact = fourier_inversion(f, x).value
-    G = rng.uniform(-1.0, 1.0, (h.m, h.m)) + 2.0 * np.eye(h.m)
+    G = np.array([[rng.uniform(-1.0, 1.0) for _ in range(h.m)]
+                  for _ in range(h.m)]) + 2.0 * np.eye(h.m)
     slice_quadratic = inversion._slice_quadratic
 
     def moved(f, x):
@@ -314,7 +316,7 @@ def _slice_is_affine_by_probes(h, x):
 @pytest.mark.parametrize("name", SLICE_HARNESSES)
 def test_centre_slice_affine_matches_the_degree_probe(name):
     h = build_harness(name)
-    x = random_element(h, np.random.default_rng(11))
+    x = random_element(h, random.Random(11))
     assert h.centre_slice_affine == _slice_is_affine_by_probes(h, x)
 
 
@@ -322,7 +324,7 @@ def test_centre_slice_affine_matches_the_degree_probe(name):
 def test_inversion_rejects_a_curved_centre_slice(name):
     h = build_harness(name)
     assert not h.centre_slice_affine
-    x = random_element(h, np.random.default_rng(12), 0.8)
+    x = random_element(h, random.Random(12), 0.8)
     with pytest.raises(AssertionError, match="must be affine"):
         fourier_inversion(TestFunction.standard(h), x)
 
@@ -403,7 +405,7 @@ def test_abelian_stage_is_classical_fourier_inversion():
 
 
 def test_conjugate_by_matches_pointwise():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for name in ("HEIS2", "C2"):
         h = build_harness(name)
         f = TestFunction.standard(h)
@@ -439,7 +441,7 @@ def test_restriction_is_an_index_map_by_root_key():
     f_big = TestFunction.gaussian(big, np.linspace(-0.4, 0.5, big.dim),
                                   np.linspace(0.3, -0.2, big.dim), 0.9)
     f_small = restrict_test_function(f_big, small)
-    rng = np.random.default_rng(12)
+    rng = random.Random(12)
     for _ in range(5):
         g = random_element(small, rng)
         g_big = from_matrix(big, g.to_matrix())

@@ -1,14 +1,16 @@
 """Representations, coefficients, orthogonality, restriction, decay."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stepsq import schrodinger
-from stepsq.harness import (build_harness, element, from_matrix, identity,
-                            leading_subgroup, multiply, orbit, random_element)
+from stepsq.harness import (CHECK_TOL, build_harness, element, from_matrix,
+                            identity, leading_subgroup, multiply, orbit,
+                            random_element)
 from stepsq.schrodinger import (
     CoefficientField,
     RepInstance,
@@ -95,16 +97,50 @@ def test_a_nan_deviation_fails_validation():
     # at lambda = 1e308 the modulation overflows and every state is NaN; the
     # deviations must stay NaN, not drop out of a max, so validation fails
     rep = RepInstance(orbit("HEIS3", {1: 1e308}))
-    checks = check_invariants(rep, np.random.default_rng(11), trials=3)
+    checks = check_invariants(rep, random.Random(11), trials=3)
     assert any(math.isnan(dev) for dev in checks.values())
     with pytest.raises(AssertionError, match="deviation nan"):
         validate_rep(rep, 1e-8)
 
 
+FLIP_CASES = [("HEIS1", {1: 1.0}), ("HEIS2", {1: 1.0}),
+              ("A3", {1: 1.0, 2: 1.0}), ("C2", {1: 0.7, 2: 1.3}),
+              ("B2", {1: -0.4, 2: 0.9})]
+
+
+@pytest.mark.parametrize("name,gamma", FLIP_CASES)
+def test_a_sign_flip_of_p_fails_validation(monkeypatch, name, gamma):
+    # p -> -p keeps pi unitary and keeps every coefficient norm (the norm
+    # integrates over p), so only the homomorphism check can catch it;
+    # validate_rep's three samples must
+    real = RepInstance._apply_top
+    monkeypatch.setattr(RepInstance, "_apply_top",
+                        lambda self, zeta, p, q, state:
+                        real(self, zeta, -np.asarray(p), q, state))
+    rep = RepInstance(orbit(name, gamma))
+    checks = check_invariants(rep, random.Random(11), 3)
+    assert checks["unitarity"] < CHECK_TOL and checks["homomorphism"] > 0.1
+    with pytest.raises(AssertionError, match="homomorphism deviation"):
+        validate_rep(rep, CHECK_TOL)
+
+
+@pytest.mark.parametrize("name,gamma", FLIP_CASES)
+def test_a_pi_that_scales_states_fails_unitarity(monkeypatch, name, gamma):
+    # pi(g) v = (1 + 1e-6) times the right state is a homomorphism up to
+    # the same factor, but not unitary
+    real = RepInstance.apply
+    monkeypatch.setattr(RepInstance, "apply", lambda self, g, state:
+                        real(self, g, state).modulate(np.zeros(self.D),
+                                                      math.log1p(1e-6)))
+    rep = RepInstance(orbit(name, gamma))
+    with pytest.raises(AssertionError, match="unitarity deviation 1e-06"):
+        validate_rep(rep, CHECK_TOL)
+
+
 @pytest.mark.parametrize("name,gamma", STEPWISE_CASES)
 def test_invariants_closed_50_pairs(name, gamma):
     rep = stepwise_rep(name, gamma)
-    checks = check_invariants(rep, np.random.default_rng(42), trials=50)
+    checks = check_invariants(rep, random.Random(42), trials=50)
     assert checks["unitarity"] <= 1e-8
     assert checks["homomorphism"] <= 1e-8
 
@@ -112,7 +148,7 @@ def test_invariants_closed_50_pairs(name, gamma):
 @pytest.mark.parametrize("d", [1, 2])
 def test_invariants_grid_50_pairs(d):
     rep = stepwise_rep(f"HEIS{d}", {1: 1.0})
-    checks = check_invariants(rep, np.random.default_rng(43), trials=50,
+    checks = check_invariants(rep, random.Random(43), trials=50,
                               grid=validation_grid(rep))
     assert checks["unitarity"] <= 1e-4
     assert checks["homomorphism"] <= 1e-4
@@ -122,7 +158,7 @@ def test_invariants_grid_50_pairs(d):
 def test_validation_grid_resolves_large_lambda(lam):
     # the grid grows with |lambda|, so the modulated packets do not alias
     rep = stepwise_rep("HEIS3", {1: lam})
-    checks = check_invariants(rep, np.random.default_rng(11), trials=3,
+    checks = check_invariants(rep, random.Random(11), trials=3,
                               grid=validation_grid(rep))
     assert checks["unitarity"] <= 1e-4
     assert checks["homomorphism"] <= 1e-4
@@ -160,7 +196,7 @@ def test_coefficient_at_identity_and_bound():
     v = GaussianState.ground(2)
     assert abs(coefficient(rep, u, v, identity(rep.harness)) - u.inner(v)) < 1e-12
     field = CoefficientField(rep, u, v)
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(50):
         g = random_element(rep.harness, rng, 2.0)
         assert abs(field.at(g)) <= field.bound() + 1e-12
@@ -172,9 +208,9 @@ def test_heisenberg_ground_coefficient_closed_form():
     lam = 1.0
     rep = stepwise_rep("HEIS1", {1: lam})
     g0 = GaussianState.ground(1)
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     for _ in range(100):
-        zeta, p, q = rng.uniform(-2, 2, 3)
+        zeta, p, q = (rng.uniform(-2, 2) for _ in range(3))
         g = element(rep.harness, [(zeta, [p], [q])])
         expected = np.exp(2j * np.pi * lam * zeta + 1j * np.pi * lam * p * q
                           - 0.5 * np.pi * (q * q + lam * lam * p * p))
@@ -184,7 +220,7 @@ def test_heisenberg_ground_coefficient_closed_form():
 def test_translation_commutation_property():
     # l(x) r(y) f_{u,v} = f_{pi(x)u, pi(y)v}
     rep = stepwise_rep("C2", {1: 0.5, 2: 1.1})
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     u = GaussianState.ground(1)
     v = GaussianState.packet(1, [0.2], [0.4])
     for _ in range(5):
@@ -200,10 +236,10 @@ def test_coefficient_modulus_constant_on_central_cosets():
     rep = stepwise_rep("HEIS2", {1: 1.2})
     u = GaussianState.ground(2)
     v = GaussianState.packet(2, [0.1, 0.3], [0.0, 0.2])
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     for _ in range(10):
         g = random_element(rep.harness, rng)
-        s = element(rep.harness, [(float(rng.uniform(-3, 3)), np.zeros(2), np.zeros(2))])
+        s = element(rep.harness, [(rng.uniform(-3, 3), np.zeros(2), np.zeros(2))])
         assert abs(abs(coefficient(rep, u, v, multiply(g, s)))
                    - abs(coefficient(rep, u, v, g))) < 1e-12
 
@@ -285,7 +321,7 @@ def probe_norm_sq(rep, u, v):
 def test_closed_norm_is_exact_down_to_tiny_lambda(name, low):
     # the p-block of the form is of order lam^2: written down, it keeps its
     # digits where reading it from exponent values lost them (lam <= 1e-8)
-    rng = np.random.default_rng(21)
+    rng = random.Random(21)
     for lam in (4.0, 1.0, 1e-3, 1e-8, 1e-50, 1e-100):
         rep = _top_rep(name, low, lam)
         for _ in range(2):
@@ -299,10 +335,11 @@ def test_closed_norm_is_exact_down_to_tiny_lambda(name, low):
 def test_closed_norm_matches_the_probe_assembly(name, low):
     # on chirped packets, so M is complex and the p- and q-blocks of the
     # form are coupled
-    rng = np.random.default_rng(22)
+    rng = random.Random(22)
 
     def chirped(rep):
-        Qf = rng.uniform(-1.0, 1.0, (rep.D, rep.D))
+        Qf = np.array([[rng.uniform(-1.0, 1.0) for _ in range(rep.D)]
+                       for _ in range(rep.D)])
         return rep.random_state(rng).quadratic_phase(Qf, np.zeros(rep.D), 0.0)
 
     for lam in (0.5, 1.0, 3.0):
@@ -349,7 +386,7 @@ def test_grid_norm_matches_per_shift_quadrature(d, points):
     residues = (np.arange(-steps, steps + 1) * q_stride) % points
     # the 24-point grid wraps: the extreme shifts +-12 share one residue
     assert (len(set(residues)) < len(residues)) == (points == 24)
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     for lam in (1.0, -1.5, 0.5):
         rep = stepwise_rep(f"HEIS{d}", {1: lam})
         u, v = rep.random_state(rng, grid), rep.random_state(rng, grid)
