@@ -9,6 +9,11 @@ every command; ``numpy.random`` is never loaded.
 The exact commands (``roots``, ``cascade``, ``layers``, ``axioms``,
 ``pfaffian``) never load numpy: the numeric modules bind it lazily
 (``_numpy``), so it loads at the first ``np.*`` of a numeric command.
+
+A run parses its argv with the named command's parser alone, built on first
+use (``_command_parser``), and ``_emit`` writes the report as
+``json.dumps(doc, indent=2, sort_keys=True)`` would, byte for byte, without
+json's pure-Python encoder (pinned by the digest and property tests).
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from ._numpy import np
 from .cascade import (cascade_decomposition, closed_form_beta,
                       closed_form_layer_dims)
 from .harness import (HARNESS_NAMES, Harness, build_harness, element,
-                      exact_density, identity, leading_subgroup,
-                      random_element)
+                      exact_density, identity, leading_subgroup, random_element)
 from .inversion import (InversionResult, TestFunction, fourier_inversion,
                         limit_inversion_check, restrict_test_function)
 from .limits import (cascade_stability, exact_sqrt, propagate,
@@ -46,19 +50,17 @@ from .schrodinger import (coefficient_norm_sq, restrict_and_renormalize,
 from .states import GaussianState, GridState
 
 DEFAULT_SEED = 20240801
-# largest --n of roots, cascade, layers and axioms: at 32 each run takes
-# under 1 s on a 2-core Xeon (axioms B32, C32 and D32 the longest, at
-# 0.8-0.9 s), and it covers the C32 and D32 cascades
+# largest --n of roots, cascade, layers and axioms: each run takes under 1 s
+# on a 2-core Xeon (axioms B32, C32, D32 the longest, at 0.8-0.9 s)
 MAX_RANK = 32
 # largest --points of inversion: a point takes about 0.5 ms on a 2-core Xeon,
 # so 10,000 points run in about 5 s and write a 2 MB report
 MAX_POINTS = 10_000
 # largest --count of pfaffian, and the largest --max-size at which it holds:
-# 10,000 matrices take about 1.5 s on a 2-core Xeon at the default
-# --max-size 10 and 2-3 s at 13.  The first-row expansion oracle grows
-# exponentially in the size (10,000 matrices at size 20 took 40 s), so above
-# FULL_COUNT_SIZE the cap halves per unit of size (``max_pfaffian_count``);
-# every accepted input ran within 3.2 s.
+# 10,000 matrices take 1.5 s on a 2-core Xeon at --max-size 10 and 2-3 s at
+# 13.  The first-row expansion oracle is exponential in the size (10,000 at
+# 20 took 40 s), so above FULL_COUNT_SIZE the cap halves per unit of size
+# (``max_pfaffian_count``); every accepted input ran within 3.2 s.
 MAX_COUNT = 10_000
 FULL_COUNT_SIZE = 13
 
@@ -75,7 +77,9 @@ REPORT_SCHEMA = {
 
 
 def rat_str(x: Q) -> str:
-    """Render an exact rational as the canonical "p/q" string."""
+    """Render an exact rational (or an int) as the canonical "p/q" string."""
+    if type(x) is int:
+        return f"{x}/1"
     x = Q(x)
     return f"{x.numerator}/{x.denominator}"
 
@@ -105,9 +109,18 @@ def nonnegative_int(s: str) -> int:
     return value
 
 
-def vec_strs(v: Sequence[Q]) -> list:
-    """Render a rational vector as a list of "p/q" strings."""
-    return [rat_str(x) for x in v]
+def _render(x):
+    """A row value as the report writes it: exact rationals as "p/q"."""
+    if isinstance(x, Q):
+        return rat_str(x)
+    return list(x) if isinstance(x, (list, tuple)) else x
+
+
+def _numeric(x) -> Optional[float]:
+    """x as a float when it is a number (not a bool), else None."""
+    if isinstance(x, (Q, int, float)) and not isinstance(x, bool):
+        return float(x)
+    return None
 
 
 def make_row(name: str, predicted, measured, tolerance: float,
@@ -118,32 +131,16 @@ def make_row(name: str, predicted, measured, tolerance: float,
     exact equality of the rendered values.  ``rel_err`` is None when the
     prediction is 0, where no relative error is defined.
     """
-    def render(x):
-        if isinstance(x, Q):
-            return rat_str(x)
-        if isinstance(x, bool):
-            return x
-        if isinstance(x, (list, tuple)):
-            return list(x)
-        return x
-
-    def numeric(x) -> Optional[float]:
-        if isinstance(x, Q):
-            return float(x)
-        if isinstance(x, (int, float)) and not isinstance(x, bool):
-            return float(x)
-        return None
-
-    pn, mn = numeric(predicted), numeric(measured)
+    pn, mn = _numeric(predicted), _numeric(measured)
     if pn is not None and mn is not None:
         abs_err = abs(pn - mn)
         rel_err = abs_err / abs(pn) if pn else None
         ok = (predicted == measured) if tolerance == 0 else (abs_err <= tolerance)
     else:
         abs_err = rel_err = None
-        ok = render(predicted) == render(measured)
-    return {"name": name, "predicted": render(predicted),
-            "measured": render(measured), "abs_err": abs_err,
+        ok = _render(predicted) == _render(measured)
+    return {"name": name, "predicted": _render(predicted),
+            "measured": _render(measured), "abs_err": abs_err,
             "rel_err": rel_err, "pass": bool(ok), "provenance": provenance}
 
 
@@ -179,6 +176,36 @@ def _validate_report(doc: dict) -> None:
         raise AssertionError("report does not match REPORT_SCHEMA")
 
 
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _emit(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte: leaves
+    as json's pure-Python encoder writes them (``encode_basestring_ascii``,
+    ``int.__repr__``, ``float.__repr__``, NaN, Infinity); a key that is not
+    a ``str`` raises TypeError, where json would convert it."""
+    if isinstance(value, str):
+        return _ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        parts, ends = [_emit(v, inner) for v in value], "[]"
+    elif isinstance(value, dict):
+        parts = [f"{_ascii(k)}: {_emit(value[k], inner)}" for k in sorted(value)]
+        ends = "{}"
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    body = ("," + inner).join(parts)
+    return f"{ends[0]}{inner}{body}{indent}{ends[1]}" if parts else ends
+
+
 # ---------------------------------------------------------------------------
 # pipelines; each returns (inputs echo, rows)
 
@@ -187,15 +214,13 @@ def pipeline_roots(series: str, rank: int) -> Tuple[dict, List[dict]]:
     system = build_root_system(series, rank)
     count = {"A": rank * (rank + 1) // 2, "B": rank * rank, "C": rank * rank,
              "D": rank * (rank - 1)}[series]
-    rows = [
-        make_row("positive_root_count", count, len(system.positives), 0,
-                 "closed-form count per series"),
-        make_row("simple_root_count", rank,
-                 len(system.simple_enumeration), 0, "rank definition"),
-        make_row("cartan_matrix_integral", True,
-                 all(x.denominator == 1 for row in cartan_matrix(system)
-                     for x in row), 0, "exact Cartan matrix"),
-    ]
+    rows = [make_row("positive_root_count", count, len(system.positives), 0,
+                     "closed-form count per series"),
+            make_row("simple_root_count", rank,
+                     len(system.simple_enumeration), 0, "rank definition"),
+            make_row("cartan_matrix_integral", True,
+                     all(x.denominator == 1 for row in cartan_matrix(system)
+                         for x in row), 0, "exact Cartan matrix")]
     return {"series": series, "rank": rank}, rows
 
 
@@ -205,8 +230,8 @@ def pipeline_cascade(series: str, rank: int) -> Tuple[dict, List[dict]]:
     rows = [make_row("cascade_length", len(table), len(layers), 0,
                      "closed-form table length")]
     for want, layer in zip(table, layers):
-        rows.append(make_row(f"beta_{layer.r}", vec_strs(want),
-                             vec_strs(layer.beta), 0,
+        rows.append(make_row(f"beta_{layer.r}", list(map(rat_str, want)),
+                             list(map(rat_str, layer.beta)), 0,
                              "closed-form cascade table"))
     return {"series": series, "rank": rank}, rows
 
@@ -215,11 +240,10 @@ def pipeline_layers(series: str, rank: int) -> Tuple[dict, List[dict]]:
     layers = cascade_decomposition(build_root_system(series, rank))
     rows = []
     for layer, d_r in zip(layers, closed_form_layer_dims(series, rank)):
-        rows.append(make_row(f"layer_{layer.r}_even_dimension", True,
-                             len(layer.members) % 2 == 0, 0,
-                             "symplectic pairing"))
-        rows.append(make_row(f"layer_{layer.r}_dimension", d_r, layer.d_r, 0,
-                             "closed-form layer dimension"))
+        rows += [make_row(f"layer_{layer.r}_even_dimension", True,
+                          len(layer.members) % 2 == 0, 0, "symplectic pairing"),
+                 make_row(f"layer_{layer.r}_dimension", d_r, layer.d_r, 0,
+                          "closed-form layer dimension")]
     return {"series": series, "rank": rank}, rows
 
 
@@ -234,14 +258,10 @@ def pipeline_axioms(series: str, rank: int,
     by_axiom: Dict[str, bool] = {}
     for row in report.rows:
         by_axiom[row["axiom"]] = by_axiom.get(row["axiom"], True) and row["ok"]
-    rows = []
-    if corrupted:
-        rows.append(make_row("corrupted_control_detected", True,
-                             not report.passed, 0,
-                             "negative-control fixture"))
-    else:
-        for axiom, ok in sorted(by_axiom.items()):
-            rows.append(make_row(axiom, True, ok, 0, "exact bracket support"))
+    rows = ([make_row("corrupted_control_detected", True, not report.passed,
+                      0, "negative-control fixture")] if corrupted else
+            [make_row(axiom, True, ok, 0, "exact bracket support")
+             for axiom, ok in sorted(by_axiom.items())])
     return {"series": series, "rank": rank, "corrupted": corrupted}, rows
 
 
@@ -249,8 +269,7 @@ def _random_skew(rng: random.Random, n: int,
                  table: List[Tuple[Q, Q]]) -> List[List[Q]]:
     """Skew matrix of size n whose (i, j) entry, i < j, is p/q with p
     uniform in [-9, 9] and q in [1, 9]: one ``rng.choices`` over table, the
-    171 pairs (p/q, -p/q), draws the upper-triangle entries in row order.
-    """
+    171 pairs (p/q, -p/q), draws the upper-triangle entries in row order."""
     pairs = iter(rng.choices(table, k=n * (n - 1) // 2))
     zero = Q(0)
     m = [[zero] * n for _ in range(n)]
@@ -312,14 +331,12 @@ def pipeline_orthogonality(h: Harness, gamma: Dict[int, Q],
         tol = 1e-3
     pf = exact_density(h, gamma)
     report = coefficient_norm_sq(rep, u, u)
-    rows = [
-        make_row("density_abs", pf, rep.pf_abs, 1e-12,
-                 "exact rational pairing determinant"),
-        make_row("coefficient_norm", float(1 / pf), report.value, float(tol / pf),
-                 "square-integrability constant"),
-        make_row("normalized_ratio", 1.0, report.value / report.predicted, tol,
-                 "square-integrability constant"),
-    ]
+    rows = [make_row("density_abs", pf, rep.pf_abs, 1e-12,
+                     "exact rational pairing determinant"),
+            make_row("coefficient_norm", float(1 / pf), report.value,
+                     float(tol / pf), "square-integrability constant"),
+            make_row("normalized_ratio", 1.0, report.value / report.predicted,
+                     tol, "square-integrability constant")]
     return {"harness": h.name,
             "gamma": {str(r): rat_str(v) for r, v in sorted(gamma.items())},
             "backend": backend, "seed": seed}, rows
@@ -336,14 +353,12 @@ def pipeline_restriction(lam1: Q, lam2: Q, seed: int) -> Tuple[dict, List[dict]]
     report, factor = restrict_and_renormalize(rep_big, rep_small, scalar,
                                               scalar, x)
     predicted_factor = 1 / abs(lam2)
-    rows = [
-        make_row("norm_ratio", report.norm_ratio_predicted,
-                 report.norm_ratio_measured,
-                 1e-3 * abs(report.norm_ratio_predicted),
-                 "exact density ratio between stages"),
-        make_row("renormalization_factor", float(predicted_factor), factor,
-                 1e-12, "square root of the exact density ratio"),
-    ]
+    rows = [make_row("norm_ratio", report.norm_ratio_predicted,
+                     report.norm_ratio_measured,
+                     1e-3 * abs(report.norm_ratio_predicted),
+                     "exact density ratio between stages"),
+            make_row("renormalization_factor", float(predicted_factor), factor,
+                     1e-12, "square root of the exact density ratio")]
     # the same squared factor from the exact chain bookkeeping
     chain = propagate(build_root_system("A", 1), 1)
     fac = restriction_projection_factor(chain, {1: lam1}, {1: lam1, 2: lam2})
@@ -402,14 +417,12 @@ def pipeline_limit_check(zeta: float, tolerance: float) -> Tuple[dict, List[dict
     f_small = restrict_test_function(f_big, small)
     x = element(small, [(zeta, [], [])])
     rep = limit_inversion_check(f_big, f_small, x, tolerance=tolerance)
-    rows += [
-        make_row("two_stage_coherent", True, rep.coherent, 0,
-                 "restriction comparison on a probe grid"),
-        _residual_row("stage_small_rel_error", rep.stage_small, tolerance),
-        _residual_row("stage_big_rel_error", rep.stage_big, tolerance),
-        make_row("two_stage_agreement", True, rep.agree, 0,
-                 "stage values within tolerance"),
-    ]
+    rows += [make_row("two_stage_coherent", True, rep.coherent, 0,
+                      "restriction comparison on a probe grid"),
+             _residual_row("stage_small_rel_error", rep.stage_small, tolerance),
+             _residual_row("stage_big_rel_error", rep.stage_big, tolerance),
+             make_row("two_stage_agreement", True, rep.agree, 0,
+                      "stage values within tolerance")]
     bad = TestFunction.gaussian(small, [0.1], [0.0], 1.1)
     rep_bad = limit_inversion_check(f_big, bad, x)
     rows.append(make_row("incoherent_family_detected", True,
@@ -420,23 +433,20 @@ def pipeline_limit_check(zeta: float, tolerance: float) -> Tuple[dict, List[dict
 
 def pipeline_all(seed: int, quick: bool) -> Tuple[dict, List[dict]]:
     """Aggregate run: every pipeline with its default configuration."""
-    sections: List[Tuple[str, dict, List[dict]]] = []
+    count, points = (50, 3) if quick else (500, 10)
     cascade_cases = [("A", 3), ("A", 4), ("B", 4), ("B", 5), ("C", 4),
                      ("D", 4), ("D", 5)]
     if not quick:
         cascade_cases += [("A", 7), ("B", 8), ("C", 8), ("D", 8)]
-    for series, rank in cascade_cases:
-        sections.append((f"roots {series}{rank}",) + pipeline_roots(series, rank))
-        sections.append((f"cascade {series}{rank}",)
-                        + pipeline_cascade(series, rank))
-        sections.append((f"layers {series}{rank}",)
-                        + pipeline_layers(series, rank))
-    for series, rank in (("A", 3), ("C", 2), ("B", 3), ("D", 4)):
-        sections.append((f"axioms {series}{rank}",)
-                        + pipeline_axioms(series, rank))
-    sections.append(("axioms corrupted",) + pipeline_axioms("A", 3, True))
-    sections.append(("pfaffian",)
-                    + pipeline_pfaffian(50 if quick else 500, 10, seed))
+    sections = [(f"{name} {series}{rank}", *pipeline(series, rank))
+                for series, rank in cascade_cases
+                for name, pipeline in (("roots", pipeline_roots),
+                                       ("cascade", pipeline_cascade),
+                                       ("layers", pipeline_layers))]
+    sections += [(f"axioms {series}{rank}", *pipeline_axioms(series, rank))
+                 for series, rank in (("A", 3), ("C", 2), ("B", 3), ("D", 4))]
+    sections += [("axioms corrupted", *pipeline_axioms("A", 3, True)),
+                 ("pfaffian", *pipeline_pfaffian(count, 10, seed))]
     orth_cases = [("HEIS1", {1: Q(2)}, "closed"),
                   ("A3", {1: Q(1), 2: Q(3, 2)}, "closed"),
                   ("C2", {1: Q(1, 2), 2: Q(1)}, "closed"),
@@ -445,96 +455,81 @@ def pipeline_all(seed: int, quick: bool) -> Tuple[dict, List[dict]]:
     if not quick:
         orth_cases += [("HEIS2", {1: Q(1, 2)}, "closed"),
                        ("HEIS3", {1: Q(3)}, "closed")]
-    for name, gamma, backend in orth_cases:
-        sections.append((f"orthogonality {name} {backend}",)
-                        + pipeline_orthogonality(build_harness(name), gamma,
-                                                 backend, seed))
-    sections.append(("restriction",)
-                    + pipeline_restriction(Q(1), Q(2), seed))
-    sections.append(("inversion",)
-                    + pipeline_inversion(3 if quick else 10, 1e-6, seed))
-    sections.append(("limit-check",) + pipeline_limit_check(0.6, 1e-3))
-    rows: List[dict] = []
-    inputs = {"seed": seed, "quick": quick, "sections": []}
-    for title, section_inputs, section_rows in sections:
-        inputs["sections"].append({"title": title, "inputs": section_inputs})
-        for row in section_rows:
-            row = dict(row)
-            row["name"] = f"{title}: {row['name']}"
-            rows.append(row)
-    return inputs, rows
+    sections += [(f"orthogonality {name} {backend}", *pipeline_orthogonality(
+        build_harness(name), gamma, backend, seed))
+        for name, gamma, backend in orth_cases]
+    sections += [("restriction", *pipeline_restriction(Q(1), Q(2), seed)),
+                 ("inversion", *pipeline_inversion(points, 1e-6, seed)),
+                 ("limit-check", *pipeline_limit_check(0.6, 1e-3))]
+    inputs = {"seed": seed, "quick": quick, "sections": [
+        {"title": title, "inputs": section} for title, section, _ in sections]}
+    return inputs, [{**row, "name": f"{title}: {row['name']}"}
+                    for title, _, rows in sections for row in rows]
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
 
-@functools.cache
-def _build_parser() -> Tuple[argparse.ArgumentParser,
-                             Dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each subcommand.
+#: The subcommands in ``stepsq --help`` order; the first four take --n.
+COMMANDS = ("roots", "cascade", "layers", "axioms", "pfaffian",
+            "orthogonality", "restriction", "inversion", "limit-check", "all")
 
-    Built once per process, on the first run; parsing and config overrides
-    only read the parsers, so every run can share them.
-    """
-    parser = argparse.ArgumentParser(
-        prog="stepsq",
-        description="verification pipelines with JSON reports")
-    sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
-        p.add_argument("--out", type=str, default=None,
-                       help="report path (default: <command>.json in the "
-                            "report directory)")
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file whose options override the flags")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing in the report "
-                            "(breaks byte-identical determinism)")
-
-    for name in ("roots", "cascade", "layers", "axioms"):
-        p = sub.add_parser(name)
-        p.add_argument("--series", required=True, choices="ABCD")
-        p.add_argument("--n", type=int, required=True)
+def _add_flags(p: argparse.ArgumentParser,
+               name: str) -> argparse.ArgumentParser:
+    """Add subcommand name's flags and the common ones to p (both parsers)."""
+    add = p.add_argument
+    if name in COMMANDS[:4]:
+        add("--series", required=True, choices="ABCD")
+        add("--n", type=int, required=True)
         if name == "axioms":
-            p.add_argument("--corrupted", action="store_true")
-        common(p)
+            add("--corrupted", action="store_true")
+    elif name == "pfaffian":
+        add("--count", type=int, default=500)
+        add("--max-size", type=int, default=10)
+    elif name == "orthogonality":
+        add("--harness", required=True, choices=HARNESS_NAMES)
+        add("--lambda", dest="lambdas", action="append", required=True,
+            metavar="P/Q", help="layer parameter, repeatable in layer order")
+        add("--backend", choices=("closed", "grid"), default="closed",
+            help="state space: closed-form Gaussian states, or grid samples "
+                 "(single-layer harnesses HEIS1-3 only)")
+    elif name == "restriction":
+        add("--lambda1", default="1")
+        add("--lambda2", default="2")
+    elif name == "inversion":
+        add("--points", type=int, default=10)
+        add("--tolerance", type=float, default=1e-6)
+    elif name == "limit-check":
+        add("--zeta", type=float, default=0.6)
+        add("--tolerance", type=float, default=1e-3)
+    elif name == "all":
+        add("--quick", action="store_true")
+    add("--seed", type=nonnegative_int, default=DEFAULT_SEED)
+    add("--out", help="report path (default: <command>.json in the report "
+        "directory)")
+    add("--config", help="JSON file whose options override the flags")
+    add("--timing", action="store_true", help="include wall-clock timing in "
+        "the report (breaks byte-identical determinism)")
+    return p
 
-    p = sub.add_parser("pfaffian")
-    p.add_argument("--count", type=int, default=500)
-    p.add_argument("--max-size", type=int, default=10)
-    common(p)
 
-    p = sub.add_parser("orthogonality")
-    p.add_argument("--harness", required=True, choices=HARNESS_NAMES)
-    p.add_argument("--lambda", dest="lambdas", action="append", required=True,
-                   metavar="P/Q", help="layer parameter, repeatable in layer "
-                                       "order")
-    p.add_argument("--backend", choices=("closed", "grid"), default="closed",
-                   help="state space: closed-form Gaussian states, or grid "
-                        "samples (single-layer harnesses HEIS1-3 only)")
-    common(p)
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand name's parser, built on first use; runs only read it."""
+    return _add_flags(argparse.ArgumentParser(prog=f"stepsq {name}"), name)
 
-    p = sub.add_parser("restriction")
-    p.add_argument("--lambda1", default="1")
-    p.add_argument("--lambda2", default="2")
-    common(p)
 
-    p = sub.add_parser("inversion")
-    p.add_argument("--points", type=int, default=10)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    common(p)
-
-    p = sub.add_parser("limit-check")
-    p.add_argument("--zeta", type=float, default=0.6)
-    p.add_argument("--tolerance", type=float, default=1e-3)
-    common(p)
-
-    p = sub.add_parser("all")
-    p.add_argument("--quick", action="store_true")
-    common(p)
-    return parser, sub.choices
+@functools.cache
+def _top_parser() -> argparse.ArgumentParser:
+    """The ``stepsq`` parser of every subcommand: usage, help, errors."""
+    parser = argparse.ArgumentParser(
+        prog="stepsq", description="verification pipelines with JSON reports")
+    sub = parser.add_subparsers(dest="command")
+    for name in COMMANDS:
+        _add_flags(sub.add_parser(name), name)
+    return parser
 
 
 def _config_value(action: argparse.Action, key: str, raw):
@@ -550,11 +545,8 @@ def _config_value(action: argparse.Action, key: str, raw):
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   overrides) -> None:
-    """Set config overrides as the subcommand's flags would set them.
-
-    Raises ValueError for a key that names no flag of the subcommand and
-    for a value that its flag would reject.
-    """
+    """Set config overrides as the subcommand's flags would set them;
+    ValueError for a key that names no flag or a value its flag rejects."""
     if not isinstance(overrides, dict):
         raise ValueError("the config must be a JSON object")
     actions = {a.dest: a for a in parser._actions if a.dest != "help"}
@@ -576,12 +568,11 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
     cmd = args.command
-    if cmd in ("roots", "cascade", "layers", "axioms") and args.n > MAX_RANK:
+    if cmd in COMMANDS[:4] and args.n > MAX_RANK:
         raise ValueError(f"--n must be at most {MAX_RANK}, got {args.n}")
-    if cmd in ("roots", "cascade", "layers"):
-        fn = {"roots": pipeline_roots, "cascade": pipeline_cascade,
-              "layers": pipeline_layers}[cmd]
-        return fn(args.series, args.n)
+    if cmd in COMMANDS[:3]:
+        return {"roots": pipeline_roots, "cascade": pipeline_cascade,
+                "layers": pipeline_layers}[cmd](args.series, args.n)
     if cmd == "axioms":
         return pipeline_axioms(args.series, args.n, args.corrupted)
     if cmd == "pfaffian":
@@ -614,16 +605,7 @@ def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
         if not math.isfinite(args.zeta):
             raise ValueError(f"--zeta must be finite, got {args.zeta}")
         return pipeline_limit_check(args.zeta, args.tolerance)
-    if cmd == "all":
-        return pipeline_all(args.seed, args.quick)
-    raise ValueError(f"unknown subcommand {cmd!r}")
-
-
-def _report_path(args: argparse.Namespace) -> str:
-    if args.out:
-        return args.out
-    directory = os.environ.get("STEPSQ_REPORT_DIR", ".")
-    return os.path.join(directory, f"{args.command}.json")
+    return pipeline_all(args.seed, args.quick)
 
 
 def _stage(exc: BaseException) -> str:
@@ -644,24 +626,32 @@ def run(argv: Sequence[str]) -> int:
     or config values, a report directory that does not exist (checked
     before computing) or a report that cannot be written).
     """
-    parser, commands = _build_parser()
-    try:
-        args = parser.parse_args(list(argv))
+    argv = list(argv)
+    try:  # the stepsq parser only when argv names no command
+        if argv and argv[0] in COMMANDS:
+            args, extras = _command_parser(argv[0]).parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                _top_parser().error("unrecognized arguments: " + " ".join(extras))
+        else:
+            args = _top_parser().parse_args(argv)
     except SystemExit as exc:
+        _to_stdout("")  # flush the help text, if any
         return 0 if exc.code in (0, None) else 2
     if args.command is None:
-        parser.print_usage(sys.stderr)
+        _top_parser().print_usage(sys.stderr)
         return 2
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 overrides = json.load(fh)
-            _apply_config(commands[args.command], args, overrides)
+            _apply_config(_command_parser(args.command), args, overrides)
         except (OSError, ValueError, RecursionError) as exc:
             # json.load raises RecursionError on a file nested too deep
             print(f"stepsq: bad config file: {exc}", file=sys.stderr)
             return 2
-    path = _report_path(args)
+    path = args.out or os.path.join(os.environ.get("STEPSQ_REPORT_DIR", "."),
+                                    f"{args.command}.json")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         print(f"stepsq: configuration error: no directory {directory!r} for "
@@ -681,7 +671,7 @@ def run(argv: Sequence[str]) -> int:
     timing = round(time.perf_counter() - start, 3) if args.timing else None
     doc = ReportDocument(args.command, {**inputs, "seed": args.seed},
                          tuple(rows), timing)
-    payload = json.dumps(doc.to_json(), indent=2, sort_keys=True) + "\n"
+    payload = _emit(doc.to_json()) + "\n"
     tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so the rename is atomic
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -693,9 +683,18 @@ def run(argv: Sequence[str]) -> int:
         print(f"stepsq: cannot write the report: {exc}", file=sys.stderr)
         return 2
     status = "pass" if doc.passed else "FAIL"
-    print(f"stepsq {args.command}: {status} "
-          f"({sum(r['pass'] for r in rows)}/{len(rows)} rows) -> {path}")
+    _to_stdout(f"stepsq {args.command}: {status} "
+               f"({sum(r['pass'] for r in rows)}/{len(rows)} rows) -> {path}\n")
     return 0 if doc.passed else 1
+
+
+def _to_stdout(text: str) -> None:
+    """Write and flush text to stdout; on a closed pipe, point stdout at
+    os.devnull (Python's ``signal`` docs) and keep the checks' exit code."""
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main() -> None:

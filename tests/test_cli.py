@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 import os
 import random
 import re
@@ -11,6 +12,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stepsq
 import stepsq.cascade as cascade
@@ -108,6 +111,8 @@ def test_invariant_row_names_the_stage(tmp_path, monkeypatch, capsys):
     assert row["provenance"] == ("nilalg.brackets: bracket [(1, 0, -1, 0),"
                                  "(0, 0, 1, -1)] leaves the span")
     assert "invariant failed: nilalg.brackets: " in capsys.readouterr().err
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_grid_orthogonality_at_lambda_3_passes(tmp_path):
@@ -299,8 +304,8 @@ def test_config_file_overrides_flags(tmp_path):
 
 
 def test_parser_cache_keeps_runs_independent(tmp_path):
-    # the parser is built once per process; a config override of one run
-    # must not leak into the defaults of the next
+    # a command's parser is built once per process; a config override of
+    # one run must not leak into the defaults of the next
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"points": 0}))
     out = str(tmp_path / "r.json")
@@ -309,7 +314,121 @@ def test_parser_cache_keeps_runs_independent(tmp_path):
     assert run(["inversion", "--out", out]) == 0
     assert read(out)["inputs"]["points"] == 10
     assert run(["inversion", "--points", "ten", "--out", out]) == 2
-    assert cli._build_parser() is cli._build_parser()
+    assert cli._command_parser("inversion") is cli._command_parser("inversion")
+
+
+# every parser that the code builds, by its prog, before and after one run
+COUNT_PARSERS = """
+import argparse, json, sys
+progs = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    progs.append(self.prog)
+argparse.ArgumentParser.__init__ = counted
+from stepsq import cli
+at_import = list(progs)
+code = cli.run(sys.argv[1:])
+print(json.dumps([at_import, progs, code]))
+"""
+
+
+def test_a_run_builds_only_its_command_parser(tmp_path):
+    at_import, progs, code = fresh_interpreter(
+        COUNT_PARSERS, "roots", "--series", "A", "--n", "2", "--out",
+        str(tmp_path / "r.json"))
+    assert (at_import, progs, code) == ([], ["stepsq roots"], 0)
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: stepsq ")
+    for command in ("roots", "cascade", "layers", "axioms", "pfaffian",
+                    "orthogonality", "restriction", "inversion",
+                    "limit-check", "all"):
+        assert f"{command}," in out or f",{command}}}" in out
+
+
+def test_a_bad_flag_names_its_command(tmp_path, capsys):
+    out = str(tmp_path / "r.json")
+    assert run(["roots", "--series", "A", "--n", "two", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stepsq roots ")
+    assert "stepsq roots: error: argument --n: invalid int value" in err
+    assert run(["roots", "--series", "A", "--n", "2", "--bogus"]) == 2
+    assert "stepsq: error: unrecognized arguments: --bogus" in (
+        capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv,status,unbuffered", [
+    (["roots", "--series", "A", "--n", "2"], 0, False),
+    (["roots", "--series", "A", "--n", "2"], 0, True),
+    (["inversion", "--points", "0", "--tolerance", "1e-300"], 1, False),
+    (["--help"], 0, False), (["layers", "--help"], 0, False)])
+def test_a_closed_stdout_keeps_the_exit_code(tmp_path, argv, status,
+                                             unbuffered):
+    # the reader of stdout is gone before the run writes to it: the status
+    # line and the help text are best effort, the exit code the checks' own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered
+                                  else {}))
+    out = tmp_path / "r.json"
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stepsq", *argv]
+            + ([] if "--help" in argv else ["--out", str(out)]),
+            stdout=writer, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(writer)
+    assert proc.returncode == status, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert out.exists() is ("--help" not in argv)
+    if out.exists():
+        assert read(out)["passed"] is (status == 0)
+
+
+# JSON values of every kind, surrogate text and non-finite floats among them
+JSON_TEXT = st.text(st.one_of(st.characters(),
+                              st.characters(categories=["Cs"])), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+              st.floats(), st.sampled_from([-0.0, math.nan, math.inf,
+                                            -math.inf, 5e-324, 1e308]),
+              JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=16)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_emit_writes_what_json_dumps_writes(value):
+    assert cli._emit(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_emit_raises_type_error_on_a_non_str_key_or_an_unknown_type():
+    for value in ({1: "a"}, {None: 1}, {"a": [{2.5: 1}]}, object(), {1, 2}):
+        with pytest.raises(TypeError):
+            cli._emit(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["inversion", "--points", "2", "--tolerance", "1e-300"],
+    ["limit-check", "--tolerance", "1e-17"]])
+def test_failing_reports_are_written_as_json_dumps(tmp_path, argv):
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) == 1
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("cmd", ["roots", "cascade", "layers"])
