@@ -25,13 +25,13 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._numpy import np
 from .cascade import (cascade_decomposition, closed_form_beta,
                       closed_form_layer_dims)
 from .harness import (HARNESS_NAMES, Harness, build_harness, element,
@@ -45,8 +45,8 @@ from .nilalg import (corrupted_fixture, realize_split_nilradical,
 from .plancherel import (determinant, pfaffian, pfaffian_expansion,
                          plancherel_density)
 from .rootsys import build_root_system, cartan_matrix
-from .schrodinger import (coefficient_norm_sq, restrict_and_renormalize,
-                          stepwise_rep, validate_rep, validation_grid)
+from .schrodinger import (coefficient_norm_sq, stepwise_rep, validate_rep,
+                          validation_grid)
 from .states import GaussianState, GridState
 
 DEFAULT_SEED = 20240801
@@ -347,17 +347,16 @@ def pipeline_restriction(lam1: Q, lam2: Q, seed: int) -> Tuple[dict, List[dict]]
     rep_big = stepwise_rep(big, {1: float(lam1), 2: float(lam2)})
     rep_small = stepwise_rep(leading_subgroup(big, 1), {1: float(lam1)})
     rng = random.Random(seed)
-    scalar = GaussianState(np.zeros((0, 0)), np.zeros(0), 0.0)
     x = GaussianState.packet(2, [rng.gauss(0.0, 0.3) for _ in range(2)],
                              [rng.gauss(0.0, 0.3) for _ in range(2)])
-    report, factor = restrict_and_renormalize(rep_big, rep_small, scalar,
-                                              scalar, x)
-    predicted_factor = 1 / abs(lam2)
-    rows = [make_row("norm_ratio", report.norm_ratio_predicted,
-                     report.norm_ratio_measured,
-                     1e-3 * abs(report.norm_ratio_predicted),
+    # the small stage acts on a line (D = 0): with unit states there, the
+    # restricted coefficient's norm ratio is the big coefficient norm of x
+    measured = coefficient_norm_sq(rep_big, x, x).value
+    predicted = x.norm_sq() * x.norm_sq() * rep_small.pf_abs / rep_big.pf_abs
+    factor = math.sqrt(rep_small.pf_abs / rep_big.pf_abs)
+    rows = [make_row("norm_ratio", predicted, measured, 1e-3 * abs(predicted),
                      "exact density ratio between stages"),
-            make_row("renormalization_factor", float(predicted_factor), factor,
+            make_row("renormalization_factor", float(1 / abs(lam2)), factor,
                      1e-12, "square root of the exact density ratio")]
     # the same squared factor from the exact chain bookkeeping
     chain = propagate(build_root_system("A", 1), 1)
@@ -479,9 +478,12 @@ COMMANDS = ("roots", "cascade", "layers", "axioms", "pfaffian",
 def _add_flags(p: argparse.ArgumentParser,
                name: str) -> argparse.ArgumentParser:
     """Add subcommand name's flags and the common ones to p (both parsers)."""
+    # no flag starts with "-" and a digit or ".", so a token that does is a
+    # value ("--lambda -1/2"); argparse alone reads only "-2" and "-2.5" so
+    p._negative_number_matcher = re.compile(r"^-[\d.]")
     add = p.add_argument
     if name in COMMANDS[:4]:
-        add("--series", required=True, choices="ABCD")
+        add("--series", required=True, choices=tuple("ABCD"))
         add("--n", type=int, required=True)
         if name == "axioms":
             add("--corrupted", action="store_true")

@@ -111,6 +111,16 @@ class NilpotentAlgebra:
                     table[(b, a)] = {c: -v for c, v in coeffs.items()}
         return table
 
+    @cached_property
+    def layer_of(self) -> Dict[Vector, Tuple[int, bool]]:
+        """Each root of a layer -> (its layer r, whether it is beta_r); the
+        layer check and the setup axioms read it."""
+        where: Dict[Vector, Tuple[int, bool]] = {}
+        for layer in self.layers:
+            where[layer.beta] = (layer.r, True)
+            where.update((a, (layer.r, False)) for a in layer.members)
+        return where
+
 
 def _build_basis(series: str, rank: int,
                  system: RootSystem) -> Tuple[Dict[Vector, Dict[Tuple[int, int], int]], int]:
@@ -199,12 +209,10 @@ def _validate_algebra(alg: NilpotentAlgebra) -> None:
 def check_layers(alg: NilpotentAlgebra) -> None:
     """Check that each layer of alg is two-step with bracket into z_r: v_r
     has even dimension, [v_r, v_r] lies in z_r and z_r is central in l_r."""
-    where: Dict[Vector, Tuple[int, bool]] = {}  # root -> (layer r, is beta_r)
     for layer in alg.layers:
         if len(layer.members) % 2:
             raise AssertionError(f"v_{layer.r} has odd dimension")
-        where[layer.beta] = (layer.r, True)
-        where.update((a, (layer.r, False)) for a in layer.members)
+    where = alg.layer_of
     for (a, b), coeffs in alg.brackets.items():
         r, centre = where.get(a, (0, False))
         if where.get(b) != (r, False):
@@ -262,10 +270,7 @@ def verify_setup_axioms(alg: NilpotentAlgebra) -> AxiomReport:
     outside every tail.
     """
     m = len(alg.layers)
-    where: Dict[Vector, Tuple[int, bool]] = {}  # root -> (layer r, is beta_r)
-    for r, layer in enumerate(alg.layers, start=1):
-        where[layer.beta] = (r, True)
-        where.update((a, (r, False)) for a in layer.members)
+    where = alg.layer_of
     # (axiom, r, s) -> verdict, in row order
     ok: Dict[Tuple[str, int, int], bool] = {}
     for r in range(1, m + 1):

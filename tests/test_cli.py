@@ -561,9 +561,10 @@ def test_numeric_commands_never_load_numpy_random(tmp_path):
 
 def test_numpy_imported_first_is_used_as_is():
     assert fresh_interpreter(
-        "import json, numpy, stepsq.harness, stepsq.cli\n"
-        "print(json.dumps([stepsq.harness.np is numpy, stepsq.cli.np is numpy,"
-        " type(numpy) is type(json)]))") == [True, True, True]
+        "import json, numpy, stepsq.harness, stepsq.schrodinger\n"
+        "print(json.dumps([stepsq.harness.np is numpy,"
+        " stepsq.schrodinger.np is numpy, type(numpy) is type(json)]))"
+    ) == [True, True, True]
 
 
 def test_make_row_exact_and_tolerant():
@@ -907,3 +908,43 @@ def test_rank_32_runs(tmp_path, cmd, series):
     out = str(tmp_path / "r.json")
     assert run([cmd, "--series", series, "--n", "32", "--out", out]) == 0
     assert read(out)["inputs"]["rank"] == 32
+
+
+@pytest.mark.parametrize("argv", [
+    ["orthogonality", "--harness", "HEIS1", "--lambda", "-1/2"],
+    ["restriction", "--lambda2", "-1/2"],
+    ["limit-check", "--zeta", "-5e-1"],
+    ["limit-check", "--zeta", "-1."],
+    ["limit-check", "--zeta", "-.5", "--tolerance", "1e-3"],
+])
+def test_a_negative_value_may_be_its_own_token(tmp_path, argv):
+    two, one = str(tmp_path / "two.json"), str(tmp_path / "one.json")
+    assert run(argv + ["--out", two]) == 0
+    joined = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    assert run([argv[0], *joined, "--out", one]) == 0
+    assert filecmp.cmp(two, one, shallow=False)
+
+
+def test_a_token_of_a_minus_and_a_letter_is_read_as_a_flag(tmp_path, capsys):
+    out = str(tmp_path / "r.json")
+    assert run(["limit-check", "--zeta", "-inf", "--out", out]) == 2
+    assert "--zeta: expected one argument" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("series", ["AB", "", "ABCD"])
+def test_series_is_one_letter(tmp_path, capsys, monkeypatch, series):
+    def refuse(*args):
+        raise AssertionError("built a root system for a bad series")
+
+    for module in (cli, nilalg):
+        monkeypatch.setattr(module, "build_root_system", refuse)
+    out = str(tmp_path / "r.json")
+    assert run(["roots", f"--series={series}", "--n", "2", "--out", out]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"series": series}))
+    assert run(["roots", "--series", "A", "--n", "2", "--config", str(cfg),
+                "--out", out]) == 2
+    assert "is not one of" in capsys.readouterr().err
+    assert not os.path.exists(out)

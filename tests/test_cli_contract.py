@@ -17,7 +17,10 @@ junk values, ``--n`` in [-2, 40] (above ``cli.MAX_RANK`` exit 2) and
 ``--corrupted``; ``inversion`` draws ``--points`` around 0 and just past
 ``cli.MAX_POINTS``, and it and ``limit-check`` draw ``--tolerance`` and
 ``--zeta`` among zero, NaN, infinities and extremes.  Some draws carry a
-``--seed``, and a negative one exits 2.  Config files draw keys among the
+``--seed``, and a negative one exits 2.  Some draws write each negative
+value as its own token (``--zeta -0.5`` for ``--zeta=-0.5``), which the
+parser takes as a value when it starts with "-" and a digit or "." and
+rejects otherwise (``--zeta -inf``, exit 2).  Config files draw keys among the
 command's flags and values of every JSON type; the top-level paths (no
 command, an unknown one, ``--help``) exit 0 or 2 with no report.
 """
@@ -101,10 +104,32 @@ LIMIT_CHECK = st.builds(
     st.one_of(st.sampled_from(FLOATS + ["0.6", "-3"]),
               st.floats(min_value=-10, max_value=10).map(repr)),
     TOLERANCES)
-ARGV = st.builds(lambda argv, seeds: argv + [f"--seed={v}" for v in seeds],
+
+
+def two_tokens(argv):
+    """argv with each ``--flag=value`` whose value starts with "-" written as
+    the two tokens ``--flag value``."""
+    return [token for arg in argv
+            for token in (arg.split("=", 1) if "=-" in arg else [arg])]
+
+
+def flag_values(argv):
+    """flag -> value of argv's ``--flag=value`` and ``--flag value`` tokens."""
+    values = {}
+    for arg, after in zip(argv[1:], [*argv[2:], "--"]):
+        if "=" in arg:
+            flag, value = arg.split("=", 1)
+            values[flag[2:]] = value
+        elif not after.startswith("--"):
+            values[arg[2:]] = after
+    return values
+
+
+ARGV = st.builds(lambda argv, seeds, split: (two_tokens if split else list)(
+                     argv + [f"--seed={v}" for v in seeds]),
                  st.one_of(ORTHOGONALITY, RESTRICTION, PFAFFIAN, RANKED,
                            INVERSION, LIMIT_CHECK),
-                 st.lists(SEEDS, max_size=1))
+                 st.lists(SEEDS, max_size=1), st.booleans())
 
 
 def orthogonality(harness, lam, backend="closed"):
@@ -135,6 +160,7 @@ def check_contract(argv, out, status, capsys):
 @example(argv=orthogonality("HEIS2", f"1/{tenpow(200)}", "grid"))
 @example(argv=orthogonality("HEIS3", f"1/{tenpow(103)}", "grid"))
 @example(argv=["restriction", f"--lambda1={tenpow(100)}", "--lambda2=-3/2"])
+@example(argv=["restriction", "--lambda1", "-1/2", "--lambda2", "-3/2"])
 @example(argv=["all", "--quick"])
 def test_every_input_keeps_the_exit_code_contract(argv, capsys):
     capsys.readouterr()
@@ -142,8 +168,8 @@ def test_every_input_keeps_the_exit_code_contract(argv, capsys):
         out = os.path.join(tmp, "r.json")
         status = cli.run([*argv, "--out", out])
         check_contract(argv, out, status, capsys)
-    flags = dict(a[2:].split("=", 1) for a in argv[1:] if "=" in a)
-    if any(a.startswith("--seed=-") for a in argv):
+    flags = flag_values(argv)
+    if flags.get("seed", "").startswith("-"):
         assert status == 2
     if argv[0] == "pfaffian":
         count, size = int(flags["count"]), int(flags["max-size"])
