@@ -86,10 +86,13 @@ def rat_str(x: Q) -> str:
 
 def parse_rat(s: str) -> Q:
     """Parse a "p/q" (or plain integer) string into an exact rational;
-    ValueError for one whose float conversion overflows."""
+    ValueError for a zero denominator or a float conversion that overflows
+    (the flags' ``type``, so argparse names the flag)."""
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
+        if int(den) == 0:
+            raise ValueError(f"{s!r} has a zero denominator")
         x = Q(int(num), int(den))
     else:
         x = Q(int(s))
@@ -331,7 +334,7 @@ def pipeline_orthogonality(h: Harness, gamma: Dict[int, Q],
         tol = 1e-3
     pf = exact_density(h, gamma)
     report = coefficient_norm_sq(rep, u, u)
-    rows = [make_row("density_abs", pf, rep.pf_abs, 1e-12,
+    rows = [make_row("density_abs", pf, rep.pf_abs, 1e-12 * float(pf),
                      "exact rational pairing determinant"),
             make_row("coefficient_norm", float(1 / pf), report.value,
                      float(tol / pf), "square-integrability constant"),
@@ -357,16 +360,17 @@ def pipeline_restriction(lam1: Q, lam2: Q, seed: int) -> Tuple[dict, List[dict]]
     rows = [make_row("norm_ratio", predicted, measured, 1e-3 * abs(predicted),
                      "exact density ratio between stages"),
             make_row("renormalization_factor", float(1 / abs(lam2)), factor,
-                     1e-12, "square root of the exact density ratio")]
+                     1e-12 * float(1 / abs(lam2)),
+                     "square root of the exact density ratio")]
     # the same squared factor from the exact chain bookkeeping
     chain = propagate(build_root_system("A", 1), 1)
     fac = restriction_projection_factor(chain, {1: lam1}, {1: lam1, 2: lam2})
     rows.append(make_row("squared_factor_exact", fac,
                          Q(1) / lam2 ** 2, 0,
                          "exact density ratio between stages"))
-    rows.append(make_row("factor_square_root_consistent",
-                         float(exact_sqrt(fac)), factor, 1e-12,
-                         "exact density ratio between stages"))
+    root = float(exact_sqrt(fac))
+    rows.append(make_row("factor_square_root_consistent", root, factor,
+                         1e-12 * root, "exact density ratio between stages"))
     return {"lambda1": rat_str(lam1), "lambda2": rat_str(lam2),
             "seed": seed}, rows
 
@@ -493,13 +497,14 @@ def _add_flags(p: argparse.ArgumentParser,
     elif name == "orthogonality":
         add("--harness", required=True, choices=HARNESS_NAMES)
         add("--lambda", dest="lambdas", action="append", required=True,
-            metavar="P/Q", help="layer parameter, repeatable in layer order")
+            type=parse_rat, metavar="P/Q",
+            help="layer parameter, repeatable in layer order")
         add("--backend", choices=("closed", "grid"), default="closed",
             help="state space: closed-form Gaussian states, or grid samples "
                  "(single-layer harnesses HEIS1-3 only)")
     elif name == "restriction":
-        add("--lambda1", default="1")
-        add("--lambda2", default="2")
+        add("--lambda1", type=parse_rat, default="1")
+        add("--lambda2", type=parse_rat, default="2")
     elif name == "inversion":
         add("--points", type=int, default=10)
         add("--tolerance", type=float, default=1e-6)
@@ -588,12 +593,11 @@ def _dispatch(args: argparse.Namespace) -> Tuple[dict, List[dict]]:
                              f"{args.max_size}, got {args.count}")
         return pipeline_pfaffian(args.count, args.max_size, args.seed)
     if cmd == "orthogonality":
-        gamma = {r: parse_rat(s) for r, s in enumerate(args.lambdas, start=1)}
+        gamma = dict(enumerate(args.lambdas, start=1))
         return pipeline_orthogonality(build_harness(args.harness), gamma,
                                       args.backend, args.seed)
     if cmd == "restriction":
-        return pipeline_restriction(parse_rat(args.lambda1),
-                                    parse_rat(args.lambda2), args.seed)
+        return pipeline_restriction(args.lambda1, args.lambda2, args.seed)
     if cmd in ("inversion", "limit-check") and not (
             math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ValueError(f"--tolerance must be finite and positive, "

@@ -7,9 +7,8 @@ states or as product states sampled axis by axis on a grid (single-layer
 harnesses only, where the action is a translation and a modulation, both
 axis by axis): the state passed in picks the closed or grid path.  Earlier
 layers act by the point transformation of the top-layer b-coordinates that
-``Harness.adjoint`` gives.  Also: coefficient functions with their
-orthogonality, restriction to a leading-layer subgroup with renormalization,
-and decay reports.
+``Harness.adjoint`` gives.  Also: matrix coefficients and their
+orthogonality (the coefficient norm against 1/|Pf|).
 """
 
 from __future__ import annotations
@@ -17,12 +16,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from ._numpy import np
 from .harness import (CHECK_SCALE, CHECK_TOL, GroupElement, Harness,
-                      OrbitDescriptor, build_harness, embed_leading, identity,
-                      multiply, orbit, random_element)
+                      OrbitDescriptor, build_harness, multiply, orbit,
+                      random_element)
 from .states import (GaussianState, Grid, GridState, gaussian_integral,
                      gaussian_integral_parts)
 
@@ -32,11 +31,6 @@ State = Union[GaussianState, GridState]
 _GRID_PACKET = (0.5, (1.0, 1.3))
 # target q-step and half-span of the grid norm's shift lattice
 _Q_LATTICE = (0.55, 3.5)
-# half-widths of the decay check's nested boxes, its samples per axis, and
-# the absolute tolerance of its sup and L1 comparisons
-_DECAY_BOXES = (2.0, 3.0, 4.0, 5.0, 6.0)
-_DECAY_POINTS = 21
-_DECAY_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,20 +224,6 @@ def coefficient(rep: RepInstance, u: State, v: State, g: GroupElement) -> comple
 
 
 @dataclass(frozen=True)
-class CoefficientField:
-    """The coefficient function of a representation and a pair of states."""
-
-    rep: RepInstance
-    u: State
-    v: State
-
-    def at_pq(self, p: np.ndarray, q: np.ndarray) -> complex:
-        """Value on the non-central coordinates (earlier layers at identity)."""
-        w = self.rep._apply_top(0.0, np.asarray(p, float), np.asarray(q, float), self.v)
-        return complex(self.u.inner(w))
-
-
-@dataclass(frozen=True)
 class NormReport:
     """Measured coefficient norm squared against the density prediction."""
 
@@ -329,111 +309,3 @@ def coefficient_norm_sq(rep: RepInstance, u: State, v: State) -> NormReport:
     value = path(rep, u, v)
     rel = abs(value - predicted) / predicted
     return NormReport(value, predicted, rel)
-
-
-@dataclass(frozen=True)
-class RestrictionReport:
-    """Pointwise and norm-level comparison of a restricted coefficient."""
-
-    pointwise_abs_err: float
-    norm_ratio_measured: float
-    norm_ratio_predicted: float
-    norm_ratio_rel_err: float
-    central_deviation: float
-
-
-def restrict_and_renormalize(rep_big: RepInstance, rep_small: RepInstance,
-                             u: State, v: State,
-                             x: State) -> Tuple[RestrictionReport, float]:
-    """Compare the big-group coefficient of u (x) x, v (x) x with the small one.
-
-    The small group must consist of the leading layers of the big harness and
-    the functionals must agree there.  u and v are states of the small
-    representation; x lives in the complementary tensor factor, which in
-    this realization is the state space of the big representation.  The big
-    coefficient, evaluated on the quotient slice shared with the small group,
-    is checked against <x, x> times the small coefficient; the measured norm
-    ratio is compared with the density ratio times ||x||^4, and the square
-    root of the density ratio is the returned renormalization factor.  The
-    deviation of the pointwise identity along the small group's
-    central directions is reported as a diagnostic, not asserted.
-    """
-    hb, hs = rep_big.harness, rep_small.harness
-    if hs.m >= hb.m or hb.positions(hs) != list(range(hs.dim)):
-        raise ValueError("the small harness must be a leading-layer subgroup")
-    if rep_big.orbit.lam[:hs.m] != rep_small.orbit.lam:
-        raise ValueError("incompatible functionals: restriction must agree")
-
-    inner_xx = complex(x.inner(x))
-    scalar = complex(u.inner(v))  # the small states span a character line
-
-    def f_big(g_small: GroupElement) -> complex:
-        return scalar * complex(x.inner(rep_big.apply(embed_leading(hb, g_small), x)))
-
-    def f_small(g_small: GroupElement) -> complex:
-        return complex(u.inner(rep_small.apply(g_small, v)))
-
-    e_small = identity(hs)
-    big_val = f_big(e_small)
-    small_val = f_small(e_small)
-    # pointwise identity on the shared quotient slice (the identity coset)
-    pointwise_err = abs(big_val - inner_xx * small_val)
-
-    # measured norm of the big coefficient over its non-central coordinates,
-    # relative to the small coefficient's value on its (zero-dim) slice
-    big_norm = coefficient_norm_sq(rep_big, x, x).value * abs(scalar) ** 2
-    measured = big_norm / abs(small_val) ** 2
-    predicted = x.norm_sq() * x.norm_sq() * rep_small.pf_abs / rep_big.pf_abs
-    factor = math.sqrt(rep_small.pf_abs / rep_big.pf_abs)
-
-    # diagnostic: drift of the identity along the small central directions
-    dev = 0.0
-    for zeta in (0.5, 1.0, 2.0):
-        for sgn in (1.0, -1.0):
-            g = GroupElement(hs, hs.centres(np.full(hs.m, sgn * zeta)))
-            dev = max(dev, abs(f_big(g) - inner_xx * f_small(g)))
-
-    report = RestrictionReport(
-        pointwise_abs_err=pointwise_err,
-        norm_ratio_measured=measured, norm_ratio_predicted=predicted,
-        norm_ratio_rel_err=abs(measured - predicted) / predicted,
-        central_deviation=dev,
-    )
-    return report, factor
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Stability of the weighted sup-norms over nested boxes, and the L1
-    Cauchy gap."""
-
-    sup_stable: bool
-    l1_cauchy_gap: float
-    passed: bool
-
-
-def schwartz_decay_report(field: Callable[[np.ndarray], np.ndarray], dim: int,
-                          k_max: int = 3) -> DecayReport:
-    """Rapid-decay evidence for a field on R^dim over nested boxes.
-
-    field maps an array of shape (..., dim) to complex values.  For each
-    k <= k_max the weighted sup of (1 + |x|^2)^k |f(x)| must stabilize across
-    boxes, and the truncated L1 integrals must be Cauchy; growth flags a
-    failure.  The boxes, their sampling and the tolerances are fixed
-    (``_DECAY_BOXES``, ``_DECAY_POINTS``, ``_DECAY_TOL``).
-    """
-    sups: Dict[int, list] = {k: [] for k in range(k_max + 1)}
-    l1 = []
-    for R in _DECAY_BOXES:
-        axes = [np.linspace(-R, R, _DECAY_POINTS)] * dim
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = np.abs(np.asarray(field(mesh)))
-        r2 = np.sum(mesh ** 2, axis=-1)
-        for k in range(k_max + 1):
-            sups[k].append(float(np.max((1.0 + r2) ** k * vals)))
-        step = (2.0 * R / (_DECAY_POINTS - 1)) ** dim
-        l1.append(float(np.sum(vals) * step))
-    sup_stable = all(sups[k][-1] <= sups[k][-2] * (1.0 + 1e-6) + _DECAY_TOL
-                     for k in range(k_max + 1))
-    gap = abs(l1[-1] - l1[-2])
-    return DecayReport(sup_stable, gap, sup_stable and gap <= _DECAY_TOL)

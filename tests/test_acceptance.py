@@ -1,11 +1,11 @@
 """End-to-end acceptance checks at the stated tolerances and rank bounds."""
 
+import cmath
 import filecmp
+import math
 import random
 import time
 from fractions import Fraction as Q
-
-import numpy as np
 
 from stepsq.cascade import closed_form_beta, sigma_r
 from stepsq.cli import run
@@ -13,15 +13,13 @@ from stepsq.harness import (build_harness, element, identity,
                             leading_subgroup, random_element)
 from stepsq.inversion import (TestFunction, fourier_inversion,
                               limit_inversion_check, restrict_test_function)
-from stepsq.limits import (cascade_stability, check_well_aligned, propagate,
-                           restriction_projection_factor)
+from stepsq.limits import (cascade_stability, check_well_aligned, exact_sqrt,
+                           propagate, restriction_projection_factor)
 from stepsq.nilalg import (corrupted_fixture, realize_split_nilradical,
                            verify_setup_axioms)
 from stepsq.plancherel import determinant, pfaffian, plancherel_density
 from stepsq.rootsys import build_root_system, vadd
-from stepsq.schrodinger import (CoefficientField, coefficient_norm_sq,
-                                restrict_and_renormalize,
-                                schwartz_decay_report, stepwise_rep)
+from stepsq.schrodinger import coefficient, coefficient_norm_sq, stepwise_rep
 from stepsq.states import GaussianState, Grid, GridState
 
 # every (series, rank) pair inside the stated rank bounds
@@ -128,13 +126,19 @@ def test_06_restriction_and_factor_transitivity():
     big = build_harness("A3")
     rep_big = stepwise_rep(big, {1: 0.9, 2: 1.7})
     rep_small = stepwise_rep(leading_subgroup(big, 1), {1: 0.9})
-    scalar = GaussianState(np.zeros((0, 0)), np.zeros(0), 0.0)
     x = GaussianState.packet(2, [0.2, -0.3], [0.1, 0.4])
-    report, factor = restrict_and_renormalize(rep_big, rep_small, scalar,
-                                              scalar, x)
-    assert report.pointwise_abs_err < 1e-8
-    assert report.norm_ratio_rel_err < 1e-3
+    # the small stage acts on a line: with unit states there, the restricted
+    # coefficient's squared norm is the big coefficient norm of x, which the
+    # closed norm integrates; the prediction reads only the densities
+    measured = coefficient_norm_sq(rep_big, x, x).value
+    predicted = x.norm_sq() ** 2 * rep_small.pf_abs / rep_big.pf_abs
+    assert abs(measured - predicted) < 1e-3 * predicted
+    factor = math.sqrt(rep_small.pf_abs / rep_big.pf_abs)
     assert abs(factor - 1.0 / 1.7) < 1e-12
+    exact = restriction_projection_factor(
+        propagate(build_root_system("A", 1), 1), {1: Q(9, 10)},
+        {1: Q(9, 10), 2: Q(17, 10)})
+    assert abs(factor - float(exact_sqrt(exact))) < 1e-12
     # exact factor transitivity along a three-stage chain
     chain = propagate(build_root_system("A", 1), 2)
     g1 = {1: Q(1)}
@@ -186,21 +190,26 @@ def test_08_alignment_coherence_and_negative_control():
 
 
 def test_09_schwartz_decay_with_negative_control():
-    rep = stepwise_rep("HEIS1", {1: 1.0})
-    field = CoefficientField(rep, GaussianState.ground(1),
-                             GaussianState.ground(1))
-
-    def fn(mesh):
-        flat = mesh.reshape(-1, 2)
-        vals = [field.at_pq(pt[:1], pt[1:]) for pt in flat]
-        return np.array(vals).reshape(mesh.shape[:-1])
-
-    report = schwartz_decay_report(fn, 2, k_max=3)
-    assert report.passed and report.sup_stable
-    assert report.l1_cauchy_gap < 1e-6
-    slow = schwartz_decay_report(
-        lambda m: 1.0 / (1.0 + np.sum(m ** 2, axis=-1)), 2, k_max=3)
-    assert not slow.passed
+    # <g0, pi(0, p, q) g0> for the ground state g0 on HEIS1 is
+    # exp(-pi (lam^2 p^2 + q^2) / 2 + i pi lam p q), whose exponent has a
+    # negative definite real part for lam != 0: a Schwartz function of (p, q)
+    rng = random.Random(9)
+    g0 = GaussianState.ground(1)
+    for lam in (1.0, 0.5, 2.0, -1.3):
+        rep = stepwise_rep("HEIS1", {1: lam})
+        worst = conjugate = 0.0
+        for _ in range(25):
+            p, q = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            value = coefficient(rep, g0, g0,
+                                element(rep.harness, [(0.0, [p], [q])]))
+            decay = -0.5 * math.pi * (lam ** 2 * p ** 2 + q ** 2)
+            closed = cmath.exp(decay + 1j * math.pi * lam * p * q)
+            worst = max(worst, abs(value - closed) / abs(closed))
+            # negative control: the conjugate phase is a wrong closed form
+            conjugate = max(conjugate, abs(value - closed.conjugate())
+                            / abs(closed))
+        assert worst < 1e-12, lam
+        assert conjugate > 0.5, lam
 
 
 def test_10_full_run_is_deterministic(tmp_path):

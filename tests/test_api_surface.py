@@ -40,23 +40,9 @@ ALLOWED = {
     "rootsys.simple_coordinates":
         "BENCHMARK.json traces it by name (per-layer metrics "
         "rootsys.simple_coordinates.calls and .self_s)",
-    "schrodinger.CoefficientField":
-        "the coefficient field whose decay acceptance test_09 checks",
-    "schrodinger.CoefficientField.at_pq":
-        "the field on the non-central coordinates, which acceptance test_09 "
-        "samples",
-    "schrodinger.schwartz_decay_report":
-        "the rapid-decay check of acceptance test_09",
-    "schrodinger.DecayReport.sup_stable":
-        "half of the decay verdict, which acceptance test_09 reads",
-    "schrodinger.DecayReport.l1_cauchy_gap":
-        "the other half of the decay verdict, which acceptance test_09 reads",
 }
 
-ALLOWED_PARAMETERS = {
-    "schrodinger.schwartz_decay_report(k_max)":
-        "the largest weight exponent, which acceptance test_09 passes",
-}
+ALLOWED_PARAMETERS = {}
 
 
 def _sources():

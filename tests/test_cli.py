@@ -40,6 +40,22 @@ def test_malformed_rational_exits_2(tmp_path):
                 "--out", out]) == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["restriction", "--lambda1", "-1."], "--lambda1"),
+    (["restriction", "--lambda1=-5e-1"], "--lambda1"),
+    (["restriction", "--lambda2", "1/0"], "--lambda2"),
+    (["orthogonality", "--harness", "HEIS1", "--lambda", "1.5"], "--lambda"),
+], ids=["trailing-dot", "exponent", "zero-denominator", "decimal"])
+def test_a_bad_rational_names_its_flag(tmp_path, capsys, argv, flag):
+    # the rational flags parse through parse_rat as their type, so argparse
+    # names the flag, as it does for the float flags
+    out = str(tmp_path / "o.json")
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_wrong_lambda_count_exits_2(tmp_path):
     out = str(tmp_path / "o.json")
     assert run(["orthogonality", "--harness", "A3", "--lambda", "1/1",
@@ -623,10 +639,13 @@ def test_timing_flag_populates_field(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--harness", "HEIS1", "--lambda", "2"],
     ["--harness", "A3", "--lambda", "1", "--lambda", "3/2"],
-], ids=["HEIS1", "A3"])
+    ["--harness", "HEIS3", "--lambda=-323/10"],
+    ["--harness", "HEIS2", "--lambda", "1/10000"],
+], ids=["HEIS1", "A3", "HEIS3-large", "HEIS2-small"])
 def test_density_abs_comes_from_the_exact_layer(tmp_path, monkeypatch, argv):
-    # the float |Pf| of the harness pairings is doubled; the density row
-    # must notice, while the coefficient norm reads neither it nor the pairing
+    # the float |Pf| of the harness pairings is doubled; the density row,
+    # whose tolerance is relative to |Pf|, must notice at large and small
+    # |Pf| alike, while the coefficient norm reads neither it nor the pairing
     real = harness.OrbitDescriptor.pf_abs
     monkeypatch.setattr(harness.OrbitDescriptor, "pf_abs",
                         property(lambda self: 2 * real.fget(self)))
@@ -635,6 +654,22 @@ def test_density_abs_comes_from_the_exact_layer(tmp_path, monkeypatch, argv):
     rows = {row["name"]: row for row in read(out)["rows"]}
     assert rows["density_abs"]["pass"] is False
     assert rows["coefficient_norm"]["pass"] is True
+
+
+def test_the_renormalization_factor_reads_the_big_density(tmp_path,
+                                                          monkeypatch):
+    # |Pf| of the big stage alone is doubled, so the factor sqrt of the
+    # density ratio is off by sqrt 2; both factor rows, whose tolerances are
+    # relative to the factor, must notice at a factor near 1/|lambda2| = 10^7
+    real = harness.OrbitDescriptor.pf_abs
+    monkeypatch.setattr(harness.OrbitDescriptor, "pf_abs", property(
+        lambda self: real.fget(self) * (2 if self.harness.top.d_r else 1)))
+    out = str(tmp_path / "o.json")
+    assert run(["restriction", "--lambda2", "1/10000000", "--out", out]) == 1
+    rows = {row["name"]: row for row in read(out)["rows"]}
+    assert rows["renormalization_factor"]["pass"] is False
+    assert rows["factor_square_root_consistent"]["pass"] is False
+    assert rows["squared_factor_exact"]["pass"] is True
 
 
 def test_missing_report_directory_exits_2_before_computing(tmp_path, capsys,
@@ -745,8 +780,8 @@ def test_rationals_too_large_for_a_float_exit_2(tmp_path, capsys, argv):
     out = str(tmp_path / "r.json")
     assert run(argv + ["--out", out]) == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err and "Traceback" not in err
-    assert argv[-1] in err  # the message names the value
+    assert f"argument {argv[-2]}: " in err and "Traceback" not in err
+    assert argv[-1] in err  # the message names the flag and the value
     assert not os.path.exists(out)
 
 

@@ -26,7 +26,7 @@ from stepsq.harness import (
 )
 from stepsq.inversion import TestFunction, restrict_test_function
 from stepsq.nilalg import realize_split_nilradical
-from stepsq.schrodinger import restrict_and_renormalize, stepwise_rep
+from stepsq.schrodinger import stepwise_rep
 from stepsq.states import GaussianState
 
 
@@ -441,10 +441,6 @@ def test_equal_keys_of_another_model_are_rejected(big, other):
     embed_leading(h, random_element(own, rng))
     with pytest.raises(ValueError, match="not a leading-layer subgroup"):
         embed_leading(h, g)
-    rep_big = stepwise_rep(h, {layer.r: 1.0 + layer.r for layer in h.layers})
-    with pytest.raises(ValueError, match="leading-layer subgroup"):
-        restrict_and_renormalize(rep_big, stepwise_rep(foreign, {1: 2.0}),
-                                 scalar, scalar, GaussianState.ground(h.top.d_r))
     f = TestFunction.standard(h)
     restrict_test_function(f, own)
     with pytest.raises(ValueError, match="not cut from the model"):

@@ -1,4 +1,4 @@
-"""Representations, coefficients, orthogonality, restriction, decay."""
+"""Representations, coefficients, orthogonality, restriction."""
 
 import math
 import random
@@ -8,17 +8,14 @@ import numpy as np
 import pytest
 
 from stepsq import schrodinger
-from stepsq.harness import (CHECK_TOL, build_harness, element, from_matrix,
-                            identity, leading_subgroup, multiply, orbit,
-                            random_element)
+from stepsq.harness import (CHECK_TOL, build_harness, element, embed_leading,
+                            from_matrix, identity, leading_subgroup, multiply,
+                            orbit, random_element)
 from stepsq.schrodinger import (
-    CoefficientField,
     RepInstance,
     check_invariants,
     coefficient,
     coefficient_norm_sq,
-    restrict_and_renormalize,
-    schwartz_decay_report,
     stepwise_rep,
     validate_rep,
     validation_grid,
@@ -415,18 +412,27 @@ def test_coefficient_norm_rejects_character_reps():
 # ---------- restriction / renormalization ----------
 
 def test_restriction_a1_in_a3():
+    # the small stage acts on a line, so with unit states there the
+    # restricted coefficient's squared norm is the big coefficient norm of x
     lam1, lam2 = 0.8, 1.5
     big = build_harness("A3")
     rep_big = stepwise_rep(big, {1: lam1, 2: lam2})
     rep_small = stepwise_rep(leading_subgroup(big, 1), {1: lam1})
-    u, v = scalar_state(0.9), scalar_state(np.exp(0.4j))
-    e = GaussianState.ground(2)
-    report, factor = restrict_and_renormalize(rep_big, rep_small, u, v, e)
-    assert report.pointwise_abs_err < 1e-8
-    assert report.norm_ratio_rel_err < 1e-3
+    x = GaussianState.packet(2, [0.2, -0.1], [0.3, 0.1])
+    norm = coefficient_norm_sq(rep_big, x, x).value
+    predicted = x.norm_sq() ** 2 * rep_small.pf_abs / rep_big.pf_abs
+    assert abs(norm - predicted) < 1e-3 * predicted
+    factor = math.sqrt(rep_small.pf_abs / rep_big.pf_abs)
     assert abs(factor - 1.0 / abs(lam2)) < 1e-12
-    # the drift along the central direction is real and reported, not hidden
-    assert report.central_deviation > 1e-3
+    # the big coefficient restricts to <x, x> times the small character only
+    # at the identity: along the small centre it drifts, and the drift is real
+    small = rep_small.harness
+    drift = max(
+        abs(coefficient(rep_big, x, x,
+                        embed_leading(big, element(small, [(zeta, [], [])])))
+            - x.inner(x) * np.exp(2j * np.pi * lam1 * zeta))
+        for zeta in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
+    assert drift > 1e-3
 
 
 def test_restriction_factor_transitivity_on_values():
@@ -436,45 +442,6 @@ def test_restriction_factor_transitivity_on_values():
     for lam2a, lam2b in [(1.5, 3.0), (0.5, 2.0)]:
         big_a = stepwise_rep(big, {1: 0.3, 2: lam2a})
         big_b = stepwise_rep(big, {1: 0.3, 2: lam2b})
-        s = scalar_state(1.0)
-        e = GaussianState.ground(2)
-        _, fa = restrict_and_renormalize(big_a, rep_a, s, s, e)
-        _, fb = restrict_and_renormalize(big_b, rep_a, s, s, e)
+        fa = math.sqrt(rep_a.pf_abs / big_a.pf_abs)
+        fb = math.sqrt(rep_a.pf_abs / big_b.pf_abs)
         assert abs(fa / fb - lam2b / lam2a) < 1e-12
-
-
-def test_restriction_incompatible_gamma():
-    big = build_harness("A3")
-    rep_big = stepwise_rep(big, {1: 0.8, 2: 1.5})
-    rep_small = stepwise_rep(leading_subgroup(big, 1), {1: 0.9})
-    s = scalar_state(1.0)
-    with pytest.raises(ValueError):
-        restrict_and_renormalize(rep_big, rep_small, s, s, GaussianState.ground(2))
-
-
-# ---------- Schwartz decay ----------
-
-def heisenberg_field(lam=1.0):
-    rep = stepwise_rep("HEIS1", {1: lam})
-    u = GaussianState.ground(1)
-    field = CoefficientField(rep, u, u)
-
-    def fn(mesh):
-        flat = mesh.reshape(-1, 2)
-        vals = [field.at_pq(pt[:1], pt[1:]) for pt in flat]
-        return np.array(vals).reshape(mesh.shape[:-1])
-
-    return fn
-
-
-def test_schwartz_decay_gaussian_states():
-    report = schwartz_decay_report(heisenberg_field(), 2, k_max=3)
-    assert report.passed
-    assert report.sup_stable
-    assert report.l1_cauchy_gap < 1e-6
-
-
-def test_schwartz_negative_control():
-    report = schwartz_decay_report(lambda m: np.ones(m.shape[:-1]), 2, k_max=2)
-    assert not report.passed
-    assert not report.sup_stable
