@@ -32,9 +32,9 @@ print(f"renormalization factor = {factor} = 1/|lambda_2| = {1 / abs(lam2)}")
 chain = propagate(build_root_system("A", 1), 2)
 g1, g3 = {1: Q(1)}, {1: Q(1), 2: Q(2)}
 g5 = {1: Q(1), 2: Q(2), 3: Q(3)}
-f01 = restriction_projection_factor(chain, g1, g3, stages=(0, 1))
-f12 = restriction_projection_factor(chain, g3, g5, stages=(1, 2))
-f02 = restriction_projection_factor(chain, g1, g5, stages=(0, 2))
+f01 = restriction_projection_factor(propagate(chain.stages[0], 1), g1, g3)
+f12 = restriction_projection_factor(propagate(chain.stages[1], 1), g3, g5)
+f02 = restriction_projection_factor(chain, g1, g5)
 print(f"\nexact squared factors along the 3-stage chain: "
       f"{f01} * {f12} = {f01 * f12} = {f02} (transitive)")
 print(f"square roots (exact on rational squares): {exact_sqrt(f01)}, "

@@ -44,7 +44,6 @@ from .nilalg import NilpotentAlgebra, realize_split_nilradical
 from .plancherel import determinant, plancherel_constant, plancherel_density
 from .rootsys import SERIES, Vector, vsub
 
-HARNESS_NAMES = ("HEIS1", "HEIS2", "HEIS3", "A3", "C2", "B2", "C3", "A1")
 # coordinate range of the random elements that check a representation
 # (``schrodinger.check_invariants``), and the deviation below which the
 # check of its Gaussian states must stay (``schrodinger.stepwise_rep``)

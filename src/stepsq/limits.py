@@ -1,10 +1,11 @@
-"""Direct systems of root systems: propagation, alignment, and stability.
+"""Direct systems of root systems: propagation, stability, and factors.
 
 A chain grows a root system inside its stable family by repeatedly adding
 simple roots at the prescribed diagram end (symmetrically about the center
-for type A).  The reversed cascade enumeration is stable along such chains,
-which is what makes per-layer data (densities, restriction factors)
-comparable across stages.
+for type A).  ``propagate`` validates every consecutive embedding, so each
+chain it returns is well aligned by construction.  The reversed cascade
+enumeration is stable along such chains, which is what makes per-layer data
+(densities, restriction factors) comparable across stages.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import isqrt
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 from .cascade import cascade_decomposition
 from .nilalg import realize_split_nilradical
@@ -76,14 +77,13 @@ def stage_embedding(small: RootSystem, big: RootSystem) -> StageEmbedding:
     if not old <= set(big.simple_indices()):
         raise ValueError("simple-root indices of the small stage are "
                          "missing at the big stage")
-    # the padding of StageEmbedding.apply, applied in place below
-    pad_left, pad_right = (0,) * left, (0,) * right
+    embedding = StageEmbedding(left, right)
     for i in small_idx:
-        image = pad_left + small.simple_enumeration[i] + pad_right
+        image = embedding.apply(small.simple_enumeration[i])
         if image != big.simple_enumeration[i]:
             raise ValueError(f"simple root {i} is not preserved")
     big_pos = set(big.positives)
-    if not all(pad_left + a + pad_right in big_pos for a in small.positives):
+    if not all(embedding.apply(a) in big_pos for a in small.positives):
         raise ValueError("a positive root maps outside the positives")
     if small.series == "A":
         # new simple roots appear symmetrically about the fixed center
@@ -94,7 +94,7 @@ def stage_embedding(small: RootSystem, big: RootSystem) -> StageEmbedding:
         # new simple roots attach beyond the old end of the diagram
         if new and min(new) <= max(old):
             raise ValueError("new simple roots must attach at the far end")
-    return StageEmbedding(left, right)
+    return embedding
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,6 @@ class DirectChain:
 
     stages: Tuple[RootSystem, ...]
     embeddings: Tuple[StageEmbedding, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.embeddings) != len(self.stages) - 1:
-            raise ValueError("a chain needs one embedding per consecutive pair")
-
-    def embed(self, k: int, l: int, v: Vector) -> Vector:
-        """Image of a stage-k vector at stage l >= k (embeddings compose)."""
-        if not 0 <= k <= l < len(self.stages):
-            raise ValueError("stage indices out of range")
-        for e in self.embeddings[k:l]:
-            v = e.apply(v)
-        return v
 
 
 def propagate(system: RootSystem, steps: int) -> DirectChain:
@@ -128,45 +116,7 @@ def propagate(system: RootSystem, steps: int) -> DirectChain:
         stages.append(build_root_system(system.series,
                                         stages[-1].rank + rank_step))
     embeddings = tuple(stage_embedding(a, b) for a, b in zip(stages, stages[1:]))
-    chain = DirectChain(tuple(stages), embeddings)
-    if steps >= 2:
-        # functoriality: the two-step embedding equals the direct one
-        direct = stage_embedding(stages[0], stages[2])
-        probe = stages[0].positives[0]
-        if chain.embed(0, 2, probe) != direct.apply(probe):
-            raise AssertionError("the two-step embedding must equal the direct one")
-    return chain
-
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    """Per-pair alignment rows and the overall verdict."""
-
-    rows: Tuple[dict, ...]
-    aligned: bool
-
-
-def check_well_aligned(
-        chain: Union[DirectChain, Sequence[RootSystem]]) -> AlignmentReport:
-    """Verify that consecutive stages share a family and embed validly."""
-    stages = tuple(getattr(chain, "stages", chain))
-    rows: List[dict] = []
-    for small, big in zip(stages, stages[1:]):
-        try:
-            same_family = family_of(small) == family_of(big)
-        except ValueError:
-            same_family = False
-        try:
-            stage_embedding(small, big)
-            embedding_ok, detail = True, ""
-        except ValueError as exc:
-            embedding_ok, detail = False, str(exc)
-        rows.append({"from": _label(small), "to": _label(big),
-                     "same_family": same_family,
-                     "embedding_ok": embedding_ok,
-                     "aligned": same_family and embedding_ok,
-                     "detail": detail})
-    return AlignmentReport(tuple(rows), all(r["aligned"] for r in rows))
+    return DirectChain(tuple(stages), embeddings)
 
 
 @dataclass(frozen=True)
@@ -189,14 +139,11 @@ def cascade_stability(chain: DirectChain) -> StabilityReport:
     rows: List[dict] = []
     for k, e in enumerate(chain.embeddings):
         small, big = layers[k], layers[k + 1]
-        # the padding of e.apply, applied in place in the loops below
-        pad_left, pad_right = (0,) * e.left, (0,) * e.right
-        embedded_pos = {pad_left + a + pad_right
-                        for a in chain.stages[k].positives}
+        embedded_pos = {e.apply(a) for a in chain.stages[k].positives}
         for layer in small:
             big_layer = big[layer.r - 1]
-            beta_ok = pad_left + layer.beta + pad_right == big_layer.beta
-            small_layer = {pad_left + a + pad_right for a in layer.members}
+            beta_ok = e.apply(layer.beta) == big_layer.beta
+            small_layer = {e.apply(a) for a in layer.members}
             layer_ok = small_layer == (set(big_layer.members) & embedded_pos)
             rows.append({"pair": f"{_label(chain.stages[k])}->"
                                  f"{_label(chain.stages[k + 1])}",
@@ -216,10 +163,9 @@ def _stage_density(system: RootSystem, gamma: Dict[int, Q]):
 
 def restriction_projection_factor(chain: DirectChain,
                                   gamma_small: Dict[int, Q],
-                                  gamma_big: Dict[int, Q],
-                                  stages: Tuple[int, int] = (0, -1),
-                                  ) -> Q:
-    """Exact |P_small(gamma) / P_big(gamma')| between two chain stages.
+                                  gamma_big: Dict[int, Q]) -> Q:
+    """Exact |P_small(gamma) / P_big(gamma')| between a chain's first and
+    last stages.
 
     The big parameter must restrict to the small one: both assign the same
     coefficient to every layer index present at the small stage (layer
@@ -227,8 +173,7 @@ def restriction_projection_factor(chain: DirectChain,
     The returned factor is the squared renormalization constant; its
     square root is left to the numeric consumer.
     """
-    small = chain.stages[stages[0]]
-    big = chain.stages[stages[1]]
+    small, big = chain.stages[0], chain.stages[-1]
     gamma_small = {r: Q(v) for r, v in gamma_small.items()}
     gamma_big = {r: Q(v) for r, v in gamma_big.items()}
     dens_small, m_small = _stage_density(small, gamma_small)

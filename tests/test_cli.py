@@ -62,24 +62,28 @@ def test_wrong_lambda_count_exits_2(tmp_path):
                 "--out", out]) == 2
 
 
-def test_unsupported_harness_shape_exits_2(tmp_path):
+def test_unsupported_harness_shape_exits_2(tmp_path, capsys):
     # C3 carries symplectic parts below its top layer, which the layered
-    # representations do not model
+    # representations do not model, so orthogonality does not offer it
     out = str(tmp_path / "o.json")
     assert run(["orthogonality", "--harness", "C3", "--lambda", "1",
                 "--lambda", "1", "--lambda", "1", "--out", out]) == 2
+    assert "argument --harness: invalid choice: 'C3'" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("argv", [
-    ["orthogonality", "--harness", "A3", "--lambda", "1", "--lambda", "1"],
-    ["orthogonality", "--harness", "A1", "--lambda", "1"],
+@pytest.mark.parametrize("argv, message", [
+    (["orthogonality", "--harness", "A3", "--lambda", "1", "--lambda", "1"],
+     "configuration error"),
+    (["orthogonality", "--harness", "A1", "--lambda", "1"],
+     "argument --harness: invalid choice: 'A1'"),
 ], ids=["A3-two-layers", "A1-no-symplectic-part"])
-def test_grid_path_needs_one_symplectic_layer(tmp_path, capsys, argv):
-    # A3 has two layers and A1 has D = 0; grid states serve neither
+def test_grid_path_needs_one_symplectic_layer(tmp_path, capsys, argv, message):
+    # A3 has two layers, so grid states do not serve it; A1 has D = 0, so
+    # orthogonality does not offer it on either backend
     out = str(tmp_path / "o.json")
     assert run(argv + ["--backend", "grid", "--out", out]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

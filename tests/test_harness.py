@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 from stepsq.cascade import Layer
 from stepsq.harness import (
-    HARNESS_NAMES,
     _cut,
     build_harness,
     element,
@@ -28,6 +27,9 @@ from stepsq.inversion import TestFunction, restrict_test_function
 from stepsq.nilalg import realize_split_nilradical
 from stepsq.schrodinger import stepwise_rep
 from stepsq.states import GaussianState
+
+# the named harnesses: the six that `orthogonality` offers, then C3 and A1
+HARNESS_NAMES = ("HEIS1", "HEIS2", "HEIS3", "A3", "C2", "B2", "C3", "A1")
 
 
 def test_exp_log_inverse_pair():

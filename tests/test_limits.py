@@ -6,7 +6,7 @@ import pytest
 
 from stepsq.cascade import closed_form_beta
 from stepsq.limits import (
-    check_well_aligned,
+    StageEmbedding,
     cascade_stability,
     exact_sqrt,
     family_of,
@@ -25,6 +25,13 @@ FAMILY_STARTS = {
 }
 
 
+def compose(chain, v):
+    """Image of a first-stage vector at the last stage of chain."""
+    for e in chain.embeddings:
+        v = e.apply(v)
+    return v
+
+
 def test_family_labels():
     for fam, (series, rank) in FAMILY_STARTS.items():
         assert family_of(build_root_system(series, rank)) == fam
@@ -36,7 +43,7 @@ def test_propagate_c_chain_ranks():
     # the original simple roots stay fixed under the embeddings
     small = chain.stages[0]
     for i in small.simple_indices():
-        assert (chain.embed(0, 2, small.simple_enumeration[i])
+        assert (compose(chain, small.simple_enumeration[i])
                 == chain.stages[2].simple_enumeration[i])
 
 
@@ -46,13 +53,13 @@ def test_propagate_a_chain_symmetric_growth():
     assert chain.stages[1].simple_indices() == [-1, 0, 1]
     assert chain.stages[2].simple_indices() == [-2, -1, 0, 1, 2]
     small = chain.stages[0]
-    assert (chain.embed(0, 1, small.simple_enumeration[0])
+    assert (chain.embeddings[0].apply(small.simple_enumeration[0])
             == chain.stages[1].simple_enumeration[0])
 
 
 def test_embedded_roots_are_int_vectors():
     chain = propagate(build_root_system("C", 2), 2)
-    images = [chain.embed(0, 2, a) for a in chain.stages[0].positives]
+    images = [compose(chain, a) for a in chain.stages[0].positives]
     assert all(type(x) is int for img in images for x in img)
     assert set(images) <= set(chain.stages[2].positives)
 
@@ -61,7 +68,7 @@ def test_embedding_functoriality():
     chain = propagate(build_root_system("C", 2), 3)
     direct = stage_embedding(chain.stages[0], chain.stages[3])
     for a in chain.stages[0].positives:
-        assert chain.embed(0, 3, a) == direct.apply(a)
+        assert compose(chain, a) == direct.apply(a)
 
 
 def test_embedding_preserves_positives():
@@ -75,30 +82,26 @@ def test_embedding_preserves_positives():
 def test_chains_of_length_four_are_aligned_and_stable(fam):
     series, rank = FAMILY_STARTS[fam]
     chain = propagate(build_root_system(series, rank), 3)
-    assert len(chain.stages) == 4
-    assert check_well_aligned(chain).aligned
+    assert len(chain.stages) == 4  # propagate validated every pair
     assert cascade_stability(chain).stable
 
 
 def test_mixed_chain_is_not_aligned():
-    report = check_well_aligned([build_root_system("A", 3),
-                                 build_root_system("B", 3)])
-    assert not report.aligned
-    assert report.rows[0]["same_family"] is False
-    assert report.rows[0]["embedding_ok"] is False
+    with pytest.raises(ValueError, match="different stable families"):
+        stage_embedding(build_root_system("A", 3), build_root_system("B", 3))
 
 
 def test_same_series_wrong_parity_is_not_aligned():
-    report = check_well_aligned([build_root_system("A", 2),
-                                 build_root_system("A", 3)])
-    assert not report.aligned
+    with pytest.raises(ValueError, match="different stable families"):
+        stage_embedding(build_root_system("A", 2), build_root_system("A", 3))
 
 
 def test_a_even_chain_aligned_through_rank_eight():
     # four stages of even-rank type A
     chain = propagate(build_root_system("A", 2), 3)
     assert [s.rank for s in chain.stages] == [2, 4, 6, 8]
-    assert check_well_aligned(chain).aligned
+    big_pos = set(chain.stages[-1].positives)
+    assert all(compose(chain, a) in big_pos for a in chain.stages[0].positives)
 
 
 def test_c_chain_beta_table_is_stage_independent():
@@ -154,9 +157,9 @@ def test_restriction_factor_transitivity():
     g2 = {1: Q(1), 2: Q(2)}
     g3 = {**g2, 3: Q(1, 2)}
     g4 = {**g3, 4: Q(3)}
-    f_02 = restriction_projection_factor(chain, g2, g4, stages=(0, 2))
-    f_01 = restriction_projection_factor(chain, g2, g3, stages=(0, 1))
-    f_12 = restriction_projection_factor(chain, g3, g4, stages=(1, 2))
+    f_02 = restriction_projection_factor(chain, g2, g4)
+    f_01 = restriction_projection_factor(propagate(chain.stages[0], 1), g2, g3)
+    f_12 = restriction_projection_factor(propagate(chain.stages[1], 1), g3, g4)
     assert f_02 == f_01 * f_12
 
 
@@ -178,7 +181,16 @@ def test_exact_sqrt():
         exact_sqrt(Q(-4))
 
 
-def test_direct_chain_embed_range_errors():
-    chain = propagate(build_root_system("C", 2), 1)
-    with pytest.raises(ValueError):
-        chain.embed(1, 0, chain.stages[1].positives[0])
+def test_one_padding_mutant_fails_both_checks(monkeypatch):
+    # StageEmbedding.apply is the one padding: a mutant that puts all of it
+    # on one side must fail the stability rows and the embedding's checks
+    a_chain = propagate(build_root_system("A", 1), 1)
+    monkeypatch.setattr(StageEmbedding, "apply", lambda self, v: (
+        (0,) * (self.left + self.right) + tuple(v)))
+    assert not cascade_stability(a_chain).stable
+    with pytest.raises(ValueError, match="simple root 0 is not preserved"):
+        stage_embedding(build_root_system("A", 1), build_root_system("A", 3))
+    monkeypatch.setattr(StageEmbedding, "apply", lambda self, v: (
+        tuple(v) + (0,) * (self.left + self.right)))
+    with pytest.raises(ValueError, match="simple root 1 is not preserved"):
+        stage_embedding(build_root_system("C", 2), build_root_system("C", 3))
