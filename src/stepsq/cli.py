@@ -45,8 +45,7 @@ from .nilalg import (corrupted_fixture, realize_split_nilradical,
 from .plancherel import (determinant, pfaffian, pfaffian_expansion,
                          plancherel_density)
 from .rootsys import build_root_system, cartan_matrix
-from .schrodinger import (coefficient_norm_sq, stepwise_rep, validate_rep,
-                          validation_grid)
+from .schrodinger import coefficient_norm_sq, stepwise_rep, validation_grid
 from .states import GaussianState, GridState
 
 DEFAULT_SEED = 20240801
@@ -328,9 +327,7 @@ def pipeline_orthogonality(h: Harness, gamma: Dict[int, Q],
     u = GaussianState.ground(rep.D)
     tol = 1e-6
     if backend == "grid":
-        grid = validation_grid(rep)
-        validate_rep(rep, 1e-4, grid)
-        u = GridState.from_gaussian(u, grid)
+        u = GridState.from_gaussian(u, validation_grid(rep))
         tol = 1e-3
     pf = exact_density(h, gamma)
     report = coefficient_norm_sq(rep, u, u)
@@ -411,9 +408,14 @@ def pipeline_limit_check(zeta: float, tolerance: float) -> Tuple[dict, List[dict
               "D_even": ("D", 2)}
     for fam, (series, rank) in sorted(starts.items()):
         chain = propagate(build_root_system(series, rank), 3)
-        rows.append(make_row(f"{fam}_cascade_stable", True,
-                             cascade_stability(chain).stable, 0,
-                             "stage-independent cascade table"))
+        report = cascade_stability(chain)
+        # a failed row names its first broken pair, layer and check
+        broken = next((f": {row['pair']}, r = {row['r']}, {check} fails"
+                       for row in report.rows
+                       for check in ("beta_stable", "layer_intersection")
+                       if not row[check]), "")
+        rows.append(make_row(f"{fam}_cascade_stable", True, report.stable, 0,
+                             "stage-independent cascade table" + broken))
     big = build_harness("A3")
     small = leading_subgroup(big, 1)
     f_big = TestFunction.standard(big)
@@ -503,8 +505,9 @@ def _add_flags(p: argparse.ArgumentParser,
             type=parse_rat, metavar="P/Q",
             help="layer parameter, repeatable in layer order")
         add("--backend", choices=("closed", "grid"), default="closed",
-            help="state space: closed-form Gaussian states, or grid samples "
-                 "(single-layer harnesses HEIS1-3 only)")
+            help="coefficient norm: the closed-form integral on Gaussian "
+                 "states, or a rectangle-rule quadrature of the ground state "
+                 "sampled on a grid (single-layer harnesses HEIS1-3 only)")
     elif name == "restriction":
         add("--lambda1", type=parse_rat, default="1")
         add("--lambda2", type=parse_rat, default="2")

@@ -211,12 +211,12 @@ def plancherel_constant(d_list: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class PlancherelData:
-    """Layer Pfaffians, their product, the constant, and nonsingularity."""
+    """Layer Pfaffians, their product, the pairing ranks, and
+    nonsingularity."""
 
     pf: Dict[int, Q]
     product: Q
     d_list: Tuple[int, ...]
-    c: int
     in_t_star: bool
 
 
@@ -238,5 +238,4 @@ def plancherel_density(alg: NilpotentAlgebra, layers: Sequence[Layer],
         else:
             pf[layer.r] = pfaffian(b_lambda_matrix(alg, layer, lam))
         product *= pf[layer.r]
-    c = plancherel_constant(d_list)
-    return PlancherelData(pf, product, tuple(d_list), c, product != 0)
+    return PlancherelData(pf, product, tuple(d_list), product != 0)

@@ -2,13 +2,12 @@
 
 A representation holds one regular functional, an ``OrbitDescriptor`` of
 ``harness``, which also holds the group; ``stepwise_rep`` builds it.  It
-acts on functions of the top layer's b-coordinates, held either as Gaussian
-states or as product states sampled axis by axis on a grid (single-layer
-harnesses only, where the action is a translation and a modulation, both
-axis by axis): the state passed in picks the closed or grid path.  Earlier
-layers act by the point transformation of the top-layer b-coordinates that
-``Harness.adjoint`` gives.  Also: matrix coefficients and their
-orthogonality (the coefficient norm against 1/|Pf|).
+acts on Gaussian states, functions of the top layer's b-coordinates.
+Earlier layers act by the point transformation of the top-layer
+b-coordinates that ``Harness.adjoint`` gives.  Also: matrix coefficients
+and their orthogonality (the coefficient norm against 1/|Pf|), in closed
+form on Gaussian states or as a rectangle-rule quadrature of grid samples
+(single-layer harnesses only).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from ._numpy import np
 from .harness import (CHECK_SCALE, CHECK_TOL, GroupElement, Harness,
@@ -25,10 +24,9 @@ from .harness import (CHECK_SCALE, CHECK_TOL, GroupElement, Harness,
 from .states import (GaussianState, Grid, GridState, gaussian_integral,
                      gaussian_integral_parts)
 
-State = Union[GaussianState, GridState]
-
-# momentum bound and width range of the random grid packets
-_GRID_PACKET = (0.5, (1.0, 1.3))
+# momentum bound and least width of the packets that validation_grid's point
+# rule covers; the rule stays as it is so that grid reports stay byte-identical
+_GRID_PACKET = (0.5, 1.0)
 # target q-step and half-span of the grid norm's shift lattice
 _Q_LATTICE = (0.55, 3.5)
 
@@ -65,20 +63,19 @@ class RepInstance:
         return self.orbit.pf_abs
 
     def _apply_top(self, zeta: float, p: np.ndarray, q: np.ndarray,
-                   state: State) -> State:
+                   state: GaussianState) -> GaussianState:
         lam = self.lam
         top = self.harness.top
         out = state.translate(np.asarray(q, dtype=float)) if top.d_r else state
         freq = -lam * top.C.T @ np.asarray(p, dtype=float) if top.d_r else np.zeros(0)
         return out.modulate(freq, 2j * np.pi * lam * zeta)
 
-    def _apply_earlier(self, layer_index: int, zeta: float, state: State) -> State:
+    def _apply_earlier(self, layer_index: int, zeta: float,
+                       state: GaussianState) -> GaussianState:
         h = self.harness
         layer = h.layers[layer_index]
         if layer.d_r != 0:
             raise AssertionError("earlier layers of the supported harnesses are lines")
-        if not isinstance(state, GaussianState):
-            raise ValueError("grid states need a single-layer harness")
         lam = self.lam
         # Ad(exp(-zeta z_r))(y . b) = (zvec . y) z + (A y) . a + (B y) . b
         piece = h.centres([-zeta if k == layer_index else 0.0 for k in range(h.m)])
@@ -93,8 +90,8 @@ class RepInstance:
         return out.modulate(np.zeros(self.D),
                             2j * np.pi * self.orbit.lam[layer_index] * zeta)
 
-    def apply(self, g: GroupElement, state: State) -> State:
-        """pi(g) applied to a Gaussian or grid state vector."""
+    def apply(self, g: GroupElement, state: GaussianState) -> GaussianState:
+        """pi(g) applied to a Gaussian state."""
         h = self.harness
         if h.positions(g.harness) != list(range(h.dim)):
             raise ValueError(f"an element of {g.harness.name} does not act "
@@ -108,64 +105,58 @@ class RepInstance:
                 out = self._apply_earlier(idx, zeta, out)
         return out
 
-    def random_state(self, rng: random.Random,
-                     grid: Optional[Grid] = None) -> State:
-        """A random Gaussian wave packet, sampled on grid when one is given.
+    def random_state(self, rng: random.Random) -> GaussianState:
+        """A random Gaussian wave packet.
 
         One ``rng.uniform`` per value: the D centre coordinates, then the D
-        momenta, then the width.  Grid packets stay mild (low momentum,
-        width >= 1) so the grid resolves their frequency content.
+        momenta, then the width.
         """
-        p, (w0, w1) = (1.0, (0.8, 1.2)) if grid is None else _GRID_PACKET
         center = [rng.uniform(-0.5, 0.5) for _ in range(self.D)]
-        momentum = [rng.uniform(-p, p) for _ in range(self.D)]
-        g = GaussianState.packet(self.D, center, momentum, rng.uniform(w0, w1))
-        return g if grid is None else GridState.from_gaussian(g, grid)
+        momentum = [rng.uniform(-1.0, 1.0) for _ in range(self.D)]
+        return GaussianState.packet(self.D, center, momentum,
+                                    rng.uniform(0.8, 1.2))
 
 
-def _state_distance(lhs: State, rhs: State) -> float:
-    """Deviation between two states, scale-aware per state type.
-
-    Gaussian states are compared by their parameters (the parameterization
-    is unique up to 2*pi*i in the constant, handled via exponentiation);
-    grid states by the quadrature L2 distance relative to the norm.
-    """
-    if isinstance(lhs, GaussianState):
-        return max(float(np.abs(lhs.M - rhs.M).max(initial=0.0)),
-                   float(np.abs(lhs.ell - rhs.ell).max(initial=0.0)),
-                   abs(np.exp(lhs.k - rhs.k) - 1.0))
-    diff = lhs.inner(lhs) - lhs.inner(rhs) - rhs.inner(lhs) + rhs.inner(rhs)
-    return math.sqrt(max(float(np.real(diff)), 0.0) / rhs.norm_sq())
+def _state_distance(lhs: GaussianState, rhs: GaussianState) -> float:
+    """Deviation between two Gaussian states, compared by their parameters
+    (the parameterization is unique up to 2*pi*i in the constant, handled
+    via exponentiation)."""
+    return max(float(np.abs(lhs.M - rhs.M).max(initial=0.0)),
+               float(np.abs(lhs.ell - rhs.ell).max(initial=0.0)),
+               abs(np.exp(lhs.k - rhs.k) - 1.0))
 
 
 def validation_grid(rep: RepInstance) -> Grid:
-    """The one grid of rep's grid states: check_invariants samples its
-    random packets on it, and the grid coefficient norm its states.
+    """The grid that ``orthogonality --backend grid`` samples the ground
+    state on for the grid coefficient norm.
 
-    Its half-width keeps shifted packets off the periodic boundary, and it
-    is fine enough that no checked state aliases: its
-    Nyquist frequency n / (4 half_width) covers the grid packets' momentum,
-    the modulation |lam| * scale of one checked element, and the packets'
+    Its point rule is kept bit for bit so that grid reports stay
+    byte-identical: the half-width keeps shifted packets off the periodic
+    boundary, and the Nyquist frequency n / (4 half_width) covers the
+    ``_GRID_PACKET`` momentum, the modulation |lam| * CHECK_SCALE, and a
     Gaussian spectrum exp(-pi w^2 xi^2) down to 1e-12.  n is the next power
-    of two; ValueError when it would exceed 2^16.
+    of two.  ValueError, in this order, unless 1 <= D <= 3, when n would
+    exceed 2^16, and for a harness with more than one layer.
     """
     if not 1 <= rep.D <= 3:
         raise ValueError(f"the grid path needs 1 <= D <= 3, got D = {rep.D}")
     half_width = 5.0
-    momentum, (width, _) = _GRID_PACKET
+    momentum, width = _GRID_PACKET
     nyquist = (momentum + abs(rep.lam) * CHECK_SCALE
                + math.sqrt(math.log(1e12) / math.pi) / width)
     points = 2 ** math.ceil(math.log2(4.0 * half_width * nyquist))
     if points > 2 ** 16:
         raise ValueError(f"|lambda| = {abs(rep.lam):g} is too large for the "
                          "grid path")
+    if rep.harness.m > 1:
+        raise ValueError("grid states need a single-layer harness")
     return Grid(rep.D, points, half_width)
 
 
 def check_invariants(rep: RepInstance, rng: random.Random,
-                     trials: int = 5, grid: Optional[Grid] = None) -> Dict[str, float]:
-    """Max unitarity and homomorphism deviations over random samples,
-    on grid states when a grid is given; NaN when a deviation is NaN.
+                     trials: int = 5) -> Dict[str, float]:
+    """Max unitarity and homomorphism deviations over random samples on
+    Gaussian states; NaN when a deviation is NaN.
 
     Each sample draws g1, g2 and v and applies pi three times: w = pi(g2)v,
     whose norm against v's is the unitarity deviation, and pi(g1)w against
@@ -175,7 +166,7 @@ def check_invariants(rep: RepInstance, rng: random.Random,
     for _ in range(trials):
         g1 = random_element(rep.harness, rng, CHECK_SCALE)
         g2 = random_element(rep.harness, rng, CHECK_SCALE)
-        v = rep.random_state(rng, grid)
+        v = rep.random_state(rng)
         nv = math.sqrt(v.norm_sq())
         w = rep.apply(g2, v)
         uni.append(abs(math.sqrt(w.norm_sq()) - nv) / nv)
@@ -185,17 +176,16 @@ def check_invariants(rep: RepInstance, rng: random.Random,
             "homomorphism": float(np.max(hom, initial=0.0))}
 
 
-def validate_rep(rep: RepInstance, tol: float,
-                 grid: Optional[Grid] = None) -> None:
+def validate_rep(rep: RepInstance, tol: float) -> None:
     """Raise AssertionError naming the first deviation of check_invariants
-    (3 samples from random.Random(11), on grid states when given) that is
-    not below tol; a NaN deviation is not below it."""
-    checks = check_invariants(rep, random.Random(11), 3, grid=grid)
+    (3 samples from random.Random(11)) that is not below tol; a NaN
+    deviation is not below it."""
+    checks = check_invariants(rep, random.Random(11), 3)
     for name, dev in checks.items():
         if not dev < tol:
             raise AssertionError(
-                f"{rep.harness.name}: {'Gaussian' if grid is None else 'grid'} "
-                f"{name} deviation {dev:.2g} is not below {tol:g}")
+                f"{rep.harness.name}: Gaussian {name} deviation {dev:.2g} "
+                f"is not below {tol:g}")
 
 
 def stepwise_rep(harness: Union[Harness, str],
@@ -218,7 +208,8 @@ def stepwise_rep(harness: Union[Harness, str],
     return rep
 
 
-def coefficient(rep: RepInstance, u: State, v: State, g: GroupElement) -> complex:
+def coefficient(rep: RepInstance, u: GaussianState, v: GaussianState,
+                g: GroupElement) -> complex:
     """Matrix coefficient <u, pi(g) v>."""
     return complex(u.inner(rep.apply(g, v)))
 
@@ -292,7 +283,8 @@ def _grid_norm_sq(rep: RepInstance, u: GridState, v: GridState) -> float:
     return total * (dp ** D * (q_stride * h) ** D)
 
 
-def coefficient_norm_sq(rep: RepInstance, u: State, v: State) -> NormReport:
+def coefficient_norm_sq(rep: RepInstance, u: Union[GaussianState, GridState],
+                        v: Union[GaussianState, GridState]) -> NormReport:
     """Integral of |<u, pi(.)v>|^2 over the non-central coordinates.
 
     Reports the measured value, the predicted norm_u^2 norm_v^2 / |Pf|, and

@@ -1,5 +1,6 @@
-"""State-vector backends: closed-form Gaussian states, and product states
-sampled axis by axis on a uniform tensor grid."""
+"""Closed-form Gaussian states, the one state type the representations act
+on, and product states sampled axis by axis on a uniform tensor grid, which
+only feed the grid coefficient-norm quadrature."""
 
 from __future__ import annotations
 
@@ -139,19 +140,11 @@ class Grid:
     def axis(self) -> np.ndarray:
         return -self.half_width + self.h * np.arange(self.points)
 
-    def freqs(self) -> np.ndarray:
-        """DFT frequency axis matching numpy fft conventions."""
-        return np.fft.fftfreq(self.points, d=self.h)
-
 
 @dataclass
 class GridState:
     """Product state f_1(y_1) ... f_D(y_D) sampled on a uniform tensor grid,
-    held as one sample vector per axis; quadrature is the rectangle rule.
-
-    Translation and modulation act axis by axis, so they keep products and
-    every operation costs O(D n log n) for n points per axis.
-    """
+    held as one sample vector per axis; quadrature is the rectangle rule."""
 
     grid: Grid
     factors: Tuple[np.ndarray, ...]
@@ -169,23 +162,6 @@ class GridState:
         factors = [np.exp(-M[i, i] * x * x + g.ell[i] * x) for i in range(g.dim)]
         factors[0] = factors[0] * np.exp(g.k)
         return GridState(grid, tuple(factors))
-
-    def translate(self, q: np.ndarray) -> "GridState":
-        """Band-limited shift y -> f(y + q) via FFT phase rotation."""
-        q = np.asarray(q, dtype=float).reshape(self.grid.D)
-        freqs = self.grid.freqs()
-        return GridState(self.grid, tuple(
-            np.fft.ifft(np.fft.fft(f) * np.exp(2j * np.pi * qi * freqs))
-            for qi, f in zip(q, self.factors)))
-
-    def modulate(self, freq: np.ndarray, phase: complex = 0.0) -> "GridState":
-        """Multiply by exp(2*pi*i*(freq . y) + phase)."""
-        freq = np.asarray(freq, dtype=float).reshape(self.grid.D)
-        x = self.grid.axis()
-        factors = [f * np.exp(2j * np.pi * fi * x)
-                   for fi, f in zip(freq, self.factors)]
-        factors[0] = factors[0] * np.exp(phase)
-        return GridState(self.grid, tuple(factors))
 
     def inner(self, other: "GridState") -> complex:
         if self.grid != other.grid:

@@ -1,5 +1,6 @@
 """Command-line driver: reports, exit codes, determinism."""
 
+import dataclasses
 import filecmp
 import json
 import math
@@ -19,6 +20,7 @@ import stepsq
 import stepsq.cascade as cascade
 import stepsq.cli as cli
 import stepsq.harness as harness
+import stepsq.limits as limits
 import stepsq.nilalg as nilalg
 import stepsq.rootsys as rootsys
 from stepsq.cli import ReportDocument, make_row, run
@@ -72,41 +74,50 @@ def test_unsupported_harness_shape_exits_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+TWO_LAYERS = "configuration error: grid states need a single-layer harness"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["orthogonality", "--harness", "A3", "--lambda", "1", "--lambda", "1"],
-     "configuration error"),
+     TWO_LAYERS),
     (["orthogonality", "--harness", "A1", "--lambda", "1"],
      "argument --harness: invalid choice: 'A1'"),
-], ids=["A3-two-layers", "A1-no-symplectic-part"])
+    (["orthogonality", "--harness", "C2", "--lambda", "1/2", "--lambda", "1"],
+     TWO_LAYERS),
+    (["orthogonality", "--harness", "B2", "--lambda", "2", "--lambda", "1/2"],
+     TWO_LAYERS),
+], ids=["A3-two-layers", "A1-no-symplectic-part", "C2-two-layers",
+        "B2-two-layers"])
 def test_grid_path_needs_one_symplectic_layer(tmp_path, capsys, argv, message):
-    # A3 has two layers, so grid states do not serve it; A1 has D = 0, so
-    # orthogonality does not offer it on either backend
+    # A3, C2 and B2 have two layers, so the grid path does not serve them;
+    # A1 has D = 0, so orthogonality does not offer it on either backend
     out = str(tmp_path / "o.json")
     assert run(argv + ["--backend", "grid", "--out", out]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
-# the CLI with the validation grid pinned to 64 points on [-5, 5)^D, which
-# aliases the packets that HEIS3 modulates at lambda = 3
-COARSE_GRID_CLI = """
-import sys
+# the CLI with p flipped in the top layer's action: pi stays unitary, but
+# the Gaussian homomorphism check of stepwise_rep fails
+P_FLIP_CLI = """
+import numpy as np
 from stepsq import cli
-from stepsq.states import Grid
-cli.validation_grid = lambda rep: Grid(rep.D, 64, 5.0)
+from stepsq.schrodinger import RepInstance
+real = RepInstance._apply_top
+RepInstance._apply_top = lambda self, zeta, p, q, state: real(
+    self, zeta, -np.asarray(p), q, state)
 cli.main()
 """
 
 
 def test_broken_invariant_exits_1_with_a_report(tmp_path):
-    # on a grid too coarse for the state, the grid homomorphism check fails;
-    # the run must exit 1 with a report naming it, also under python -O
+    # a wrong representation fails the homomorphism check; the run must
+    # exit 1 with a report naming it, also under python -O
     out = tmp_path / "o.json"
     src = os.path.dirname(os.path.dirname(os.path.abspath(stepsq.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", COARSE_GRID_CLI, "orthogonality",
-         "--harness", "HEIS3", "--lambda", "3", "--backend", "grid",
-         "--out", str(out)],
+        [sys.executable, "-O", "-c", P_FLIP_CLI, "orthogonality",
+         "--harness", "HEIS3", "--lambda", "3", "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 1, proc.stderr
@@ -115,7 +126,7 @@ def test_broken_invariant_exits_1_with_a_report(tmp_path):
     [row] = doc["rows"]
     assert row["name"] == "invariant" and row["pass"] is False
     assert row["provenance"].startswith("schrodinger.validate_rep: ")
-    assert "grid homomorphism deviation" in row["provenance"]
+    assert "HEIS3: Gaussian homomorphism deviation 1.9" in row["provenance"]
     assert "invariant failed: schrodinger.validate_rep: " in proc.stderr
 
 
@@ -295,6 +306,36 @@ def test_limit_check_report(tmp_path):
     assert "incoherent_family_detected" in names
     assert "C_cascade_stable" in names and "A_odd_cascade_stable" in names
     assert not any(name.endswith("_aligned") for name in names)
+
+
+def test_a_broken_cascade_row_names_the_pair(tmp_path, monkeypatch):
+    # A5's layer 2 loses a member that A3's layer 2 embeds onto, so the
+    # A_odd chain A1 -> A3 -> A5 -> A7 first breaks at A3->A5, r = 2;
+    # propagate never reads the cascade, so the chain itself stays valid
+    real = limits.cascade_decomposition
+    a3, a5 = rootsys.build_root_system("A", 3), rootsys.build_root_system("A", 5)
+    lost = limits.stage_embedding(a3, a5).apply(real(a3)[1].members[0])
+
+    def dropped(system):
+        layers = real(system)
+        if system is not a5:
+            return layers
+        members = tuple(a for a in layers[1].members if a != lost)
+        return (layers[0], dataclasses.replace(layers[1], members=members),
+                *layers[2:])
+
+    monkeypatch.setattr(limits, "cascade_decomposition", dropped)
+    out = str(tmp_path / "l.json")
+    assert run(["limit-check", "--out", out]) == 1
+    rows = {r["name"]: r for r in read(out)["rows"]
+            if r["name"].endswith("_cascade_stable")}
+    assert [name for name, r in rows.items() if not r["pass"]] == [
+        "A_odd_cascade_stable"]
+    assert rows["A_odd_cascade_stable"]["provenance"] == (
+        "stage-independent cascade table: A3->A5, r = 2, "
+        "layer_intersection fails")
+    assert rows["C_cascade_stable"]["provenance"] == (
+        "stage-independent cascade table")
 
 
 def test_quick_all_is_deterministic(tmp_path):

@@ -191,7 +191,7 @@ def test_plancherel_density_heisenberg():
     for t in (Q(1), Q(2), Q(-3, 2)):
         data = plancherel_density(alg, layers, {r: t})
         assert abs(data.product) == abs(t)
-        assert data.c == 2
+        assert plancherel_constant(data.d_list) == 2
         assert data.in_t_star
     assert not plancherel_density(alg, layers, {r: Q(0)}).in_t_star
 
@@ -201,7 +201,7 @@ def test_plancherel_density_a3():
     lam1, lam2 = Q(7), Q(3)
     data = plancherel_density(alg, layers, {1: lam1, 2: lam2})
     assert abs(data.product) == lam2 ** 2  # lambda_1 does not enter (d_1 = 0)
-    assert data.c == 8
+    assert plancherel_constant(data.d_list) == 8
     assert data.d_list == (0, 2)
     assert data.in_t_star
     assert not plancherel_density(alg, layers, {1: lam1, 2: Q(0)}).in_t_star
